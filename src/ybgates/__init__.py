@@ -7,9 +7,11 @@ from .eightvertex import (
     ZeroDeformationError,
     build_b,
     build_b_phi,
+    build_b_stack,
     build_R_theta,
     build_R_x,
     build_R_x_normalized,
+    build_R_x_stack,
     check_constraints,
     rho,
     theta_from_x,
@@ -61,6 +63,7 @@ from .linalg import (
 from .yangbaxter import (
     braid_residual,
     qybe_residual,
+    qybe_residuals,
     verify_two_eigenvalues,
     yang_baxterize,
 )

@@ -34,6 +34,7 @@ from .eightvertex import (
     build_R_theta,
     build_R_x,
     build_R_x_normalized,
+    build_R_x_stack,
     theta_from_x,
 )
 from .entangle import concurrence, r_theta_action
@@ -48,7 +49,7 @@ from .hamiltonian import (
 )
 from .linalg import expm, kron, residual, unitarity_residual
 from .paulis import SIGMA_X, SIGMA_Y
-from .yangbaxter import braid_residual, qybe_residual
+from .yangbaxter import braid_residual, qybe_residuals
 
 SEED_ENV_VAR = "YBG_SEED"
 DEFAULT_SEED = 0x5EED
@@ -62,6 +63,11 @@ _DEFAULT_TOL = {
     "synthesize": 1e-12,
 }
 _SWEEP_TOL = {"unitarity": 1e-12, "braid": 1e-12, "qybe": 1e-10}
+
+# QYBE points are lifted to 8x8 and multiplied this many at a time: large
+# enough that numpy's per-call cost is spread thin, small enough that the
+# lifted stacks stay a few hundred kilobytes whatever the grid size.
+_QYBE_BLOCK = 64
 
 
 class CliError(Exception):
@@ -164,6 +170,23 @@ def _phi_grid(n: int) -> list[float]:
     return [2.0 * math.pi * k / n for k in range(n)]
 
 
+def _qybe_blocks(count: int, stacks) -> np.ndarray:
+    """QYBE residuals of ``count`` points, _QYBE_BLOCK points at a time.
+
+    ``stacks(block)`` returns the family at x, y and x*y for the points in
+    the slice ``block``, as one (3, B, 4, 4) array.
+    """
+    out = np.empty(count)
+    for start in range(0, count, _QYBE_BLOCK):
+        block = slice(start, start + _QYBE_BLOCK)
+        out[block] = qybe_residuals(*stacks(block))
+    return out
+
+
+def _json_float(value: float) -> float | None:
+    return value if math.isfinite(value) else None
+
+
 # --- verify -----------------------------------------------------------
 
 def _verify_braid(args: argparse.Namespace) -> tuple[list[tuple[str, float]], int]:
@@ -181,27 +204,31 @@ def _verify_braid(args: argparse.Namespace) -> tuple[list[tuple[str, float]], in
 
 
 def _verify_qybe(args: argparse.Namespace) -> tuple[list[tuple[str, float]], int]:
+    # Points run x-major over an n x n grid. Each (sign, phi) builds one
+    # stack holding the family at the n grid values and then at the n*n
+    # products, so the whole grid shares a single braid-matrix inverse.
     n = args.grid
-    values = [2.0 * k / n for k in range(1, n + 1)]
+    values = np.array([2.0 * k / n for k in range(1, n + 1)])
+    i, j = np.divmod(np.arange(n * n), n)
+    index = np.stack([i, j, n + np.arange(n * n)])
+    spectral = np.concatenate([values, values[i] * values[j]])
     entries = []
     for sign in _signs(args):
         for phi in _phi_grid(args.phi_grid):
-            q = np.exp(-1j * phi)
-
-            def family(t: float, _sign=sign, _q=q) -> np.ndarray:
-                return build_R_x(_sign, _q, t)
-
-            worst = 0.0
-            worst_at = (values[0], values[0])
-            for x in values:
-                for y in values:
-                    value = qybe_residual(family, x, y)
-                    if value > worst:
-                        worst, worst_at = value, (x, y)
-            entries.append(
-                (f"sign={sign} phi={phi!r} x={worst_at[0]!r} y={worst_at[1]!r}", worst)
+            table = build_R_x_stack(sign, np.exp(-1j * phi), spectral)
+            results = _qybe_blocks(n * n, lambda block: table[index[:, block]])
+            # One entry per non-finite point, else the first maximum.
+            nonfinite = np.flatnonzero(~np.isfinite(results))
+            picks = nonfinite if len(nonfinite) else [int(np.argmax(results))]
+            entries.extend(
+                (
+                    f"sign={sign} phi={phi!r} x={float(values[i[k]])!r}"
+                    f" y={float(values[j[k]])!r}",
+                    float(results[k]),
+                )
+                for k in picks
             )
-    return entries, 2 * args.phi_grid * n * n if not args.sign else args.phi_grid * n * n
+    return entries, len(_signs(args)) * args.phi_grid * n * n
 
 
 def _verify_unitarity(args: argparse.Namespace) -> tuple[list[tuple[str, float]], int]:
@@ -268,20 +295,30 @@ _VERIFY_RUNNERS = {
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.matrix_file and args.relation != "braid":
+        raise CliError("only braid accepts --matrix-file")
     tol = args.tol if args.tol is not None else _DEFAULT_TOL[args.relation]
     entries, points = _VERIFY_RUNNERS[args.relation](args)
-    worst_label, worst_value = max(entries, key=lambda item: item[1])
-    passed = worst_value < tol
+    # max() skips a NaN that follows a finite value, so non-finite
+    # residuals are picked out first and always fail.
+    nonfinite = [entry for entry in entries if not math.isfinite(entry[1])]
+    if nonfinite:
+        worst_label, worst_value = nonfinite[0]
+    else:
+        worst_label, worst_value = max(entries, key=lambda item: item[1])
+    passed = not nonfinite and worst_value < tol
     report = {
         "command": "verify",
         "relation": args.relation,
         "points": points,
         "tol": tol,
-        "max_residual": worst_value,
+        "max_residual": _json_float(worst_value),
         "worst": worst_label,
         "pass": passed,
     }
-    print(json.dumps(report, sort_keys=True))
+    if nonfinite:
+        report["nonfinite"] = len(nonfinite)
+    print(json.dumps(report, sort_keys=True, allow_nan=False))
     return 0 if passed else 1
 
 
@@ -387,7 +424,12 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 # --- sweep ------------------------------------------------------------
 
+def _pointwise(evaluate):
+    return lambda values: [float(evaluate(v)) for v in values]
+
+
 def _sweep_evaluator(args: argparse.Namespace):
+    """A function from the list of parameter values to the list of results."""
     sign = args.sign or "-"
     phi = args.phi if args.phi is not None else 0.0
     theta = args.theta if args.theta is not None else 0.0
@@ -396,25 +438,43 @@ def _sweep_evaluator(args: argparse.Namespace):
     quantity, param = args.quantity, args.param
     if quantity == "concurrence":
         if param == "theta":
-            return lambda v: concurrence(r_theta_action(sign, phi, v, 0))
+            return _pointwise(lambda v: concurrence(r_theta_action(sign, phi, v, 0)))
         if param == "phi":
-            return lambda v: concurrence(r_theta_action(sign, v, theta, 0))
+            return _pointwise(lambda v: concurrence(r_theta_action(sign, v, theta, 0)))
     if quantity == "unitarity":
         if param == "x":
-            return lambda v: unitarity_residual(build_R_x_normalized(sign, phi, v))
+            return _pointwise(lambda v: unitarity_residual(build_R_x_normalized(sign, phi, v)))
         if param == "phi":
-            return lambda v: unitarity_residual(build_R_x_normalized(sign, v, x))
+            return _pointwise(lambda v: unitarity_residual(build_R_x_normalized(sign, v, x)))
     if quantity == "braid":
         if param == "phi":
-            return lambda v: braid_residual(build_b_phi(sign, v))
+            return _pointwise(lambda v: braid_residual(build_b_phi(sign, v)))
     if quantity == "qybe":
+        # Each block builds the family at x, y and x*y for its points as one
+        # (3, B, 4, 4) stack, with one braid matrix and inverse per q.
         if param == "x":
             q = np.exp(-1j * phi)
-            return lambda v: qybe_residual(lambda t: build_R_x(sign, q, t), v, y)
+
+            def sweep_x(values: list[float]) -> list[float]:
+                xs = np.asarray(values)
+
+                def stacks(block: slice) -> np.ndarray:
+                    v = xs[block]
+                    return build_R_x_stack(sign, q, np.stack([v, np.full_like(v, y), v * y]))
+
+                return _qybe_blocks(len(xs), stacks).tolist()
+
+            return sweep_x
         if param == "phi":
-            return lambda v: qybe_residual(
-                lambda t: build_R_x(sign, np.exp(-1j * v), t), x, y
-            )
+
+            def sweep_phi(values: list[float]) -> list[float]:
+                qs = np.exp(-1j * np.asarray(values))
+                spectral = np.array([[x], [y], [x * y]])
+                return _qybe_blocks(
+                    len(qs), lambda block: build_R_x_stack(sign, qs[block], spectral)
+                ).tolist()
+
+            return sweep_phi
     raise CliError(f"quantity {quantity!r} cannot sweep parameter {param!r}")
 
 
@@ -426,10 +486,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args.start + (args.stop - args.start) * k / (args.steps - 1)
         for k in range(args.steps)
     ]
-    results = [float(evaluate(v)) for v in values]
+    results = evaluate(values)
     tol = args.tol if args.tol is not None else _SWEEP_TOL.get(args.quantity)
-    peak = max(results)
-    passed = None if tol is None else peak < tol
+    nonfinite = sum(not math.isfinite(r) for r in results)
+    # A non-finite result fails, and is the peak, whatever the tolerance.
+    peak = math.nan if nonfinite else max(results)
+    passed = False if nonfinite else None if tol is None else peak < tol
     if args.format == "csv":
         lines = ["param,value,quantity"]
         lines.extend(
@@ -442,13 +504,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "command": "sweep",
             "quantity": args.quantity,
             "parameter": args.param,
-            "values": values,
-            "results": results,
-            "max_value": peak,
+            "values": [_json_float(v) for v in values],
+            "results": [_json_float(r) for r in results],
+            "max_value": _json_float(peak),
             "tol": tol,
             "pass": passed,
         }
-        text = json.dumps(report, sort_keys=True) + "\n"
+        if nonfinite:
+            report["nonfinite"] = nonfinite
+        text = json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -461,6 +525,33 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 # --- parser -----------------------------------------------------------
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
 
 def _add_common_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sign", choices=["+", "-"], help="family sign")
@@ -481,10 +572,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "relation", choices=["braid", "qybe", "unitarity", "schrodinger", "exponential"]
     )
     verify.add_argument("--sign", choices=["+", "-"], help="restrict to one sign")
-    verify.add_argument("--tol", type=float, help="pass tolerance (per-relation default)")
-    verify.add_argument("--grid", type=int, default=None, help="points per spectral axis")
-    verify.add_argument("--phi-grid", type=int, default=None, help="deformation grid points")
-    verify.add_argument("--step", type=float, default=1e-5, help="finite-difference step")
+    verify.add_argument(
+        "--tol", type=_finite_float, help="pass tolerance (per-relation default)"
+    )
+    verify.add_argument(
+        "--grid", type=_positive_int, default=None, help="points per spectral axis"
+    )
+    verify.add_argument(
+        "--phi-grid", type=_positive_int, default=None, help="deformation grid points"
+    )
+    verify.add_argument(
+        "--step", type=_positive_float, default=1e-5, help="finite-difference step"
+    )
     verify.add_argument("--matrix-file", help="check one matrix document (braid only)")
     verify.set_defaults(func=_cmd_verify)
 
@@ -500,7 +599,7 @@ def _build_parser() -> argparse.ArgumentParser:
     synthesize.add_argument("route", choices=["theorem1", "evolution"])
     synthesize.add_argument("--phi", type=float, help="deformation angle (evolution route)")
     synthesize.add_argument("--theta", type=float, help="evolution angle, default pi/2")
-    synthesize.add_argument("--tol", type=float, help="pass tolerance, default 1e-12")
+    synthesize.add_argument("--tol", type=_finite_float, help="pass tolerance, default 1e-12")
     synthesize.set_defaults(func=_cmd_synthesize)
 
     sweep = sub.add_parser("sweep", help="tabulate a quantity over a range")
@@ -513,7 +612,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--steps", type=int, required=True)
     _add_common_params(sweep)
     sweep.add_argument("--y", type=float, help="second spectral value (qybe)")
-    sweep.add_argument("--tol", type=float, help="pass tolerance for residual sweeps")
+    sweep.add_argument("--tol", type=_finite_float, help="pass tolerance for residual sweeps")
     sweep.add_argument("--format", choices=["json", "csv"], default="json")
     sweep.add_argument("--out", help="write the report to a file instead of stdout")
     sweep.set_defaults(func=_cmd_sweep)
@@ -534,9 +633,10 @@ def main(argv: list[str] | None = None) -> int:
             args.grid = 61 if args.relation == "unitarity" else 16
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, ArithmeticError) as exc:
         # ValueError covers domain errors from the constructors (zero
-        # deformation, bad signs, dimension mismatches on loaded files).
+        # deformation, bad signs, dimension mismatches on loaded files);
+        # ArithmeticError covers overflow on out-of-range parameters.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

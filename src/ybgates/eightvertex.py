@@ -104,6 +104,25 @@ def build_b(sign: str, q: complex) -> np.ndarray:
     )
 
 
+def build_b_stack(sign: str, q: np.ndarray) -> np.ndarray:
+    """build_b over an array of deformations: shape q.shape + (4, 4).
+
+    Entries are computed with numpy complex arithmetic, so each matrix is
+    bit-identical to build_b at the same numpy complex q.
+    """
+    q = np.asarray(q, dtype=complex)
+    if np.any(q == 0):
+        raise ZeroDeformationError("deformation parameter q must be non-zero")
+    s = sign_value(sign)
+    b = np.zeros(q.shape + (4, 4), dtype=complex)
+    b[..., range(4), range(4)] = 1
+    b[..., 0, 3] = q
+    b[..., 1, 2] = s
+    b[..., 2, 1] = -s
+    b[..., 3, 0] = -1.0 / q
+    return b
+
+
 def build_b_phi(sign: str, phi: float) -> np.ndarray:
     """Unitary braid matrix build_b(sign, exp(-i*phi)) / sqrt(2)."""
     return build_b(sign, np.exp(-1j * phi)) / SQRT2
@@ -112,6 +131,17 @@ def build_b_phi(sign: str, phi: float) -> np.ndarray:
 def build_R_x(sign: str, q: complex, x: float) -> np.ndarray:
     """Baxterized family b + 2x * b^(-1); entries follow 1+x and q(1-x)."""
     return yang_baxterize(build_b(sign, q), EIGENVALUES, x)
+
+
+def build_R_x_stack(sign: str, q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """build_R_x over arrays: q and x broadcast to a shape S, result S + (4, 4).
+
+    One braid matrix and one inverse are built per entry of q, not per
+    point, so a grid over x at fixed q costs a single inverse. Each matrix
+    is bit-identical to build_R_x at the same numpy complex q and float x.
+    """
+    x = np.asarray(x, dtype=float)[..., None, None]
+    return yang_baxterize(build_b_stack(sign, q), EIGENVALUES, x)
 
 
 def rho(x: float) -> float:

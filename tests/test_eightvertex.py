@@ -10,9 +10,11 @@ from ybgates.eightvertex import (
     ZeroDeformationError,
     build_b,
     build_b_phi,
+    build_b_stack,
     build_R_theta,
     build_R_x,
     build_R_x_normalized,
+    build_R_x_stack,
     check_constraints,
     rho,
     sign_value,
@@ -64,6 +66,25 @@ def test_build_b_lower_sign():
 def test_build_b_zero_deformation():
     with pytest.raises(ZeroDeformationError):
         build_b("+", 0.0)
+    with pytest.raises(ZeroDeformationError):
+        build_b_stack("+", np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_stack_constructors_are_bit_identical_to_scalar(sign):
+    phis = np.array(PHI_GRID + [0.37, 5.1, -2.2])
+    qs = np.exp(-1j * phis)
+    xs = np.array([-2.5, -1.0, 0.0, 0.3, 1.0, 1.7, 3.0])
+    b = build_b_stack(sign, qs)
+    assert b.shape == (len(qs), 4, 4)
+    # q varies along the first axis, x along the second.
+    r = build_R_x_stack(sign, qs[:, None], xs)
+    assert r.shape == (len(qs), len(xs), 4, 4)
+    for k, phi in enumerate(phis):
+        q = np.exp(-1j * float(phi))
+        assert np.array_equal(b[k], build_b(sign, q))
+        for m, x in enumerate(xs):
+            assert np.array_equal(r[k, m], build_R_x(sign, q, float(x)))
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])

@@ -90,6 +90,20 @@ def test_inverse_singular():
         inverse(np.zeros((4, 4), dtype=complex))
 
 
+def test_inverse_stack_matches_each_matrix():
+    stack = np.stack([build_b_phi(sign, phi) for sign in "+-" for phi in (0.0, 0.4, 2.9)])
+    got = inverse(stack)
+    assert got.shape == (6, 4, 4)
+    for k in range(6):
+        assert np.array_equal(got[k], inverse(stack[k]))
+
+
+def test_inverse_stack_rejects_any_singular_matrix():
+    stack = np.stack([I4, np.zeros((4, 4)), I4])
+    with pytest.raises(SingularMatrixError):
+        inverse(stack)
+
+
 def test_expm_zero():
     assert residual(expm(np.zeros((4, 4))), I4) == 0.0
 

@@ -4,12 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ybgates.eightvertex import EIGENVALUES, build_b, build_b_phi, build_R_x
+from ybgates.eightvertex import (
+    EIGENVALUES,
+    build_b,
+    build_b_phi,
+    build_R_x,
+    build_R_x_stack,
+)
 from ybgates.linalg import DimensionMismatchError, SingularMatrixError
 from ybgates.yangbaxter import (
     braid_residual,
     qybe_residual,
+    qybe_residuals,
     verify_two_eigenvalues,
     yang_baxterize,
 )
@@ -155,3 +164,47 @@ def test_braid_grid_and_qybe_grid_light(sign):
         family = lambda t: build_R_x(sign, np.exp(-1j * phi), t)
         for x, y in ((0.25, 1.75), (0.5, 0.5), (2.0, 0.125)):
             assert qybe_residual(family, x, y) < 1e-10
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_qybe_residuals_bit_identical_to_oracle_on_verify_grids(sign, n):
+    # The verify qybe grid: x and y over 2k/n, k = 1..n, x-major.
+    values = [2.0 * k / n for k in range(1, n + 1)]
+    xs = np.repeat(values, n)
+    ys = np.tile(values, n)
+    for phi in [2.0 * math.pi * k / 8 for k in range(8)]:
+        q = np.exp(-1j * phi)
+        got = qybe_residuals(*build_R_x_stack(sign, q, np.stack([xs, ys, xs * ys])))
+        family = lambda t: build_R_x(sign, q, t)
+        expected = [_qybe_oracle(family, x, y) for x in values for y in values]
+        assert np.array_equal(got, expected)
+
+
+@given(
+    sign=st.sampled_from(["+", "-"]),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    x=st.floats(-4.0, 4.0),
+    y=st.floats(-4.0, 4.0),
+)
+def test_qybe_residuals_property(sign, phi, x, y):
+    q = np.exp(-1j * phi)
+    stacks = build_R_x_stack(sign, q, np.array([[x], [y], [x * y]]))
+    got = qybe_residuals(*stacks)
+    family = lambda t: build_R_x(sign, q, t)
+    assert got.shape == (1,)
+    assert got[0] == _qybe_oracle(family, x, y) == qybe_residual(family, x, y)
+    # Rounding grows with the entries of the three factors on each side.
+    scale = (1.0 + abs(x)) * (1.0 + abs(y)) * (1.0 + abs(x * y))
+    assert got[0] <= 1e-14 * scale
+
+
+def test_qybe_residuals_shape_checks():
+    stack = np.stack([I4, I4])
+    with pytest.raises(DimensionMismatchError):
+        qybe_residuals(stack, stack, stack[:1])
+    with pytest.raises(DimensionMismatchError):
+        qybe_residuals(I4, I4, I4)
+    small = np.stack([I2, I2])
+    with pytest.raises(DimensionMismatchError):
+        qybe_residuals(small, small, small)
