@@ -48,11 +48,10 @@ from .hamiltonian import (
     schrodinger_residual,
 )
 from .linalg import expm, kron, residual, unitarity_residual
-from .paulis import SIGMA_X, SIGMA_Y
+from .paulis import DEFAULT_SEED, SIGMA_X, SIGMA_Y
 from .yangbaxter import braid_residual, qybe_residuals
 
 SEED_ENV_VAR = "YBG_SEED"
-DEFAULT_SEED = 0x5EED
 
 _DEFAULT_TOL = {
     "braid": 1e-12,
@@ -94,7 +93,7 @@ class MatrixDocument:
 
     def to_json(self) -> str:
         payload = {"dim": self.dim, "data": self.data, "meta": self.meta}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "MatrixDocument":
@@ -185,6 +184,14 @@ def _qybe_blocks(count: int, stacks) -> np.ndarray:
 
 def _json_float(value: float) -> float | None:
     return value if math.isfinite(value) else None
+
+
+def _refuse_nonfinite(matrix: np.ndarray, what: str) -> bool:
+    """Report a matrix with NaN or infinite entries on stderr; True if so."""
+    if np.all(np.isfinite(matrix)):
+        return False
+    print(f"error: {what} has non-finite entries", file=sys.stderr)
+    return True
 
 
 # --- verify -----------------------------------------------------------
@@ -379,6 +386,8 @@ def _build_family_matrix(args: argparse.Namespace) -> tuple[np.ndarray, dict[str
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     matrix, meta = _build_family_matrix(args)
+    if _refuse_nonfinite(matrix, f"the {args.family} matrix at these parameters"):
+        return 1
     print(MatrixDocument.from_matrix(matrix, meta).to_json())
     return 0
 
@@ -395,6 +404,8 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         theta = args.theta if args.theta is not None else math.pi / 2.0
         candidate = cnot_via_evolution(phi, theta=theta)
         meta = {"route": "evolution", "phi": repr(phi), "theta": repr(theta)}
+    if _refuse_nonfinite(candidate, f"the {args.route} route's matrix"):
+        return 1
     target = cnot()
     value = residual(candidate, target)
     if value < tol:
@@ -418,7 +429,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
             "meta": meta,
         },
     }
-    print(json.dumps(report, sort_keys=True))
+    print(json.dumps(report, sort_keys=True, allow_nan=False))
     return 0 if value < tol else 1
 
 
@@ -486,6 +497,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args.start + (args.stop - args.start) * k / (args.steps - 1)
         for k in range(args.steps)
     ]
+    if not all(math.isfinite(v) for v in values):
+        raise CliError("--from/--to span overflows the parameter grid")
     results = evaluate(values)
     tol = args.tol if args.tol is not None else _SWEEP_TOL.get(args.quantity)
     nonfinite = sum(not math.isfinite(r) for r in results)
@@ -607,8 +620,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "quantity", choices=["concurrence", "unitarity", "braid", "qybe"]
     )
     sweep.add_argument("--param", required=True, choices=["theta", "phi", "x"])
-    sweep.add_argument("--from", dest="start", type=float, required=True)
-    sweep.add_argument("--to", dest="stop", type=float, required=True)
+    sweep.add_argument("--from", dest="start", type=_finite_float, required=True)
+    sweep.add_argument("--to", dest="stop", type=_finite_float, required=True)
     sweep.add_argument("--steps", type=int, required=True)
     _add_common_params(sweep)
     sweep.add_argument("--y", type=float, help="second spectral value (qybe)")

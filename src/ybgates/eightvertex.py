@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import inverse
+from .paulis import SQRT2
 from .yangbaxter import yang_baxterize
-
-SQRT2 = math.sqrt(2.0)
 
 # The two eigenvalues shared by every member of the family; their product
 # is the Baxterization coefficient 2.

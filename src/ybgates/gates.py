@@ -17,18 +17,26 @@ import numpy as np
 
 from .eightvertex import build_b_phi
 from .hamiltonian import axis_angle_pair, evolution_U, sigma_axis
-from .linalg import expm, kron, residual
-from .paulis import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .linalg import kron, residual
+from .paulis import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, SQRT2
 
 X_AXIS = (1.0, 0.0, 0.0)
 Y_AXIS = (0.0, 1.0, 0.0)
 Z_AXIS = (0.0, 0.0, 1.0)
 
-_SQRT2 = math.sqrt(2.0)
-
 # Resolved phase gate of the evolution route; the opposite sign diag(1, i)
 # flips the target block and misses CNOT by a max-entry residual of 2.
 CNOT_PHASE_GATE = np.diag([1.0 + 0.0j, -1.0j])
+
+
+def _quarter_turn(generator: np.ndarray) -> np.ndarray:
+    """exp(i pi/4 G) for an involutory G, as cos(pi/4) I + i sin(pi/4) G."""
+    eye = np.eye(generator.shape[0], dtype=complex)
+    return math.cos(math.pi / 4.0) * eye + 1j * math.sin(math.pi / 4.0) * generator
+
+
+# Final local step of the evolution route: CNOT_PHASE_GATE (x) exp(i pi/4 sigma_x).
+_EVOLUTION_CORRECTOR = kron(CNOT_PHASE_GATE, _quarter_turn(SIGMA_X))
 
 
 class NonUnitAxisError(ValueError):
@@ -47,9 +55,9 @@ class LocalGateSet:
 
 def local_gates() -> LocalGateSet:
     """Fixed local gates: alpha the Hadamard, delta the phase gate diag(1, i)."""
-    alpha = np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2
-    beta = np.array([[-1, 1], [1j, 1j]], dtype=complex) / _SQRT2
-    gamma = np.array([[1, 1j], [1, -1j]], dtype=complex) / _SQRT2
+    alpha = np.array([[1, 1], [1, -1]], dtype=complex) / SQRT2
+    beta = np.array([[-1, 1], [1j, 1j]], dtype=complex) / SQRT2
+    gamma = np.array([[1, 1j], [1, -1j]], dtype=complex) / SQRT2
     delta = np.array([[1, 0], [0, 1j]], dtype=complex)
     return LocalGateSet(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
 
@@ -127,8 +135,7 @@ def cnot_via_evolution(phi: float, theta: float = math.pi / 2.0) -> np.ndarray:
     equals cnot() exactly at the default theta; other theta values give a
     different gate and are accepted only so callers can probe that.
     """
-    corrector = kron(CNOT_PHASE_GATE, expm(0.25j * math.pi * SIGMA_X))
-    return corrector @ conjugate_to_zx(phi, theta)
+    return _EVOLUTION_CORRECTOR @ conjugate_to_zx(phi, theta)
 
 
 def transform_R_to_zx() -> np.ndarray:
@@ -137,7 +144,7 @@ def transform_R_to_zx() -> np.ndarray:
     dy_plus = rotation(Y_AXIS, math.pi / 2.0)
     dz_minus = rotation(Z_AXIS, -math.pi / 2.0)
     dz_plus = rotation(Z_AXIS, math.pi / 2.0)
-    core = expm(0.25j * math.pi * kron(SIGMA_X, SIGMA_Y))
+    core = _quarter_turn(kron(SIGMA_X, SIGMA_Y))
     return kron(dy_minus, dz_minus) @ core @ kron(dy_plus, dz_plus)
 
 

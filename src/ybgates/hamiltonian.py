@@ -24,7 +24,9 @@ from .paulis import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA
 DEFAULT_FD_STEP = 1e-5
 
 PAULI_LABELS = ("I", "x", "y", "z")
-_PAULI_BY_LABEL = {"I": IDENTITY_2, "x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
+# _PAULI_PRODUCTS[a, b] is sigma_a (x) sigma_b, indexed as PAULI_LABELS.
+_PAULIS = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+_PAULI_PRODUCTS = np.array([[kron(a, b) for b in _PAULIS] for a in _PAULIS])
 
 
 def hamiltonian_const(sign: str, phi: float) -> np.ndarray:
@@ -93,24 +95,21 @@ class PauliDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         """Sum the weighted Pauli products back into the source matrix."""
+        products = _PAULI_PRODUCTS.reshape(16, 4, 4)
         total = np.zeros((4, 4), dtype=complex)
-        for i, a in enumerate(PAULI_LABELS):
-            for j, b in enumerate(PAULI_LABELS):
-                total += self.coefficients[i, j] * kron(
-                    _PAULI_BY_LABEL[a], _PAULI_BY_LABEL[b]
-                )
+        for c, product in zip(self.coefficients.ravel(), products):
+            total += c * product
         return total
 
 
 def pauli_decompose(m: np.ndarray) -> PauliDecomposition:
-    """Expand a 4x4 matrix as sum c_ab sigma_a (x) sigma_b."""
+    """Expand a 4x4 matrix as sum c_ab sigma_a (x) sigma_b.
+
+    c_ab = tr(sigma_a (x) sigma_b . m) / 4, all 16 traces taken over one
+    stacked product.
+    """
     m = np.asarray(m, dtype=complex)
-    coeffs = np.empty((4, 4), dtype=complex)
-    for i, a in enumerate(PAULI_LABELS):
-        for j, b in enumerate(PAULI_LABELS):
-            coeffs[i, j] = np.trace(
-                kron(_PAULI_BY_LABEL[a], _PAULI_BY_LABEL[b]) @ m
-            ) / 4.0
+    coeffs = np.trace(_PAULI_PRODUCTS @ m, axis1=-2, axis2=-1) / 4.0
     return PauliDecomposition(coefficients=coeffs)
 
 

@@ -31,8 +31,22 @@ class NonConvergenceError(ArithmeticError):
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product: entry ((i*n+k), (j*n+l)) is a[i,j] * b[k,l]."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product: entry ((i*n+k), (j*n+l)) is a[i,j] * b[k,l].
+
+    Same contract and bits as np.kron, including its leading-axis padding
+    (an (N, 4, 4) stack times a 2x2 matrix is an (N, 8, 8) stack), but
+    one broadcast multiply of interleaved reshapes with none of np.kron's
+    per-call axis bookkeeping.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    nd = max(a.ndim, b.ndim)
+    sa = (1,) * (nd - a.ndim) + a.shape
+    sb = (1,) * (nd - b.ndim) + b.shape
+    product = a.reshape([d for s in sa for d in (s, 1)]) * b.reshape(
+        [d for s in sb for d in (1, s)]
+    )
+    return product.reshape([x * y for x, y in zip(sa, sb)])
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

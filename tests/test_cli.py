@@ -327,9 +327,11 @@ def test_sweep_qybe_phi_row_bit_identical_to_oracle(capsys):
 
 @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
 def test_sweep_nonfinite_result_fails(capsys):
-    # 1e308 overflows the lift: the old max() skipped the NaNs and passed.
+    # The grid is finite, but 1e200 overflows the 8x8 products: the old
+    # max() skipped the NaNs and passed. (A --to of 1e308 overflows the
+    # grid itself and is a usage error; see test_sweep_grid_overflow_*.)
     code, out, _ = run_cli(
-        ["sweep", "qybe", "--param", "x", "--from", "1", "--to", "1e308", "--steps", "3"],
+        ["sweep", "qybe", "--param", "x", "--from", "1", "--to", "1e200", "--steps", "3"],
         capsys,
     )
     assert code == 1
@@ -450,3 +452,81 @@ def test_matrix_file_refused_outside_braid(relation, capsys):
     assert code == 2
     assert out == ""
     assert "only braid accepts --matrix-file" in err
+
+
+_WARNINGS = "ignore:.*encountered:RuntimeWarning"
+
+
+@pytest.mark.filterwarnings(_WARNINGS)
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["matrix", "Rx", "--sign", "+", "--q", "1", "--x", "nan"],
+        ["matrix", "Rx", "--sign", "+", "--q", "1", "--x", "1e308"],
+        ["matrix", "b", "--sign", "-", "--q", "nan"],
+        ["matrix", "Rtheta", "--sign", "+", "--phi", "nan", "--theta", "0.2"],
+        ["synthesize", "evolution", "--phi", "nan"],
+        ["synthesize", "evolution", "--theta", "nan"],
+    ],
+)
+def test_nonfinite_matrix_fails_with_empty_stdout(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert "non-finite entries" in err
+    assert "Traceback" not in err
+
+
+def test_document_json_refuses_nonfinite_entries():
+    doc = MatrixDocument.from_matrix(np.full((2, 2), np.nan, dtype=complex))
+    with pytest.raises(ValueError):
+        doc.to_json()
+
+
+@pytest.mark.filterwarnings(_WARNINGS)
+@pytest.mark.parametrize("param", ["theta", "phi"])
+def test_sweep_concurrence_nan_gate_is_usage_error(param, capsys):
+    other = "--phi" if param == "theta" else "--theta"
+    code, out, err = run_cli(
+        ["sweep", "concurrence", "--param", param, "--from", "0", "--to", "1",
+         "--steps", "3", other, "nan"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "not unitary" in err
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ["--from", "nan", "--to", "1"],
+        ["--from", "0", "--to", "inf"],
+        ["--from", "-inf", "--to", "1"],
+        ["--from", "1", "--to", "1e308"],
+        ["--from", "-1e308", "--to", "1e308"],
+    ],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_grid_overflow_and_nonfinite_bounds_rejected(bounds, fmt, tmp_path, capsys):
+    out_file = tmp_path / "report"
+    code, out, err = run_cli(
+        ["sweep", "qybe", "--param", "x", *bounds, "--steps", "3", "--format", fmt,
+         "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert not out_file.exists()
+
+
+def test_arithmetic_error_in_finite_grid_is_usage_error(capsys):
+    # The grid holds 1e200, but rho overflows on it.
+    code, out, err = run_cli(
+        ["sweep", "unitarity", "--param", "x", "--from", "0", "--to", "1e200", "--steps", "3"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")

@@ -1,10 +1,15 @@
 """State action, Bell states, concurrence, and the entangling detector."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ybgates import entangle
 from ybgates.eightvertex import (
     build_b_phi,
     build_R_theta,
@@ -12,7 +17,9 @@ from ybgates.eightvertex import (
     sign_value,
 )
 from ybgates.entangle import (
+    DEFAULT_THRESHOLD,
     NonUnitaryGateError,
+    _probe_stack,
     apply_gate,
     basis_state,
     bell_from_b,
@@ -23,12 +30,39 @@ from ybgates.entangle import (
     single_qubit_eigenstates,
 )
 from ybgates.gates import cnot
+from ybgates.paulis import DEFAULT_SEED
 from ybgates.linalg import kron
 
 I4 = np.eye(4, dtype=complex)
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
+
+
+def _scan_oracle(gate, threshold=DEFAULT_THRESHOLD, seed=DEFAULT_SEED):
+    # The per-state scan the batched is_entangling replaced: apply the gate
+    # to each probe state in turn and keep the first strictly larger
+    # concurrence, starting from 0.0.
+    best, best_state = 0.0, None
+    for state in product_state_grid(seed=seed):
+        out = gate @ state
+        c = concurrence(out)
+        if c > best:
+            best, best_state = c, out
+    entangling = best > threshold
+    return entangling, best_state if entangling else None, best
+
+
+def _assert_matches_oracle(gate, **kwargs):
+    verdict = is_entangling(gate, **kwargs)
+    entangling, witness, best = _scan_oracle(np.asarray(gate, dtype=complex), **kwargs)
+    assert verdict.entangling == entangling
+    assert verdict.concurrence_max == best
+    assert type(verdict.concurrence_max) is float
+    if witness is None:
+        assert verdict.witness is None
+    else:
+        assert np.array_equal(verdict.witness, witness)
 
 
 def _expected_action(sign, phi, theta, index):
@@ -176,3 +210,102 @@ def test_is_entangling_theta_family_boundary():
         expected = abs(math.cos(2.0 * theta))
         assert abs(verdict.concurrence_max - expected) < 1e-9
         assert verdict.entangling == (theta != math.pi / 4)
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_is_entangling_bit_identical_to_scan_oracle(sign):
+    thetas = [float(t) for t in np.linspace(0.0, math.pi / 2, 13)] + [math.pi / 4]
+    for phi in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
+        for theta in thetas:
+            _assert_matches_oracle(build_R_theta(sign, float(phi), theta))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_is_entangling_bit_identical_on_random_unitaries(seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    _assert_matches_oracle(q)
+    _assert_matches_oracle(q, seed=seed)
+
+
+def test_is_entangling_oracle_semantics_at_the_edges():
+    # Non-entangling gates, a threshold that every scan exceeds, and one
+    # that none does: verdict, maximum and witness all follow the scan.
+    for gate in (I4, SWAP, cnot(), build_R_theta("-", 0.9, math.pi / 4)):
+        for threshold in (DEFAULT_THRESHOLD, -1.0, 2.0):
+            _assert_matches_oracle(gate, threshold=threshold)
+
+
+def test_is_entangling_all_zero_scan_has_no_witness(monkeypatch):
+    # Basis probes under the identity give concurrence exactly 0.0, so even
+    # a threshold of -1 finds no witness, as in the per-state scan.
+    basis = [basis_state(i) for i in range(4)]
+    monkeypatch.setattr(entangle, "product_state_grid", lambda seed: basis)
+    _probe_stack.cache_clear()
+    try:
+        verdict = is_entangling(I4, threshold=-1.0)
+    finally:
+        _probe_stack.cache_clear()
+    assert verdict.entangling
+    assert verdict.witness is None
+    assert verdict.concurrence_max == 0.0
+
+
+def test_is_entangling_witness_is_a_fresh_array():
+    gate = build_b_phi("-", 0.0)
+    first = is_entangling(gate).witness
+    assert first.flags.owndata and first.flags.writeable
+    first[:] = 0.0
+    assert np.array_equal(is_entangling(gate).witness, _scan_oracle(gate)[1])
+
+
+def test_probe_stack_is_read_only_copy_of_grid():
+    probes = _probe_stack(DEFAULT_SEED)
+    assert probes.shape == (100, 4)
+    assert not probes.flags.writeable
+    with pytest.raises(ValueError):
+        probes[0, 0] = 1.0
+    assert np.array_equal(probes, np.array(product_state_grid()))
+    assert _probe_stack(DEFAULT_SEED) is probes
+
+
+def test_product_state_grid_still_returns_fresh_lists():
+    first, second = product_state_grid(), product_state_grid()
+    assert isinstance(first, list) and first is not second
+    assert all(a is not b for a, b in zip(first, second))
+    first[0][:] = 7.0
+    assert np.array_equal(product_state_grid()[0], second[0])
+    assert not np.array_equal(_probe_stack(DEFAULT_SEED)[0], first[0])
+
+
+def test_import_does_not_build_probe_stack():
+    code = (
+        "import ybgates, ybgates.cli, ybgates.entangle as e; "
+        "print(e._probe_stack.cache_info().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "0"
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_gate_is_not_unitary(bad):
+    gate = np.full((4, 4), bad, dtype=complex)
+    with pytest.raises(NonUnitaryGateError):
+        is_entangling(gate)
+    with pytest.raises(NonUnitaryGateError):
+        apply_gate(gate, basis_state(0))
+    spoiled = I4.copy()
+    spoiled[2, 1] = bad
+    with pytest.raises(NonUnitaryGateError):
+        is_entangling(spoiled)
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+def test_bell_from_b_rejects_nan_angle():
+    with pytest.raises(NonUnitaryGateError):
+        bell_from_b("+", math.nan, 0)
+    with pytest.raises(NonUnitaryGateError):
+        r_theta_action("-", 0.3, math.nan, 1)

@@ -7,6 +7,7 @@ import pytest
 
 from ybgates.eightvertex import build_b_phi
 from ybgates.gates import (
+    _EVOLUTION_CORRECTOR,
     CNOT_PHASE_GATE,
     NonUnitAxisError,
     X_AXIS,
@@ -157,6 +158,28 @@ def test_cnot_via_evolution():
         for b in outputs:
             assert residual(a, b) < 1e-12
         assert unitarity_residual(a) < 1e-12
+
+
+def test_cnot_via_evolution_closed_form_corrector():
+    # exp(i pi/4 sigma_x) in closed form, against the series oracle.
+    oracle = kron(CNOT_PHASE_GATE, expm(0.25j * math.pi * SX))
+    assert residual(_EVOLUTION_CORRECTOR, oracle) < 1e-15
+    for phi in np.linspace(0.0, 2.0 * math.pi, 17):
+        assert residual(cnot_via_evolution(float(phi)), cnot()) < 1e-12
+
+
+def test_gate_routes_do_not_call_expm(monkeypatch):
+    import ybgates.gates
+    import ybgates.linalg
+
+    def refuse(a):
+        raise AssertionError("a gate was built with expm")
+
+    monkeypatch.setattr(ybgates.linalg, "expm", refuse)
+    monkeypatch.setattr(ybgates.gates, "expm", refuse, raising=False)
+    assert residual(cnot_via_evolution(0.7), cnot()) < 1e-12
+    target = (I4 + 1j * kron(SZ, SX)) / math.sqrt(2.0)
+    assert residual(transform_R_to_zx(), target) < 1e-12
 
 
 def test_cnot_via_evolution_rejected_phase_sign():

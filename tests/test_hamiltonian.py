@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ybgates.eightvertex import (
     build_b_phi,
@@ -145,6 +147,30 @@ def test_pauli_decompose_reconstruction():
     rng = np.random.default_rng(13)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert residual(pauli_decompose(m).reconstruct(), m) < 1e-12
+
+
+def _pauli_decompose_oracle(m):
+    # The 16 separate traces the stacked pauli_decompose replaced.
+    paulis = (I2, SX, SY, SZ)
+    coeffs = np.empty((4, 4), dtype=complex)
+    for i, a in enumerate(paulis):
+        for j, b in enumerate(paulis):
+            coeffs[i, j] = np.trace(kron(a, b) @ m) / 4.0
+    return coeffs
+
+
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-6, 1e6))
+def test_pauli_decompose_bit_identical_to_trace_oracle(seed, scale):
+    rng = np.random.default_rng(seed)
+    m = scale * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    assert np.array_equal(pauli_decompose(m).coefficients, _pauli_decompose_oracle(m))
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_pauli_decompose_hamiltonians_bit_identical_to_trace_oracle(sign):
+    for phi in PHI_GRID:
+        for h in (hamiltonian_const(sign, phi), hamiltonian_x(sign, phi, 0.37)):
+            assert np.array_equal(pauli_decompose(h).coefficients, _pauli_decompose_oracle(h))
 
 
 def test_pauli_decompose_hermitian_coefficients_real():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ybgates.eightvertex import build_b_phi
 from ybgates.linalg import (
@@ -54,6 +56,44 @@ def test_kron_mixed_product():
     for _ in range(8):
         a, b, c, d = (_random_matrix(rng) for _ in range(4))
         assert residual(kron(a, b) @ kron(c, d), kron(a @ c, b @ d)) < 1e-12
+
+
+_SHAPE_PAIRS = [
+    ((2,), (2,)),
+    ((4,), (2,)),
+    ((2, 2), (2, 2)),
+    ((4, 4), (2, 2)),
+    ((3, 4, 4), (2, 2)),
+    ((2, 2), (3, 4, 4)),
+    ((64, 4, 4), (2, 2)),
+    ((2,), (2, 2)),
+    ((3, 1, 2), (2, 3)),
+    ((), (2,)),
+    ((0, 4), (2, 2)),
+]
+
+
+@given(pair=st.sampled_from(_SHAPE_PAIRS), seed=st.integers(0, 2**32 - 1))
+def test_kron_bit_identical_to_numpy(pair, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in pair)
+    got, expected = kron(a, b), np.kron(a, b)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@given(
+    shape_a=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    shape_b=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+)
+def test_kron_matches_numpy_on_any_shapes(shape_a, shape_b):
+    rng = np.random.default_rng(len(shape_a) * 10 + len(shape_b))
+    a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
+    b = rng.standard_normal(shape_b)
+    got, expected = kron(a, b), np.kron(a, b.astype(complex))
+    assert got.dtype == complex
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
 
 
 def test_kron_bilinear_and_associative():
