@@ -7,10 +7,12 @@ from .eightvertex import (
     ZeroDeformationError,
     build_b,
     build_b_phi,
+    build_b_phi_stack,
     build_b_stack,
     build_R_theta,
     build_R_x,
     build_R_x_normalized,
+    build_R_x_normalized_stack,
     build_R_x_stack,
     check_constraints,
     rho,
@@ -47,6 +49,7 @@ from .hamiltonian import (
     hamiltonian_x,
     pauli_decompose,
     schrodinger_residual,
+    schrodinger_residuals,
     sigma_axis,
 )
 from .linalg import (
@@ -58,10 +61,13 @@ from .linalg import (
     inverse,
     kron,
     residual,
+    residuals,
     unitarity_residual,
+    unitarity_residuals,
 )
 from .yangbaxter import (
     braid_residual,
+    braid_residuals,
     qybe_residual,
     qybe_residuals,
     verify_two_eigenvalues,

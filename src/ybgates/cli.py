@@ -20,9 +20,11 @@ reproduces the matrix bit-exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -31,9 +33,10 @@ import numpy as np
 from .eightvertex import (
     build_b,
     build_b_phi,
+    build_b_phi_stack,
     build_R_theta,
     build_R_x,
-    build_R_x_normalized,
+    build_R_x_normalized_stack,
     build_R_x_stack,
     theta_from_x,
 )
@@ -44,12 +47,11 @@ from .hamiltonian import (
     hamiltonian_const,
     hamiltonian_x,
     interaction_operator,
-    R_from_H,
-    schrodinger_residual,
+    schrodinger_residuals,
 )
-from .linalg import expm, kron, residual, unitarity_residual
+from .linalg import expm, inverse, kron, residual, residuals, unitarity_residuals
 from .paulis import DEFAULT_SEED, SIGMA_X, SIGMA_Y
-from .yangbaxter import braid_residual, qybe_residuals
+from .yangbaxter import braid_residual, braid_residuals, qybe_residuals
 
 SEED_ENV_VAR = "YBG_SEED"
 
@@ -182,8 +184,30 @@ def _qybe_blocks(count: int, stacks) -> np.ndarray:
     return out
 
 
+def _picks(results: np.ndarray, label) -> list[tuple[str, float]]:
+    """Entries for every non-finite result, or else for the first maximum.
+
+    ``results`` holds a runner's residuals in its iteration order and
+    ``label(k)`` names point k, so only the picked points are labelled.
+    """
+    nonfinite = np.flatnonzero(~np.isfinite(results))
+    picks = nonfinite if len(nonfinite) else [int(np.argmax(results))]
+    return [(label(int(k)), float(results[k])) for k in picks]
+
+
 def _json_float(value: float) -> float | None:
     return value if math.isfinite(value) else None
+
+
+def _refuse_infinite_angles(**angles: float | None) -> None:
+    """Raise CliError naming the first infinite angle flag.
+
+    An infinite angle has no cosine; a NaN one gives a non-finite matrix,
+    which the commands refuse with exit 1.
+    """
+    for name, value in angles.items():
+        if value is not None and math.isinf(value):
+            raise CliError(f"--{name} must not be infinite, got {value!r}")
 
 
 def _refuse_nonfinite(matrix: np.ndarray, what: str) -> bool:
@@ -201,13 +225,14 @@ def _verify_braid(args: argparse.Namespace) -> tuple[list[tuple[str, float]], in
         doc = MatrixDocument.load(args.matrix_file)
         value = braid_residual(doc.to_matrix())
         return [(f"file={args.matrix_file}", value)], 1
-    entries = []
-    for sign in _signs(args):
-        for phi in _phi_grid(args.phi_grid):
-            entries.append(
-                (f"sign={sign} phi={phi!r}", braid_residual(build_b_phi(sign, phi)))
-            )
-    return entries, len(entries)
+    signs, phis = _signs(args), _phi_grid(args.phi_grid)
+    results = np.concatenate([braid_residuals(build_b_phi_stack(s, phis)) for s in signs])
+
+    def label(k: int) -> str:
+        s, p = divmod(k, len(phis))
+        return f"sign={signs[s]} phi={phis[p]!r}"
+
+    return _picks(results, label), len(results)
 
 
 def _verify_qybe(args: argparse.Namespace) -> tuple[list[tuple[str, float]], int]:
@@ -224,29 +249,37 @@ def _verify_qybe(args: argparse.Namespace) -> tuple[list[tuple[str, float]], int
         for phi in _phi_grid(args.phi_grid):
             table = build_R_x_stack(sign, np.exp(-1j * phi), spectral)
             results = _qybe_blocks(n * n, lambda block: table[index[:, block]])
-            # One entry per non-finite point, else the first maximum.
-            nonfinite = np.flatnonzero(~np.isfinite(results))
-            picks = nonfinite if len(nonfinite) else [int(np.argmax(results))]
             entries.extend(
-                (
-                    f"sign={sign} phi={phi!r} x={float(values[i[k]])!r}"
+                _picks(
+                    results,
+                    lambda k: f"sign={sign} phi={phi!r} x={float(values[i[k]])!r}"
                     f" y={float(values[j[k]])!r}",
-                    float(results[k]),
                 )
-                for k in picks
             )
     return entries, len(_signs(args)) * args.phi_grid * n * n
 
 
 def _verify_unitarity(args: argparse.Namespace) -> tuple[list[tuple[str, float]], int]:
+    # Points run sign, then phi, then x; one stack per sign.
+    signs, phis = _signs(args), _phi_grid(args.phi_grid)
     xs = np.linspace(-3.0, 3.0, args.grid)
-    entries = []
-    for sign in _signs(args):
-        for phi in _phi_grid(args.phi_grid):
-            for x in xs:
-                value = unitarity_residual(build_R_x_normalized(sign, phi, float(x)))
-                entries.append((f"sign={sign} phi={phi!r} x={float(x)!r}", value))
-    return entries, len(entries)
+    column = np.array(phis)[:, None]
+    results = np.concatenate(
+        [
+            unitarity_residuals(build_R_x_normalized_stack(s, column, xs).reshape(-1, 4, 4))
+            for s in signs
+        ]
+    )
+
+    def label(k: int) -> str:
+        s, p, m = np.unravel_index(k, (len(signs), len(phis), len(xs)))
+        return f"sign={signs[s]} phi={phis[p]!r} x={float(xs[m])!r}"
+
+    return _picks(results, label), len(results)
+
+
+_SCHRODINGER_PHIS = (0.0, math.pi / 3.0)
+_SCHRODINGER_XS = (0.4, 1.0, 2.0)
 
 
 def _verify_schrodinger(args: argparse.Namespace) -> tuple[list[tuple[str, float]], int]:
@@ -255,41 +288,70 @@ def _verify_schrodinger(args: argparse.Namespace) -> tuple[list[tuple[str, float
     for _ in range(8):
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         states.append(v / np.linalg.norm(v))
-    entries = []
-    for sign in _signs(args):
-        for phi in (0.0, math.pi / 3.0):
-            for x in (0.4, 1.0, 2.0):
-                for index, psi0 in enumerate(states):
-                    value = schrodinger_residual(sign, phi, psi0, x, h=args.step)
-                    entries.append(
-                        (f"sign={sign} phi={phi!r} x={x!r} state={index}", value)
-                    )
-    return entries, len(entries)
+    states = np.array(states)
+    signs = _signs(args)
+    try:
+        results = np.concatenate(
+            [
+                schrodinger_residuals(sign, phi, states, x, h=args.step)
+                for sign in signs
+                for phi in _SCHRODINGER_PHIS
+                for x in _SCHRODINGER_XS
+            ]
+        )
+    except OverflowError as exc:
+        raise CliError(f"--step {args.step!r}: {exc}") from exc
+
+    def label(k: int) -> str:
+        shape = (len(signs), len(_SCHRODINGER_PHIS), len(_SCHRODINGER_XS), len(states))
+        s, p, m, index = np.unravel_index(k, shape)
+        return (
+            f"sign={signs[s]} phi={_SCHRODINGER_PHIS[p]!r} x={_SCHRODINGER_XS[m]!r}"
+            f" state={index}"
+        )
+
+    return _picks(results, label), len(results)
 
 
 def _verify_exponential(args: argparse.Namespace) -> tuple[list[tuple[str, float]], int]:
-    entries = []
-    thetas = np.linspace(0.0, 2.0 * math.pi, 9)
-    for sign in _signs(args):
-        for phi in _phi_grid(args.phi_grid):
-            for theta in thetas:
-                theta = float(theta)
-                closed = residual(
-                    R_from_H(sign, phi, theta), build_R_theta(sign, phi, theta)
-                )
-                entries.append((f"R sign={sign} phi={phi!r} theta={theta!r}", closed))
-                generator = interaction_operator(sign, phi)
-                direct = residual(
-                    evolution_U(sign, phi, theta), expm(-0.5j * theta * generator)
-                )
-                entries.append((f"U sign={sign} phi={phi!r} theta={theta!r}", direct))
-    entries.append(
-        (
-            "bphi(-,0) vs expm(i pi/4 x.y)",
-            residual(build_b_phi("-", 0.0), expm(0.25j * math.pi * kron(SIGMA_X, SIGMA_Y))),
-        )
-    )
-    return entries, len(entries)
+    # Points run sign, phi, theta, then the closed form R before the
+    # exponential U, as in the per-point closed forms of hamiltonian and
+    # eightvertex. Each coefficient is the Python float or complex those
+    # functions compute from math.cos/math.sin, one row per theta.
+    signs, phis = _signs(args), _phi_grid(args.phi_grid)
+    thetas = [float(t) for t in np.linspace(0.0, 2.0 * math.pi, 9)]
+
+    def column(coefficient) -> np.ndarray:
+        return np.array([coefficient(t) for t in thetas])[:, None, None]
+
+    eye = np.eye(4, dtype=complex)
+    cos_u = column(lambda t: math.cos(math.pi / 4.0 - t))
+    sin_u = column(lambda t: 2j * math.sin(math.pi / 4.0 - t))
+    cos_t, sin_t = column(math.cos), column(math.sin)
+    cos_half = column(lambda t: math.cos(t / 2.0))
+    sin_half = column(lambda t: 1j * math.sin(t / 2.0))
+    exponents = column(lambda t: -0.5j * t)
+    closed, evolutions, generators = [], [], []
+    for sign in signs:
+        for phi in phis:
+            b = build_b_phi(sign, phi)
+            from_h = cos_u * eye + sin_u * hamiltonian_const(sign, phi)
+            closed.append(residuals(from_h, cos_t * b + sin_t * inverse(b)))
+            op = interaction_operator(sign, phi)
+            evolutions.append(cos_half * eye - sin_half * op)
+            generators.append(exponents * op)
+    direct = residuals(np.concatenate(evolutions), expm(np.concatenate(generators)))
+    fixed = residual(build_b_phi("-", 0.0), expm(0.25j * math.pi * kron(SIGMA_X, SIGMA_Y)))
+    results = np.append(np.stack([np.ravel(closed), direct], axis=-1), fixed)
+    shape = (len(signs), len(phis), len(thetas), 2)
+
+    def label(k: int) -> str:
+        if k == len(results) - 1:
+            return "bphi(-,0) vs expm(i pi/4 x.y)"
+        s, p, t, kind = np.unravel_index(k, shape)
+        return f"{'RU'[kind]} sign={signs[s]} phi={phis[p]!r} theta={thetas[t]!r}"
+
+    return _picks(results, label), len(results)
 
 
 _VERIFY_RUNNERS = {
@@ -385,6 +447,7 @@ def _build_family_matrix(args: argparse.Namespace) -> tuple[np.ndarray, dict[str
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
+    _refuse_infinite_angles(theta=args.theta)
     matrix, meta = _build_family_matrix(args)
     if _refuse_nonfinite(matrix, f"the {args.family} matrix at these parameters"):
         return 1
@@ -402,6 +465,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     else:
         phi = args.phi if args.phi is not None else 0.0
         theta = args.theta if args.theta is not None else math.pi / 2.0
+        _refuse_infinite_angles(phi=phi, theta=theta)
         candidate = cnot_via_evolution(phi, theta=theta)
         meta = {"route": "evolution", "phi": repr(phi), "theta": repr(theta)}
     if _refuse_nonfinite(candidate, f"the {args.route} route's matrix"):
@@ -439,6 +503,19 @@ def _pointwise(evaluate):
     return lambda values: [float(evaluate(v)) for v in values]
 
 
+def _unitarity_sweep(build, flag: str):
+    """Sweep of unitarity_residuals over the stack ``build(values)``."""
+
+    def evaluate(values: list[float]) -> list[float]:
+        try:
+            stack = build(np.asarray(values))
+        except OverflowError as exc:
+            raise CliError(f"{flag}: {exc}") from exc
+        return unitarity_residuals(stack).tolist()
+
+    return evaluate
+
+
 def _sweep_evaluator(args: argparse.Namespace):
     """A function from the list of parameter values to the list of results."""
     sign = args.sign or "-"
@@ -454,12 +531,16 @@ def _sweep_evaluator(args: argparse.Namespace):
             return _pointwise(lambda v: concurrence(r_theta_action(sign, v, theta, 0)))
     if quantity == "unitarity":
         if param == "x":
-            return _pointwise(lambda v: unitarity_residual(build_R_x_normalized(sign, phi, v)))
+            return _unitarity_sweep(
+                lambda v: build_R_x_normalized_stack(sign, phi, v), "--from/--to"
+            )
         if param == "phi":
-            return _pointwise(lambda v: unitarity_residual(build_R_x_normalized(sign, v, x)))
+            return _unitarity_sweep(
+                lambda v: build_R_x_normalized_stack(sign, v, x), f"--x {x!r}"
+            )
     if quantity == "braid":
         if param == "phi":
-            return _pointwise(lambda v: braid_residual(build_b_phi(sign, v)))
+            return lambda values: braid_residuals(build_b_phi_stack(sign, values)).tolist()
     if quantity == "qybe":
         # Each block builds the family at x, y and x*y for its points as one
         # (3, B, 4, 4) stack, with one braid matrix and inverse per q.
@@ -566,6 +647,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads any negative number as a value.
+
+    argparse before Python 3.13 takes only '-12' and '-1.5' for negative
+    numbers, so '--from -1e-05', '--q -1,0' or '--tol -inf' failed as a
+    missing argument. Like Python 3.13, anything starting '-' then a digit
+    (or '-.' then a digit) is a number here; so are -inf and -nan. No
+    option of this parser looks like a number.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-\.?\d|^-(inf|infinity|nan)$", re.IGNORECASE
+        )
+
+
 def _add_common_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sign", choices=["+", "-"], help="family sign")
     parser.add_argument("--phi", type=float, help="deformation angle in radians")
@@ -573,8 +671,11 @@ def _add_common_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--x", type=float, help="spectral parameter")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # Built on first use and kept: repeated main() calls in one process
+    # share it, and importing the module builds nothing.
+    parser = _Parser(
         prog="ybg",
         description="Verify, construct, and synthesize braid-family two-qubit gates.",
     )
@@ -645,7 +746,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.grid is None:
             args.grid = 61 if args.relation == "unitarity" else 16
     try:
-        return args.func(args)
+        # Non-finite inputs are caught by explicit checks, which report
+        # them; numpy's floating-point warnings would only add noise.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (CliError, ValueError, ArithmeticError) as exc:
         # ValueError covers domain errors from the constructors (zero
         # deformation, bad signs, dimension mismatches on loaded files);

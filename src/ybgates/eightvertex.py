@@ -127,6 +127,12 @@ def build_b_phi(sign: str, phi: float) -> np.ndarray:
     return build_b(sign, np.exp(-1j * phi)) / SQRT2
 
 
+def build_b_phi_stack(sign: str, phi: np.ndarray) -> np.ndarray:
+    """build_b_phi over an array of angles: shape phi.shape + (4, 4),
+    each matrix bit-identical to build_b_phi at the same float phi."""
+    return build_b_stack(sign, np.exp(-1j * np.asarray(phi, dtype=float))) / SQRT2
+
+
 def build_R_x(sign: str, q: complex, x: float) -> np.ndarray:
     """Baxterized family b + 2x * b^(-1); entries follow 1+x and q(1-x)."""
     return yang_baxterize(build_b(sign, q), EIGENVALUES, x)
@@ -144,13 +150,33 @@ def build_R_x_stack(sign: str, q: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def rho(x: float) -> float:
-    """Squared normalization (1+x)^2 + (1-x)^2 = 2(1 + x^2) for real x."""
-    return (1.0 + x) ** 2 + (1.0 - x) ** 2
+    """Squared normalization (1+x)^2 + (1-x)^2 = 2(1 + x^2) for real x.
+
+    Raises OverflowError, naming x, when a square overflows.
+    """
+    try:
+        return (1.0 + x) ** 2 + (1.0 - x) ** 2
+    except OverflowError:
+        raise OverflowError(f"rho(x) = (1+x)^2 + (1-x)^2 overflows at x={x!r}") from None
 
 
 def build_R_x_normalized(sign: str, phi: float, x: float) -> np.ndarray:
     """Unitary spectral family build_R_x(sign, exp(-i*phi), x) / sqrt(rho)."""
     return build_R_x(sign, np.exp(-1j * phi), x) / math.sqrt(rho(x))
+
+
+def build_R_x_normalized_stack(sign: str, phi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """build_R_x_normalized over arrays: phi and x broadcast to a shape S,
+    result S + (4, 4), each matrix bit-identical to the per-point function.
+
+    The normalization is math.sqrt(rho(x)) on Python floats, as in the
+    per-point function: numpy's square differs from Python's ** in the last
+    bit for some x, and ** raises OverflowError where numpy returns inf.
+    """
+    x = np.asarray(x, dtype=float)
+    norms = np.reshape([math.sqrt(rho(v)) for v in x.ravel().tolist()], x.shape)
+    q = np.exp(-1j * np.asarray(phi, dtype=float))
+    return build_R_x_stack(sign, q, x) / norms[..., None, None]
 
 
 def build_R_theta(sign: str, phi: float, theta: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .eightvertex import build_b_phi, build_R_x_normalized, sign_value
+from .eightvertex import build_b_phi, build_R_x_normalized_stack, sign_value
 from .linalg import dagger, kron
 from .paulis import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -139,6 +139,29 @@ def R_from_H(sign: str, phi: float, theta: float) -> np.ndarray:
     return math.cos(u) * np.eye(4, dtype=complex) + 2j * math.sin(u) * h
 
 
+def schrodinger_residuals(
+    sign: str,
+    phi: float,
+    states: np.ndarray,
+    x: float,
+    h: float = DEFAULT_FD_STEP,
+) -> np.ndarray:
+    """Defect of i d/dx psi(x) = H(x) psi(x) for psi(x) = R(x) psi0, one per
+    row psi0 of an (M, 4) array of states; the result has shape (M,).
+
+    psi evolves under the normalized (unitary) spectral family so its norm
+    is conserved; the derivative is the central difference at step h and
+    the defect is the euclidean norm of the difference. R(x+h), R(x-h) and
+    R(x) are built as one stack and, like H(x), applied to all states at once.
+    """
+    columns = np.asarray(states, dtype=complex)[:, :, None]
+    family = build_R_x_normalized_stack(sign, phi, np.array([x + h, x - h, x]))
+    psi_plus, psi_minus, psi = np.matmul(family[:, None], columns)
+    lhs = 1j * (psi_plus - psi_minus)[..., 0] / (2.0 * h)
+    rhs = np.matmul(hamiltonian_x(sign, phi, x), psi)[..., 0]
+    return np.array([np.linalg.norm(row) for row in lhs - rhs])
+
+
 def schrodinger_residual(
     sign: str,
     phi: float,
@@ -146,17 +169,6 @@ def schrodinger_residual(
     x: float,
     h: float = DEFAULT_FD_STEP,
 ) -> float:
-    """Defect of i d/dx psi(x) = H(x) psi(x) for psi(x) = R(x) psi0.
-
-    psi evolves under the normalized (unitary) spectral family so its norm
-    is conserved; the derivative is the central difference at step h and
-    the defect is the euclidean norm of the difference.
-    """
+    """schrodinger_residuals for the single state psi0."""
     psi0 = np.asarray(psi0, dtype=complex)
-
-    def psi(t: float) -> np.ndarray:
-        return build_R_x_normalized(sign, phi, t) @ psi0
-
-    lhs = 1j * (psi(x + h) - psi(x - h)) / (2.0 * h)
-    rhs = hamiltonian_x(sign, phi, x) @ psi(x)
-    return float(np.linalg.norm(lhs - rhs))
+    return float(schrodinger_residuals(sign, phi, psi0[None], x, h)[0])

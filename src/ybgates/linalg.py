@@ -70,26 +70,45 @@ def inverse(a: np.ndarray) -> np.ndarray:
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring a fixed-order series."""
+    """Matrix exponential by scaling and squaring a fixed-order series.
+
+    Accepts one matrix or a stack of shape (..., n, n). Each matrix gets
+    its own squaring count; matrices that share a count run the series
+    and the squarings together, so every matrix is computed exactly as it
+    would be alone. Raises NonConvergenceError if any matrix's series
+    fails its convergence check.
+    """
     a = np.asarray(a, dtype=complex)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix exponential of non-finite entries")
-    norm = float(np.linalg.norm(a, 1))
-    squarings = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
-    scaled = a / (2.0 ** squarings)
-    term = np.eye(a.shape[0], dtype=complex)
-    total = term.copy()
-    for k in range(1, _SERIES_ORDER + 1):
-        term = term @ scaled / k
-        total += term
-    tail = float(np.max(np.abs(term)))
-    if not tail <= _SERIES_TOL * max(1.0, float(np.max(np.abs(total)))):
-        raise NonConvergenceError(
-            f"series tail {tail:.3e} after {_SERIES_ORDER} terms"
-        )
-    for _ in range(squarings):
-        total = total @ total
-    return total
+    n = a.shape[-1]
+    flat = a.reshape(-1, n, n)
+    # The 1-norm (largest absolute column sum) sets the squaring count.
+    norms = np.abs(flat).sum(axis=-2).max(axis=-1).tolist()
+    counts = [0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5))) for norm in norms]
+    out = np.empty_like(flat)
+    # Grouped in Python: np.unique would sort, and first use of numpy's
+    # sort costs about half a megabyte of resident memory.
+    for squarings in sorted(set(counts)):
+        members = [k for k, count in enumerate(counts) if count == squarings]
+        scaled = flat[members] / (2.0 ** squarings)
+        term = np.zeros_like(scaled)
+        term[..., range(n), range(n)] = 1
+        total = term.copy()
+        for k in range(1, _SERIES_ORDER + 1):
+            term = term @ scaled / k
+            total += term
+        tails = np.abs(term).max(axis=(-2, -1))
+        bounds = _SERIES_TOL * np.maximum(1.0, np.abs(total).max(axis=(-2, -1)))
+        failed = np.flatnonzero(~(tails <= bounds))
+        if len(failed):
+            raise NonConvergenceError(
+                f"series tail {tails[failed[0]]:.3e} after {_SERIES_ORDER} terms"
+            )
+        for _ in range(squarings):
+            total = total @ total
+        out[members] = total
+    return out.reshape(a.shape)
 
 
 def residual(a: np.ndarray, b: np.ndarray) -> float:
@@ -101,7 +120,24 @@ def residual(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)))
 
 
+def residuals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """residual of each matrix pair in two equal-shaped (..., n, n) stacks."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return np.max(np.abs(a - b), axis=(-2, -1))
+
+
 def unitarity_residual(u: np.ndarray) -> float:
     """Residual of u @ dagger(u) against the identity."""
     u = np.asarray(u, dtype=complex)
     return residual(u @ dagger(u), np.eye(u.shape[0], dtype=complex))
+
+
+def unitarity_residuals(u: np.ndarray) -> np.ndarray:
+    """unitarity_residual of each matrix in an (N, n, n) stack; shape (N,)."""
+    u = np.asarray(u, dtype=complex)
+    eye = np.eye(u.shape[-1], dtype=complex)
+    product = u @ u.conj().swapaxes(-1, -2)
+    return np.max(np.abs(product - eye), axis=(-2, -1))

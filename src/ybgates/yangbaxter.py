@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, inverse, kron, residual
+from .linalg import DimensionMismatchError, inverse, kron, residuals
 from .paulis import IDENTITY_2
 
 
@@ -27,10 +27,25 @@ def _lift_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return kron(m, IDENTITY_2), kron(IDENTITY_2, m)
 
 
-def braid_residual(b: np.ndarray) -> float:
-    """Residual of (b x I)(I x b)(b x I) = (I x b)(b x I)(I x b)."""
+def braid_residuals(b: np.ndarray) -> np.ndarray:
+    """Residuals of (b x I)(I x b)(b x I) = (I x b)(b x I)(I x b), one per
+    matrix of an (N, 4, 4) stack; the result has shape (N,)."""
+    b = np.asarray(b, dtype=complex)
+    if b.ndim != 3:
+        raise DimensionMismatchError(f"expected an (N, 4, 4) stack, got {b.shape}")
     left, right = _lift_pair(b)
-    return residual(left @ right @ left, right @ left @ right)
+    return residuals(left @ right @ left, right @ left @ right)
+
+
+def braid_residual(b: np.ndarray) -> float:
+    """Residual of (b x I)(I x b)(b x I) = (I x b)(b x I)(I x b).
+
+    This is braid_residuals on a stack of one matrix.
+    """
+    b = np.asarray(b, dtype=complex)
+    if b.ndim != 2:
+        raise DimensionMismatchError(f"expected a 4x4 matrix, got {b.shape}")
+    return float(braid_residuals(b[None])[0])
 
 
 def qybe_residuals(r_x: np.ndarray, r_y: np.ndarray, r_xy: np.ndarray) -> np.ndarray:
@@ -50,9 +65,7 @@ def qybe_residuals(r_x: np.ndarray, r_y: np.ndarray, r_xy: np.ndarray) -> np.nda
             + ", ".join(str(r.shape) for r in stacks)
         )
     (r1_x, r2_x), (r1_y, r2_y), (r1_xy, r2_xy) = (_lift_pair(r) for r in stacks)
-    lhs = r1_x @ r2_xy @ r1_y
-    rhs = r2_y @ r1_xy @ r2_x
-    return np.max(np.abs(lhs - rhs), axis=(1, 2))
+    return residuals(r1_x @ r2_xy @ r1_y, r2_y @ r1_xy @ r2_x)
 
 
 def qybe_residual(family: Callable[[float], np.ndarray], x: float, y: float) -> float:

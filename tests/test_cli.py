@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 
@@ -11,8 +12,17 @@ import pytest
 
 import ybgates.cli
 from ybgates.cli import MatrixDocument, main
-from ybgates.eightvertex import build_b_phi, build_R_x
+from ybgates.eightvertex import build_b_phi, build_R_theta, build_R_x, build_R_x_normalized
 from ybgates.gates import cnot
+from ybgates.hamiltonian import (
+    R_from_H,
+    evolution_U,
+    interaction_operator,
+    schrodinger_residual,
+)
+from ybgates.linalg import expm, kron, residual, unitarity_residual
+from ybgates.paulis import DEFAULT_SEED, SIGMA_X, SIGMA_Y
+from ybgates.yangbaxter import braid_residual
 
 I2 = np.eye(2, dtype=complex)
 
@@ -23,6 +33,60 @@ VERIFY_QYBE_GOLDEN = (
     '"points": 4096, "relation": "qybe", "tol": 1e-10, '
     '"worst": "sign=+ phi=5.497787143782138 x=2.0 y=2.0"}\n'
 )
+
+# Stdout of the four other relations at their per-point implementation,
+# at the defaults and at a failing --tol with other flags, so a pick off
+# the default grid is pinned too.
+RELATION_GOLDEN = {
+    ("verify", "braid"): (
+        0,
+        '{"command": "verify", "max_residual": 1.1443916996305594e-16, "pass": true, '
+        '"points": 64, "relation": "braid", "tol": 1e-12, '
+        '"worst": "sign=+ phi=1.9634954084936207"}\n',
+    ),
+    ("verify", "unitarity"): (
+        0,
+        '{"command": "verify", "max_residual": 6.661338147750939e-16, "pass": true, '
+        '"points": 976, "relation": "unitarity", "tol": 1e-12, '
+        '"worst": "sign=+ phi=2.356194490192345 x=-1.9"}\n',
+    ),
+    ("verify", "schrodinger"): (
+        0,
+        '{"command": "verify", "max_residual": 4.787642814084265e-11, "pass": true, '
+        '"points": 96, "relation": "schrodinger", "tol": 1e-06, '
+        '"worst": "sign=- phi=0.0 x=0.4 state=3"}\n',
+    ),
+    ("verify", "exponential"): (
+        0,
+        '{"command": "verify", "max_residual": 1.1102230246251565e-15, "pass": true, '
+        '"points": 289, "relation": "exponential", "tol": 1e-12, '
+        '"worst": "U sign=- phi=0.7853981633974483 theta=4.71238898038469"}\n',
+    ),
+    ("verify", "braid", "--sign", "+", "--phi-grid", "7", "--tol", "1e-17"): (
+        1,
+        '{"command": "verify", "max_residual": 1.1443916996305594e-16, "pass": false, '
+        '"points": 7, "relation": "braid", "tol": 1e-17, '
+        '"worst": "sign=+ phi=0.8975979010256552"}\n',
+    ),
+    ("verify", "unitarity", "--sign", "-", "--grid", "7", "--phi-grid", "3", "--tol", "1e-17"): (
+        1,
+        '{"command": "verify", "max_residual": 2.220446049250313e-16, "pass": false, '
+        '"points": 21, "relation": "unitarity", "tol": 1e-17, '
+        '"worst": "sign=- phi=0.0 x=0.0"}\n',
+    ),
+    ("verify", "schrodinger", "--sign", "+", "--step", "1e-3", "--tol", "1e-12"): (
+        1,
+        '{"command": "verify", "max_residual": 3.3632991434982635e-07, "pass": false, '
+        '"points": 48, "relation": "schrodinger", "tol": 1e-12, '
+        '"worst": "sign=+ phi=0.0 x=0.4 state=6"}\n',
+    ),
+    ("verify", "exponential", "--sign", "-", "--phi-grid", "3", "--tol", "1e-17"): (
+        1,
+        '{"command": "verify", "max_residual": 9.992007221626409e-16, "pass": false, '
+        '"points": 55, "relation": "exponential", "tol": 1e-17, '
+        '"worst": "U sign=- phi=0.0 theta=5.497787143782138"}\n',
+    ),
+}
 
 
 def run_cli(args, capsys):
@@ -530,3 +594,260 @@ def test_arithmetic_error_in_finite_grid_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("args", list(RELATION_GOLDEN), ids=" ".join)
+def test_verify_relation_stdout_golden(args, capsys):
+    code, out, err = run_cli(list(args), capsys)
+    assert (code, out) == RELATION_GOLDEN[args]
+    assert err == ""
+
+
+def _sweep_report(args, capsys):
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    return json.loads(out)
+
+
+def test_sweep_unitarity_x_row_bit_identical_to_oracle(capsys):
+    report = _sweep_report(
+        ["sweep", "unitarity", "--param", "x", "--from", "-3", "--to", "3",
+         "--steps", "997", "--sign", "+", "--phi", "2.2"],
+        capsys,
+    )
+    expected = [unitarity_residual(build_R_x_normalized("+", 2.2, v)) for v in report["values"]]
+    assert len(expected) == 997
+    assert np.array_equal(report["results"], expected)
+
+
+def test_sweep_unitarity_phi_row_bit_identical_to_oracle(capsys):
+    # x = -0.3987991964982853 is a point where numpy's square differs from
+    # the per-point rho.
+    x = -0.3987991964982853
+    report = _sweep_report(
+        ["sweep", "unitarity", "--param", "phi", "--from", "0", "--to", "6.3",
+         "--steps", "997", "--x", repr(x)],
+        capsys,
+    )
+    expected = [unitarity_residual(build_R_x_normalized("-", v, x)) for v in report["values"]]
+    assert np.array_equal(report["results"], expected)
+
+
+def test_sweep_braid_phi_row_bit_identical_to_oracle(capsys):
+    report = _sweep_report(
+        ["sweep", "braid", "--param", "phi", "--from", "-1", "--to", "7",
+         "--steps", "997", "--sign", "+"],
+        capsys,
+    )
+    expected = [braid_residual(build_b_phi("+", v)) for v in report["values"]]
+    assert np.array_equal(report["results"], expected)
+
+
+def test_nan_input_writes_one_error_line_and_no_warnings():
+    proc = subprocess.run(
+        [sys.executable, "-m", "ybgates", "sweep", "concurrence", "--param", "theta",
+         "--from", "0", "--to", "1", "--steps", "3", "--phi", "nan"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+def test_numpy_warnings_silenced_in_process(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            ["sweep", "unitarity", "--param", "x", "--from", "0", "--to", "1",
+             "--steps", "3", "--phi", "nan"],
+            capsys,
+        )
+    assert code == 1
+    assert _strict_json(out)["nonfinite"] == 3
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "args, names",
+    [
+        (["sweep", "unitarity", "--param", "x", "--from", "0", "--to", "1e200", "--steps", "3"],
+         ["--from/--to", "x=5e+199"]),
+        (["sweep", "unitarity", "--param", "phi", "--from", "0", "--to", "1", "--steps", "3",
+          "--x", "1e200"], ["--x 1e+200"]),
+        (["verify", "schrodinger", "--step", "1e300"], ["--step 1e+300"]),
+        (["synthesize", "evolution", "--phi", "inf"], ["--phi", "inf"]),
+        (["synthesize", "evolution", "--theta", "-inf"], ["--theta", "-inf"]),
+        (["matrix", "U", "--sign", "+", "--phi", "1", "--theta", "inf"], ["--theta", "inf"]),
+        (["matrix", "Rtheta", "--sign", "-", "--phi", "1", "--theta", "-inf"], ["--theta", "-inf"]),
+    ],
+)
+def test_arithmetic_errors_name_the_argument(args, names, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    for name in names:
+        assert name in err
+
+
+def test_parser_built_once_and_not_at_import():
+    assert ybgates.cli._build_parser() is ybgates.cli._build_parser()
+    probe = (
+        "import ybgates.cli as c; n = c._build_parser.cache_info().currsize; "
+        "c.main(['verify', 'braid', '--phi-grid', '2']); "
+        "c.main(['verify', 'braid', '--phi-grid', '2']); "
+        "print(n, c._build_parser.cache_info().currsize)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 1"
+
+
+def test_cached_parser_gives_fresh_namespaces(capsys):
+    # A reused parser must not carry one call's flags into the next.
+    assert run_cli(["verify", "braid", "--sign", "+", "--tol", "1e-17"], capsys)[0] == 1
+    code, out, _ = run_cli(["verify", "braid"], capsys)
+    assert (code, out) == RELATION_GOLDEN[("verify", "braid")]
+
+
+@pytest.mark.parametrize(
+    "relation, kernel, points, worst",
+    [
+        ("braid", "braid_residuals", 64, "sign=+ phi=0.19634954084936207"),
+        ("unitarity", "unitarity_residuals", 976, "sign=+ phi=0.0 x=-2.9"),
+        ("schrodinger", "schrodinger_residuals", 96, "sign=+ phi=0.0 x=0.4 state=1"),
+    ],
+)
+def test_verify_picks_every_nonfinite_point(monkeypatch, capsys, relation, kernel, points, worst):
+    # Points 1 and 2 of the first kernel call are made NaN and inf.
+    real = getattr(ybgates.cli, kernel)
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        out = np.array(real(*args, **kwargs))
+        if not calls:
+            out[[1, 2]] = [math.nan, math.inf]
+        calls.append(len(out))
+        return out
+
+    monkeypatch.setattr(ybgates.cli, kernel, poisoned)
+    code, out, _ = run_cli(["verify", relation], capsys)
+    assert code == 1
+    report = _strict_json(out)
+    assert report["points"] == points
+    assert report["nonfinite"] == 2
+    assert report["max_residual"] is None
+    assert report["worst"] == worst
+
+
+def test_verify_exponential_picks_first_maximum_in_order(monkeypatch, capsys):
+    # Every residual ties at zero: the worst is the first point, R before U.
+    monkeypatch.setattr(
+        ybgates.cli, "residuals", lambda a, b: np.zeros(np.shape(a)[:-2])
+    )
+    monkeypatch.setattr(ybgates.cli, "residual", lambda a, b: 0.0)
+    code, out, _ = run_cli(["verify", "exponential"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["points"] == 289
+    assert report["worst"] == "R sign=+ phi=0.0 theta=0.0"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -1.5e-315],
+)
+def test_document_round_trip_signed_zero_and_subnormals(value):
+    matrix = np.full((2, 2), complex(value, -value))
+    matrix[0, 1] = complex(-0.0, value)
+    doc = MatrixDocument.from_matrix(matrix)
+    again = MatrixDocument.from_json(doc.to_json())
+    assert again.to_matrix().tobytes() == matrix.tobytes()
+    assert np.signbit(again.to_matrix().real).tolist() == np.signbit(matrix.real).tolist()
+    assert again.to_json() == doc.to_json()
+
+
+def _relation_oracle(relation):
+    """Per-point residuals of a relation at its default grid, in verify order."""
+    phis = [2.0 * math.pi * k / 8 for k in range(8)]
+    if relation == "braid":
+        return [
+            braid_residual(build_b_phi(sign, 2.0 * math.pi * k / 32))
+            for sign in "+-"
+            for k in range(32)
+        ]
+    if relation == "unitarity":
+        return [
+            unitarity_residual(build_R_x_normalized(sign, phi, float(x)))
+            for sign in "+-"
+            for phi in phis
+            for x in np.linspace(-3.0, 3.0, 61)
+        ]
+    if relation == "schrodinger":
+        rng = np.random.default_rng(DEFAULT_SEED)
+        states = []
+        for _ in range(8):
+            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            states.append(v / np.linalg.norm(v))
+        return [
+            schrodinger_residual(sign, phi, psi0, x, h=1e-5)
+            for sign in "+-"
+            for phi in (0.0, math.pi / 3.0)
+            for x in (0.4, 1.0, 2.0)
+            for psi0 in states
+        ]
+    out = []
+    for sign in "+-":
+        for phi in phis:
+            op = interaction_operator(sign, phi)
+            for theta in np.linspace(0.0, 2.0 * math.pi, 9):
+                theta = float(theta)
+                out.append(residual(R_from_H(sign, phi, theta), build_R_theta(sign, phi, theta)))
+                out.append(residual(evolution_U(sign, phi, theta), expm(-0.5j * theta * op)))
+    out.append(residual(build_b_phi("-", 0.0), expm(0.25j * math.pi * kron(SIGMA_X, SIGMA_Y))))
+    return out
+
+
+@pytest.mark.parametrize("relation", ["braid", "unitarity", "schrodinger", "exponential"])
+def test_verify_residuals_bit_identical_to_per_point_oracle(relation, monkeypatch, capsys):
+    seen = []
+    real = ybgates.cli._picks
+
+    def record(results, label):
+        seen.append(np.array(results))
+        return real(results, label)
+
+    monkeypatch.setattr(ybgates.cli, "_picks", record)
+    code, _, _ = run_cli(["verify", relation], capsys)
+    assert code == 0
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], _relation_oracle(relation))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "unitarity", "--param", "x", "--from", "-1.0087657831281405e-05",
+         "--to", "0.17617500917055973", "--steps", "61", "--sign", "-", "--phi", "5.1"],
+        ["sweep", "qybe", "--param", "phi", "--from", "0", "--to", "1", "--steps", "3",
+         "--x", "-2E-7", "--y", "-.5"],
+        ["matrix", "b", "--sign", "-", "--q", "-1e-3,-2e-5"],
+    ],
+)
+def test_negative_numbers_in_any_notation_are_values(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 0, err
+    assert err == ""
+    _strict_json(out)
+
+
+def test_negative_infinity_is_refused_as_a_value(capsys):
+    code, out, err = run_cli(["verify", "braid", "--tol", "-inf"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "argument --tol: must be finite" in err

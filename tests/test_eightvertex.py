@@ -4,16 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ybgates.eightvertex import (
     EightVertexWeights,
     ZeroDeformationError,
     build_b,
     build_b_phi,
+    build_b_phi_stack,
     build_b_stack,
     build_R_theta,
     build_R_x,
     build_R_x_normalized,
+    build_R_x_normalized_stack,
     build_R_x_stack,
     check_constraints,
     rho,
@@ -206,3 +210,47 @@ def test_theta_from_x():
     assert abs(theta_from_x(1.0) - math.pi / 4) < 1e-15
     assert abs(theta_from_x(math.sqrt(3.0)) - math.pi / 3) < 1e-15
     assert theta_from_x(-5.0) < 0.0
+
+
+@given(
+    sign=st.sampled_from(["+", "-"]),
+    phis=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
+    xs=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4),
+)
+def test_normalized_stack_bit_identical_to_scalar(sign, phis, xs):
+    # phi varies along the first axis, x along the second.
+    got = build_R_x_normalized_stack(sign, np.array(phis)[:, None], xs)
+    assert got.shape == (len(phis), len(xs), 4, 4)
+    for k, phi in enumerate(phis):
+        for m, x in enumerate(xs):
+            assert np.array_equal(got[k, m], build_R_x_normalized(sign, phi, x))
+
+
+@given(sign=st.sampled_from(["+", "-"]), phis=st.lists(st.floats(-10.0, 10.0), max_size=5))
+def test_b_phi_stack_bit_identical_to_scalar(sign, phis):
+    got = build_b_phi_stack(sign, phis)
+    assert got.shape == (len(phis), 4, 4)
+    for k, phi in enumerate(phis):
+        assert np.array_equal(got[k], build_b_phi(sign, phi))
+
+
+def test_normalized_stack_divides_by_python_rho():
+    # At this x, numpy's (1+x)**2 + (1-x)**2 differs from Python's in the
+    # last bit, so dividing by the numpy form would move the matrix.
+    x = -0.3987991964982853
+    xs = np.array([x])
+    numpy_rho = ((1.0 + xs) ** 2 + (1.0 - xs) ** 2)[0]
+    assert numpy_rho != rho(x)
+    for sign in "+-":
+        for phi in (0.0, 0.3, 2.5):
+            got = build_R_x_normalized_stack(sign, phi, xs)[0]
+            assert np.array_equal(got, build_R_x_normalized(sign, phi, x))
+            by_numpy = build_R_x_stack(sign, np.exp(-1j * phi), x) / math.sqrt(numpy_rho)
+            assert not np.array_equal(got, by_numpy)
+
+
+def test_rho_overflow_names_x():
+    with pytest.raises(OverflowError, match=r"x=1e\+200"):
+        rho(1e200)
+    with pytest.raises(OverflowError, match=r"x=5e\+199"):
+        build_R_x_normalized_stack("+", 0.0, [0.0, 5e199, 1e200])

@@ -23,6 +23,7 @@ from ybgates.hamiltonian import (
     interaction_operator,
     pauli_decompose,
     schrodinger_residual,
+    schrodinger_residuals,
     sigma_axis,
 )
 from ybgates.linalg import dagger, expm, kron, residual
@@ -230,3 +231,30 @@ def test_schrodinger_residual_second_order():
     coarse = schrodinger_residual("+", 0.3, ket00, 0.7, 1e-2)
     fine = schrodinger_residual("+", 0.3, ket00, 0.7, 1e-3)
     assert coarse / fine >= 50.0
+
+
+def _schrodinger_oracle(sign, phi, psi0, x, h):
+    # The one-state defect, built point by point.
+    def psi(t):
+        return build_R_x_normalized(sign, phi, t) @ psi0
+
+    lhs = 1j * (psi(x + h) - psi(x - h)) / (2.0 * h)
+    return float(np.linalg.norm(lhs - hamiltonian_x(sign, phi, x) @ psi(x)))
+
+
+@given(
+    sign=st.sampled_from(["+", "-"]),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    x=st.floats(-3.0, 3.0),
+    h=st.sampled_from([1e-3, 1e-5, 1e-7]),
+    count=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_schrodinger_residuals_bit_identical_to_oracle(sign, phi, x, h, count, seed):
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((count, 4)) + 1j * rng.standard_normal((count, 4))
+    got = schrodinger_residuals(sign, phi, states, x, h)
+    assert got.shape == (count,)
+    expected = [_schrodinger_oracle(sign, phi, psi0, x, h) for psi0 in states]
+    assert np.array_equal(got, expected)
+    assert schrodinger_residual(sign, phi, states[0], x, h) == expected[0]

@@ -8,15 +8,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ybgates.eightvertex import build_b_phi
+import ybgates.linalg
 from ybgates.linalg import (
     DimensionMismatchError,
+    NonConvergenceError,
     SingularMatrixError,
     dagger,
     expm,
     inverse,
     kron,
     residual,
+    residuals,
     unitarity_residual,
+    unitarity_residuals,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -196,3 +200,93 @@ def test_residual_dim_mismatch():
 def test_unitarity_residual():
     assert unitarity_residual(build_b_phi("+", 1.1)) < 1e-12
     assert unitarity_residual(2.0 * I4) == 3.0
+
+
+def _expm_oracle(a):
+    # The one-matrix scaling and squaring that expm runs on each member of
+    # a stack, written out for a single 2-D matrix.
+    norm = float(np.linalg.norm(a, 1))
+    squarings = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
+    scaled = a / (2.0 ** squarings)
+    term = np.eye(a.shape[0], dtype=complex)
+    total = term.copy()
+    for k in range(1, 17):
+        term = term @ scaled / k
+        total += term
+    for _ in range(squarings):
+        total = total @ total
+    return total
+
+
+def test_expm_stack_mixing_squaring_counts_bit_identical_to_oracle():
+    rng = np.random.default_rng(11)
+    # Norms from 1e-3 to 1e2 give squaring counts 0 through 8, interleaved.
+    scales = 10.0 ** rng.uniform(-3.0, 2.0, size=40)
+    stack = np.array([_random_matrix(rng, n=4, scale=c) for c in scales])
+    counts = {int(np.ceil(np.log2(max(np.linalg.norm(m, 1), 0.5) / 0.5))) for m in stack}
+    assert len(counts) >= 5
+    got = expm(stack)
+    assert got.shape == stack.shape
+    assert np.array_equal(got, [_expm_oracle(m) for m in stack])
+    for m in stack[:5]:
+        assert np.array_equal(expm(m), _expm_oracle(m))
+
+
+@given(
+    shape=st.sampled_from([(2, 2), (1, 4, 4), (3, 2, 2), (2, 3, 4, 4)]),
+    scale=st.floats(1e-3, 50.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_expm_any_stack_shape_matches_oracle(shape, scale, seed):
+    rng = np.random.default_rng(seed)
+    a = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    n = shape[-1]
+    expected = np.array([_expm_oracle(m) for m in a.reshape(-1, n, n)]).reshape(shape)
+    assert np.array_equal(expm(a), expected)
+
+
+def test_expm_convergence_checked_per_matrix(monkeypatch):
+    # Two terms cannot converge on a nonzero matrix; the zero matrix
+    # converges at once, so only a stack holding a nonzero matrix fails.
+    monkeypatch.setattr(ybgates.linalg, "_SERIES_ORDER", 2)
+    zeros = np.zeros((3, 4, 4), dtype=complex)
+    assert np.array_equal(expm(zeros), np.broadcast_to(I4, zeros.shape))
+    mixed = zeros.copy()
+    mixed[1] = 0.25 * np.kron(SX, SY)
+    with pytest.raises(NonConvergenceError):
+        expm(mixed)
+
+
+def test_expm_stack_rejects_any_nonfinite_matrix():
+    stack = np.stack([I4, I4])
+    stack[1, 2, 3] = np.inf
+    with pytest.raises(ValueError):
+        expm(stack)
+
+
+@given(
+    n=st.sampled_from([2, 4, 8]),
+    count=st.integers(1, 6),
+    scale=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_unitarity_residuals_bit_identical_to_scalar(n, count, scale, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.array([_random_matrix(rng, n=n, scale=scale) for _ in range(count)])
+    got = unitarity_residuals(stack)
+    assert got.shape == (count,)
+    assert np.array_equal(got, [unitarity_residual(m) for m in stack])
+
+
+def test_unitarity_residuals_on_unitary_family():
+    stack = np.array([build_b_phi(sign, 0.3 * k) for sign in "+-" for k in range(8)])
+    got = unitarity_residuals(stack)
+    assert np.array_equal(got, [unitarity_residual(m) for m in stack])
+    assert np.all(got < 1e-12)
+
+
+def test_residuals_per_matrix_and_shape_check():
+    a = np.stack([I4, 2.0 * I4, I4 + 0.5j])
+    assert residuals(a, np.broadcast_to(I4, a.shape)).tolist() == [0.0, 1.0, 0.5]
+    with pytest.raises(DimensionMismatchError):
+        residuals(a, I4)

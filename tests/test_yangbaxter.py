@@ -11,12 +11,14 @@ from ybgates.eightvertex import (
     EIGENVALUES,
     build_b,
     build_b_phi,
+    build_b_phi_stack,
     build_R_x,
     build_R_x_stack,
 )
 from ybgates.linalg import DimensionMismatchError, SingularMatrixError
 from ybgates.yangbaxter import (
     braid_residual,
+    braid_residuals,
     qybe_residual,
     qybe_residuals,
     verify_two_eigenvalues,
@@ -208,3 +210,32 @@ def test_qybe_residuals_shape_checks():
     small = np.stack([I2, I2])
     with pytest.raises(DimensionMismatchError):
         qybe_residuals(small, small, small)
+
+
+@given(
+    sign=st.sampled_from(["+", "-"]),
+    phis=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6),
+)
+def test_braid_residuals_property(sign, phis):
+    got = braid_residuals(build_b_phi_stack(sign, phis))
+    expected = [_braid_oracle(build_b_phi(sign, phi)) for phi in phis]
+    assert got.shape == (len(phis),)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(got, [braid_residual(build_b_phi(sign, phi)) for phi in phis])
+    assert np.all(got < 1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 5))
+def test_braid_residuals_bit_identical_on_random_matrices(seed, count):
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((count, 4, 4)) + 1j * rng.standard_normal((count, 4, 4))
+    assert np.array_equal(braid_residuals(stack), [_braid_oracle(m) for m in stack])
+
+
+def test_braid_residuals_shape_checks():
+    with pytest.raises(DimensionMismatchError):
+        braid_residuals(I4)
+    with pytest.raises(DimensionMismatchError):
+        braid_residuals(np.stack([I2, I2]))
+    with pytest.raises(DimensionMismatchError):
+        braid_residual(np.stack([I4, I4]))
