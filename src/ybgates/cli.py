@@ -38,9 +38,10 @@ from .eightvertex import (
     build_R_x,
     build_R_x_normalized_stack,
     build_R_x_stack,
+    R_x_family,
     theta_from_x,
 )
-from .entangle import concurrence, r_theta_action
+from .entangle import r_theta_concurrences
 from .gates import cnot, cnot_via_evolution, cnot_via_theorem1, global_phase_between
 from .hamiltonian import (
     evolution_U,
@@ -51,19 +52,11 @@ from .hamiltonian import (
 )
 from .linalg import expm, inverse, kron, residual, residuals, unitarity_residuals
 from .paulis import DEFAULT_SEED, SIGMA_X, SIGMA_Y
-from .yangbaxter import braid_residual, braid_residuals, qybe_residuals
+from .yangbaxter import braid_residual, braid_residuals, lift, qybe_residuals
 
 SEED_ENV_VAR = "YBG_SEED"
 
-_DEFAULT_TOL = {
-    "braid": 1e-12,
-    "qybe": 1e-10,
-    "unitarity": 1e-12,
-    "schrodinger": 1e-6,
-    "exponential": 1e-12,
-    "synthesize": 1e-12,
-}
-_SWEEP_TOL = {"unitarity": 1e-12, "braid": 1e-12, "qybe": 1e-10}
+_SYNTHESIZE_TOL = 1e-12
 
 # QYBE points are lifted to 8x8 and multiplied this many at a time: large
 # enough that numpy's per-call cost is spread thin, small enough that the
@@ -171,17 +164,26 @@ def _phi_grid(n: int) -> list[float]:
     return [2.0 * math.pi * k / n for k in range(n)]
 
 
-def _qybe_blocks(count: int, stacks) -> np.ndarray:
-    """QYBE residuals of ``count`` points, _QYBE_BLOCK points at a time.
+def _read_flags(args: argparse.Namespace, flags: dict, command: str) -> None:
+    """Refuse every optional flag given that is not a key of ``flags``, and
+    set each key not given to its value there, the default."""
+    for name in ("sign", "grid", "phi_grid", "step", "matrix_file", "phi", "theta", "x", "y"):
+        if getattr(args, name, None) is None:
+            if name in flags:
+                setattr(args, name, flags[name])
+        elif name not in flags:
+            raise CliError(f"--{name.replace('_', '-')} is not used by {command}")
 
-    ``stacks(block)`` returns the family at x, y and x*y for the points in
-    the slice ``block``, as one (3, B, 4, 4) array.
-    """
-    out = np.empty(count)
-    for start in range(0, count, _QYBE_BLOCK):
-        block = slice(start, start + _QYBE_BLOCK)
-        out[block] = qybe_residuals(*stacks(block))
-    return out
+
+def _in_blocks(count: int, residuals_at) -> np.ndarray:
+    """residuals_at(points) over ``count`` points, _QYBE_BLOCK at a time;
+    ``points`` is an array of consecutive point indices."""
+    return np.concatenate(
+        [
+            residuals_at(np.arange(start, min(start + _QYBE_BLOCK, count)))
+            for start in range(0, count, _QYBE_BLOCK)
+        ]
+    )
 
 
 def _picks(results: np.ndarray, label) -> list[tuple[str, float]]:
@@ -236,24 +238,27 @@ def _verify_braid(args: argparse.Namespace) -> tuple[list[tuple[str, float]], in
 
 
 def _verify_qybe(args: argparse.Namespace) -> tuple[list[tuple[str, float]], int]:
-    # Points run x-major over an n x n grid. Each (sign, phi) builds one
-    # stack holding the family at the n grid values and then at the n*n
-    # products, so the whole grid shares a single braid-matrix inverse.
+    # Points run x-major over an n x n grid. Each (sign, phi) builds and
+    # lifts the family at the n grid values once, and each block builds
+    # and lifts only its x*y products, all from one braid-matrix inverse:
+    # memory grows with n and the block, not with n*n.
     n = args.grid
     values = np.array([2.0 * k / n for k in range(1, n + 1)])
-    i, j = np.divmod(np.arange(n * n), n)
-    index = np.stack([i, j, n + np.arange(n * n)])
-    spectral = np.concatenate([values, values[i] * values[j]])
     entries = []
     for sign in _signs(args):
         for phi in _phi_grid(args.phi_grid):
-            table = build_R_x_stack(sign, np.exp(-1j * phi), spectral)
-            results = _qybe_blocks(n * n, lambda block: table[index[:, block]])
+            family = R_x_family(sign, np.exp(-1j * phi))
+            table = lift(family(values))
+
+            def residuals_at(points: np.ndarray) -> np.ndarray:
+                i, j = np.divmod(points, n)
+                return qybe_residuals(table[i], table[j], lift(family(values[i] * values[j])))
+
             entries.extend(
                 _picks(
-                    results,
-                    lambda k: f"sign={sign} phi={phi!r} x={float(values[i[k]])!r}"
-                    f" y={float(values[j[k]])!r}",
+                    _in_blocks(n * n, residuals_at),
+                    lambda k: f"sign={sign} phi={phi!r} x={float(values[k // n])!r}"
+                    f" y={float(values[k % n])!r}",
                 )
             )
     return entries, len(_signs(args)) * args.phi_grid * n * n
@@ -354,20 +359,28 @@ def _verify_exponential(args: argparse.Namespace) -> tuple[list[tuple[str, float
     return _picks(results, label), len(results)
 
 
-_VERIFY_RUNNERS = {
-    "braid": _verify_braid,
-    "qybe": _verify_qybe,
-    "unitarity": _verify_unitarity,
-    "schrodinger": _verify_schrodinger,
-    "exponential": _verify_exponential,
+# Each relation's runner, default tolerance, and the optional flags it
+# reads with their defaults (sign None runs both); a flag it does not read
+# is refused, never ignored.
+_RELATIONS = {
+    "braid": (_verify_braid, 1e-12, {"sign": None, "phi_grid": 32}),
+    "qybe": (_verify_qybe, 1e-10, {"sign": None, "grid": 16, "phi_grid": 8}),
+    "unitarity": (_verify_unitarity, 1e-12, {"sign": None, "grid": 61, "phi_grid": 8}),
+    "schrodinger": (_verify_schrodinger, 1e-6, {"sign": None, "step": 1e-5}),
+    "exponential": (_verify_exponential, 1e-12, {"sign": None, "phi_grid": 8}),
 }
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.matrix_file and args.relation != "braid":
-        raise CliError("only braid accepts --matrix-file")
-    tol = args.tol if args.tol is not None else _DEFAULT_TOL[args.relation]
-    entries, points = _VERIFY_RUNNERS[args.relation](args)
+    run, default_tol, flags = _RELATIONS[args.relation]
+    command = f"verify {args.relation}"
+    if args.matrix_file:
+        if args.relation != "braid":
+            raise CliError("only braid accepts --matrix-file")
+        flags, command = {"matrix_file": None}, command + " --matrix-file"
+    _read_flags(args, flags, command)
+    tol = args.tol if args.tol is not None else default_tol
+    entries, points = run(args)
     # max() skips a NaN that follows a finite value, so non-finite
     # residuals are picked out first and always fail.
     nonfinite = [entry for entry in entries if not math.isfinite(entry[1])]
@@ -458,7 +471,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 # --- synthesize -------------------------------------------------------
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
-    tol = args.tol if args.tol is not None else _DEFAULT_TOL["synthesize"]
+    tol = args.tol if args.tol is not None else _SYNTHESIZE_TOL
     if args.route == "theorem1":
         candidate = cnot_via_theorem1()
         meta = {"route": "theorem1"}
@@ -499,90 +512,82 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 # --- sweep ------------------------------------------------------------
 
-def _pointwise(evaluate):
-    return lambda values: [float(evaluate(v)) for v in values]
+def _qybe_sweep_x(args: argparse.Namespace, xs: np.ndarray) -> np.ndarray:
+    # R(y) is one matrix, lifted once; each block lifts R(x) and R(xy).
+    family = R_x_family(args.sign, np.exp(-1j * args.phi))
+    r_y = lift(family(args.y))
+
+    def residuals_at(points: np.ndarray) -> np.ndarray:
+        r_x, r_xy = lift(family(np.stack([xs[points], xs[points] * args.y])))
+        return qybe_residuals(r_x, np.broadcast_to(r_y, r_x.shape), r_xy)
+
+    return _in_blocks(len(xs), residuals_at)
 
 
-def _unitarity_sweep(build, flag: str):
-    """Sweep of unitarity_residuals over the stack ``build(values)``."""
-
-    def evaluate(values: list[float]) -> list[float]:
-        try:
-            stack = build(np.asarray(values))
-        except OverflowError as exc:
-            raise CliError(f"{flag}: {exc}") from exc
-        return unitarity_residuals(stack).tolist()
-
-    return evaluate
+def _qybe_sweep_phi(args: argparse.Namespace, phis: np.ndarray) -> np.ndarray:
+    spectral = np.array([[args.x], [args.y], [args.x * args.y]])
+    return _in_blocks(
+        len(phis),
+        lambda points: qybe_residuals(
+            *lift(build_R_x_stack(args.sign, np.exp(-1j * phis[points]), spectral))
+        ),
+    )
 
 
-def _sweep_evaluator(args: argparse.Namespace):
-    """A function from the list of parameter values to the list of results."""
-    sign = args.sign or "-"
-    phi = args.phi if args.phi is not None else 0.0
-    theta = args.theta if args.theta is not None else 0.0
-    x = args.x if args.x is not None else 0.3
-    y = args.y if args.y is not None else 0.7
-    quantity, param = args.quantity, args.param
-    if quantity == "concurrence":
-        if param == "theta":
-            return _pointwise(lambda v: concurrence(r_theta_action(sign, phi, v, 0)))
-        if param == "phi":
-            return _pointwise(lambda v: concurrence(r_theta_action(sign, v, theta, 0)))
-    if quantity == "unitarity":
-        if param == "x":
-            return _unitarity_sweep(
-                lambda v: build_R_x_normalized_stack(sign, phi, v), "--from/--to"
-            )
-        if param == "phi":
-            return _unitarity_sweep(
-                lambda v: build_R_x_normalized_stack(sign, v, x), f"--x {x!r}"
-            )
-    if quantity == "braid":
-        if param == "phi":
-            return lambda values: braid_residuals(build_b_phi_stack(sign, values)).tolist()
-    if quantity == "qybe":
-        # Each block builds the family at x, y and x*y for its points as one
-        # (3, B, 4, 4) stack, with one braid matrix and inverse per q.
-        if param == "x":
-            q = np.exp(-1j * phi)
-
-            def sweep_x(values: list[float]) -> list[float]:
-                xs = np.asarray(values)
-
-                def stacks(block: slice) -> np.ndarray:
-                    v = xs[block]
-                    return build_R_x_stack(sign, q, np.stack([v, np.full_like(v, y), v * y]))
-
-                return _qybe_blocks(len(xs), stacks).tolist()
-
-            return sweep_x
-        if param == "phi":
-
-            def sweep_phi(values: list[float]) -> list[float]:
-                qs = np.exp(-1j * np.asarray(values))
-                spectral = np.array([[x], [y], [x * y]])
-                return _qybe_blocks(
-                    len(qs), lambda block: build_R_x_stack(sign, qs[block], spectral)
-                ).tolist()
-
-            return sweep_phi
-    raise CliError(f"quantity {quantity!r} cannot sweep parameter {param!r}")
+# Each sweep's default tolerance, the optional flags it reads with their
+# defaults, and its results at an array v of parameter values.
+_SWEEPS = {
+    ("concurrence", "theta"): (
+        None,
+        {"sign": "-", "phi": 0.0},
+        lambda args, v: r_theta_concurrences(args.sign, args.phi, v),
+    ),
+    ("concurrence", "phi"): (
+        None,
+        {"sign": "-", "theta": 0.0},
+        lambda args, v: r_theta_concurrences(args.sign, v, args.theta),
+    ),
+    ("unitarity", "x"): (
+        1e-12,
+        {"sign": "-", "phi": 0.0},
+        lambda args, v: unitarity_residuals(build_R_x_normalized_stack(args.sign, args.phi, v)),
+    ),
+    ("unitarity", "phi"): (
+        1e-12,
+        {"sign": "-", "x": 0.3},
+        lambda args, v: unitarity_residuals(build_R_x_normalized_stack(args.sign, v, args.x)),
+    ),
+    ("braid", "phi"): (
+        1e-12,
+        {"sign": "-"},
+        lambda args, v: braid_residuals(build_b_phi_stack(args.sign, v)),
+    ),
+    ("qybe", "x"): (1e-10, {"sign": "-", "phi": 0.0, "y": 0.7}, _qybe_sweep_x),
+    ("qybe", "phi"): (1e-10, {"sign": "-", "x": 0.3, "y": 0.7}, _qybe_sweep_phi),
+}
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.steps < 2:
         raise CliError("--steps must be at least 2")
-    evaluate = _sweep_evaluator(args)
-    values = [
-        args.start + (args.stop - args.start) * k / (args.steps - 1)
-        for k in range(args.steps)
-    ]
-    if not all(math.isfinite(v) for v in values):
+    key = (args.quantity, args.param)
+    if key not in _SWEEPS:
+        raise CliError("quantity {!r} cannot sweep parameter {!r}".format(*key))
+    default_tol, flags, evaluate = _SWEEPS[key]
+    _read_flags(args, flags, "sweep {} --param {}".format(*key))
+    # The same float operations, in the same order, as a Python loop over k.
+    grid = args.start + (args.stop - args.start) * np.arange(args.steps) / (args.steps - 1)
+    if not np.isfinite(grid).all():
         raise CliError("--from/--to span overflows the parameter grid")
-    results = evaluate(values)
-    tol = args.tol if args.tol is not None else _SWEEP_TOL.get(args.quantity)
-    nonfinite = sum(not math.isfinite(r) for r in results)
+    try:
+        results = evaluate(args, grid)
+    except OverflowError as exc:
+        # Only rho(x) overflows; name the flag that set x.
+        flag = "--from/--to" if args.param == "x" else f"--x {args.x!r}"
+        raise CliError(f"{flag}: {exc}") from exc
+    nonfinite = len(results) - int(np.count_nonzero(np.isfinite(results)))
+    values, results = grid.tolist(), results.tolist()
+    tol = args.tol if args.tol is not None else default_tol
     # A non-finite result fails, and is the peak, whatever the tolerance.
     peak = math.nan if nonfinite else max(results)
     passed = False if nonfinite else None if tol is None else peak < tol
@@ -598,8 +603,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "command": "sweep",
             "quantity": args.quantity,
             "parameter": args.param,
-            "values": [_json_float(v) for v in values],
-            "results": [_json_float(r) for r in results],
+            "values": values,
+            "results": [_json_float(r) for r in results] if nonfinite else results,
             "max_value": _json_float(peak),
             "tol": tol,
             "pass": passed,
@@ -682,21 +687,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run a relation check over its grid")
-    verify.add_argument(
-        "relation", choices=["braid", "qybe", "unitarity", "schrodinger", "exponential"]
-    )
+    verify.add_argument("relation", choices=list(_RELATIONS))
     verify.add_argument("--sign", choices=["+", "-"], help="restrict to one sign")
     verify.add_argument(
         "--tol", type=_finite_float, help="pass tolerance (per-relation default)"
     )
+    verify.add_argument("--grid", type=_positive_int, help="points per spectral axis")
+    verify.add_argument("--phi-grid", type=_positive_int, help="deformation grid points")
     verify.add_argument(
-        "--grid", type=_positive_int, default=None, help="points per spectral axis"
-    )
-    verify.add_argument(
-        "--phi-grid", type=_positive_int, default=None, help="deformation grid points"
-    )
-    verify.add_argument(
-        "--step", type=_positive_float, default=1e-5, help="finite-difference step"
+        "--step", type=_positive_float, help="finite-difference step, default 1e-5"
     )
     verify.add_argument("--matrix-file", help="check one matrix document (braid only)")
     verify.set_defaults(func=_cmd_verify)
@@ -717,9 +716,7 @@ def _build_parser() -> argparse.ArgumentParser:
     synthesize.set_defaults(func=_cmd_synthesize)
 
     sweep = sub.add_parser("sweep", help="tabulate a quantity over a range")
-    sweep.add_argument(
-        "quantity", choices=["concurrence", "unitarity", "braid", "qybe"]
-    )
+    sweep.add_argument("quantity", choices=list(dict.fromkeys(q for q, _ in _SWEEPS)))
     sweep.add_argument("--param", required=True, choices=["theta", "phi", "x"])
     sweep.add_argument("--from", dest="start", type=_finite_float, required=True)
     sweep.add_argument("--to", dest="stop", type=_finite_float, required=True)
@@ -740,11 +737,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "verify":
-        if args.phi_grid is None:
-            args.phi_grid = 32 if args.relation == "braid" else 8
-        if args.grid is None:
-            args.grid = 61 if args.relation == "unitarity" else 16
     try:
         # Non-finite inputs are caught by explicit checks, which report
         # them; numpy's floating-point warnings would only add noise.

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .linalg import inverse
 from .paulis import SQRT2
-from .yangbaxter import yang_baxterize
+from .yangbaxter import baxterization, yang_baxterize
 
 # The two eigenvalues shared by every member of the family; their product
 # is the Baxterization coefficient 2.
@@ -145,8 +146,14 @@ def build_R_x_stack(sign: str, q: np.ndarray, x: np.ndarray) -> np.ndarray:
     point, so a grid over x at fixed q costs a single inverse. Each matrix
     is bit-identical to build_R_x at the same numpy complex q and float x.
     """
-    x = np.asarray(x, dtype=float)[..., None, None]
-    return yang_baxterize(build_b_stack(sign, q), EIGENVALUES, x)
+    return R_x_family(sign, q)(x)
+
+
+def R_x_family(sign: str, q: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The map x -> build_R_x_stack(sign, q, x), with the braid matrices and
+    their inverses built once however often the map is called."""
+    baxterized = baxterization(build_b_stack(sign, q), EIGENVALUES)
+    return lambda x: baxterized(np.asarray(x, dtype=float)[..., None, None])
 
 
 def rho(x: float) -> float:

@@ -17,12 +17,13 @@ bit-identical to applying the gate and concurrence() state by state.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .eightvertex import build_b_phi, build_R_theta
-from .linalg import kron, unitarity_residual
+from .eightvertex import build_b_phi, build_b_phi_stack, build_R_theta
+from .linalg import inverse, kron, unitarity_residual, unitarity_residuals
 from .paulis import DEFAULT_SEED, SQRT2
 
 DEFAULT_THRESHOLD = 1e-9
@@ -75,6 +76,25 @@ def r_theta_action(sign: str, phi: float, theta: float, basis_index: int) -> np.
     [0, pi/2] where the output stays unentangled.
     """
     return apply_gate(build_R_theta(sign, phi, theta), basis_state(basis_index))
+
+
+def r_theta_concurrences(sign: str, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """concurrence(r_theta_action(sign, p, t, 0)) for each pair (p, t) of
+    phi and theta broadcast together, bit for bit: cos and sin come from
+    math, as in build_R_theta, and a gate's first column is its action on
+    |00>. Raises NonUnitaryGateError for the first non-unitary gate."""
+    theta = np.asarray(theta, dtype=float)
+    cos, sin = (
+        np.reshape([f(t) for t in theta.ravel().tolist()], theta.shape + (1, 1))
+        for f in (math.cos, math.sin)
+    )
+    b = build_b_phi_stack(sign, phi)
+    gates = (cos * b + sin * inverse(b)).reshape(-1, 4, 4)
+    defects = unitarity_residuals(gates)
+    failed = np.flatnonzero(~(defects < _UNITARY_TOL))
+    if len(failed):
+        raise NonUnitaryGateError(f"gate is not unitary (residual {defects[failed[0]]:.3e})")
+    return _concurrences(gates[:, :, 0])
 
 
 def concurrence(psi: np.ndarray) -> float:

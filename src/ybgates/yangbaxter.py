@@ -14,17 +14,37 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, inverse, kron, residuals
-from .paulis import IDENTITY_2
+from .linalg import DimensionMismatchError, inverse, residuals
+
+# Entry (k, r, c) is the index, in a 4x4 matrix m flattened row-major, of
+# entry (r, c) of its k-th lift: m (x) I holds m[r // 2, c // 2] where r
+# and c share parity, I (x) m holds m[r % 4, c % 4] in its two diagonal
+# blocks. Elsewhere the lift is zero and the index is 16, which picks a
+# zero appended after the 16 entries. (Built from Python ints: building
+# it with np.kron, or indexing the zero as -1, measured 0.1 to 0.3 MB
+# more peak RSS per process.)
+_LIFT_INDEX = np.array(
+    [
+        [[4 * (r // 2) + c // 2 if r % 2 == c % 2 else 16 for c in range(8)] for r in range(8)],
+        [[4 * (r % 4) + c % 4 if r // 4 == c // 4 else 16 for c in range(8)] for r in range(8)],
+    ]
+)
 
 
-def _lift_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # np.kron pads the 2x2 identity with leading unit axes, so an
-    # (N, 4, 4) stack lifts to an (N, 8, 8) stack.
+def lift(m: np.ndarray) -> np.ndarray:
+    """Both 8x8 lifts, m (x) I and I (x) m, of a (..., 4, 4) stack, as one
+    (..., 2, 8, 8) stack.
+
+    Entries are gathered, not multiplied by 1 and 0 as in a Kronecker
+    product, so the lifts equal np.kron's in value wherever m is finite.
+    (np.kron multiplies an infinite entry by 0 into NaN.)
+    """
     m = np.asarray(m, dtype=complex)
     if m.shape[-2:] != (4, 4):
         raise DimensionMismatchError(f"expected a 4x4 matrix, got {m.shape}")
-    return kron(m, IDENTITY_2), kron(IDENTITY_2, m)
+    flat = m.reshape(m.shape[:-2] + (16,))
+    padded = np.concatenate([flat, np.zeros(flat.shape[:-1] + (1,), dtype=complex)], axis=-1)
+    return padded[..., _LIFT_INDEX]
 
 
 def braid_residuals(b: np.ndarray) -> np.ndarray:
@@ -33,7 +53,7 @@ def braid_residuals(b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     if b.ndim != 3:
         raise DimensionMismatchError(f"expected an (N, 4, 4) stack, got {b.shape}")
-    left, right = _lift_pair(b)
+    left, right = np.moveaxis(lift(b), -3, 0)
     return residuals(left @ right @ left, right @ left @ right)
 
 
@@ -53,18 +73,21 @@ def qybe_residuals(r_x: np.ndarray, r_y: np.ndarray, r_xy: np.ndarray) -> np.nda
 
     The three arguments are equal-shaped (N, 4, 4) stacks holding the
     family at x, at y and at x*y for each of N points; the result has shape
-    (N,). The first right-hand factor carries the argument y (the
-    multiplicative convention): with x there instead, the derived families
-    miss by residuals of order one, so the convention is fixed by
-    computation and pinned in the test suite.
+    (N,). Any of them may be given as its lift(), an (N, 2, 8, 8) stack,
+    so that a matrix shared by many points is lifted once. The first
+    right-hand factor carries the argument y (the multiplicative
+    convention): with x there instead, the derived families miss by
+    residuals of order one, so the convention is fixed by computation and
+    pinned in the test suite.
     """
     stacks = [np.asarray(r, dtype=complex) for r in (r_x, r_y, r_xy)]
-    if stacks[0].ndim != 3 or any(r.shape != stacks[0].shape for r in stacks):
+    lifted = [r if r.shape[-3:] == (2, 8, 8) else lift(r) for r in stacks]
+    if lifted[0].ndim != 4 or any(r.shape != lifted[0].shape for r in lifted):
         raise DimensionMismatchError(
-            "expected three equal (N, 4, 4) stacks, got "
+            "expected three equal (N, 4, 4) stacks or their lifts, got "
             + ", ".join(str(r.shape) for r in stacks)
         )
-    (r1_x, r2_x), (r1_y, r2_y), (r1_xy, r2_xy) = (_lift_pair(r) for r in stacks)
+    (r1_x, r2_x), (r1_y, r2_y), (r1_xy, r2_xy) = (np.moveaxis(r, 1, 0) for r in lifted)
     return residuals(r1_x @ r2_xy @ r1_y, r2_y @ r1_xy @ r2_x)
 
 
@@ -87,9 +110,18 @@ def yang_baxterize(
     (lam1, lam2); at x = 0 it returns b unchanged. b may be a stack
     (..., 4, 4) and x an array that broadcasts against it.
     """
+    return baxterization(b, eigenvalues)(x)
+
+
+def baxterization(
+    b: np.ndarray, eigenvalues: tuple[complex, complex]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The map x -> yang_baxterize(b, eigenvalues, x), inverting b once
+    however often the map is called."""
     lam1, lam2 = eigenvalues
     b = np.asarray(b, dtype=complex)
-    return b + x * lam1 * lam2 * inverse(b)
+    b_inv = inverse(b)
+    return lambda x: b + x * lam1 * lam2 * b_inv
 
 
 def verify_two_eigenvalues(

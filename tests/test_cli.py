@@ -1,18 +1,26 @@
 """Command-line contract: exit codes, documents, determinism."""
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ybgates.cli
+import ybgates.linalg
 from ybgates.cli import MatrixDocument, main
 from ybgates.eightvertex import build_b_phi, build_R_theta, build_R_x, build_R_x_normalized
+from ybgates.entangle import concurrence, r_theta_action
 from ybgates.gates import cnot
 from ybgates.hamiltonian import (
     R_from_H,
@@ -851,3 +859,170 @@ def test_negative_infinity_is_refused_as_a_value(capsys):
     assert code == 2
     assert out == ""
     assert "argument --tol: must be finite" in err
+
+
+# sha256 of the stdout of 4096-step QYBE sweeps, captured at the kron-lift
+# kernel that the gather lift replaced.
+SWEEP_QYBE_SHA256 = {
+    ("x", "json"): "4275700fef580d3618074ad895c0ea7bfa95bb302a78c15a333bf683e7bcf3e4",
+    ("phi", "json"): "a1ca7dceb5bbc729de3dc897e4189ed98844521540e5e6e701292fba72b1a6fb",
+    ("x", "csv"): "2e2c2a24212a05cd0299de772211c6c25a5be67e8ed88d2dcbed2085b9d909c9",
+    ("phi", "csv"): "3c973e0ab07c23db9042c6c49ed68a46cce19d88f8a72b05f4132e9bb40b9831",
+}
+_SWEEP_QYBE_ARGS = {
+    "x": ["--from", "-3", "--to", "3", "--sign", "-", "--phi", "1.3", "--y", "0.7"],
+    "phi": ["--from", "0.3", "--to", "5", "--sign", "+", "--x", "-2.9", "--y", "2.1"],
+}
+
+
+@pytest.mark.parametrize("param, fmt", list(SWEEP_QYBE_SHA256), ids="-".join)
+def test_sweep_qybe_4096_step_stdout_golden(param, fmt, capsys):
+    code, out, _ = run_cli(
+        ["sweep", "qybe", "--param", param, "--steps", "4096", "--format", fmt,
+         *_SWEEP_QYBE_ARGS[param]],
+        capsys,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_QYBE_SHA256[param, fmt]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "qybe", "--grid", "12", "--phi-grid", "2"],
+        ["sweep", "qybe", "--param", "x", "--from", "-3", "--to", "3", "--steps", "200"],
+        ["sweep", "qybe", "--param", "phi", "--from", "0", "--to", "6", "--steps", "200"],
+    ],
+)
+def test_qybe_commands_never_call_kron(args, monkeypatch, capsys):
+    def refuse(*_args):
+        raise AssertionError("kron called on the QYBE path")
+
+    real = ybgates.linalg.kron
+    for module in list(sys.modules.values()):
+        if getattr(module, "kron", None) is real:
+            monkeypatch.setattr(module, "kron", refuse)
+    monkeypatch.setattr(np, "kron", refuse)
+    code, out, err = run_cli(args, capsys)
+    assert code == 0, err
+    assert json.loads(out)["pass"] is True
+
+
+def test_verify_qybe_memory_does_not_grow_with_grid_squared(capsys):
+    args = ["verify", "qybe", "--grid", "128", "--phi-grid", "1", "--sign", "+"]
+    run_cli(args, capsys)  # first use: numpy's lazy set-up is not counted
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(args, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # The family at all 16384 products alone is 4.2 MB of 4x4 matrices;
+    # the lifted 128-value table, one block and the residuals fit in 3 MB.
+    assert peak < 3e6
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["sweep", "qybe", "--param", "x", "--from", "0", "--to", "1", "--steps", "3",
+          "--theta", "1"], "--theta is not used by sweep qybe --param x"),
+        (["sweep", "unitarity", "--param", "x", "--from", "0", "--to", "1", "--steps", "3",
+          "--y", "5"], "--y is not used by sweep unitarity --param x"),
+        (["sweep", "qybe", "--param", "x", "--from", "0", "--to", "1", "--steps", "3",
+          "--x", "0.5"], "--x is not used by sweep qybe --param x"),
+        (["sweep", "concurrence", "--param", "phi", "--from", "0", "--to", "1", "--steps", "3",
+          "--phi", "0.5"], "--phi is not used by sweep concurrence --param phi"),
+        (["verify", "schrodinger", "--grid", "3"], "--grid is not used by verify schrodinger"),
+        (["verify", "exponential", "--grid", "5"], "--grid is not used by verify exponential"),
+        (["verify", "unitarity", "--step", "0.1"], "--step is not used by verify unitarity"),
+        (["verify", "schrodinger", "--phi-grid", "2"],
+         "--phi-grid is not used by verify schrodinger"),
+        (["verify", "braid", "--matrix-file", "/nonexistent", "--sign", "+"],
+         "--sign is not used by verify braid --matrix-file"),
+    ],
+)
+def test_ignored_flags_are_usage_errors(args, message, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+_FLAG_VALUES = {"sign": "+", "grid": "3", "phi_grid": "2", "step": "1e-4"}
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [(["verify", name], entry[2]) for name, entry in ybgates.cli._RELATIONS.items()]
+    + [(["verify", "braid"], {"matrix_file": None})]
+    + [
+        (["sweep", quantity, "--param", param, "--from", "0", "--to", "1", "--steps", "3"],
+         entry[1])
+        for (quantity, param), entry in ybgates.cli._SWEEPS.items()
+    ],
+    ids=str,
+)
+def test_every_listed_flag_is_accepted(command, flags, tmp_path, capsys):
+    path = tmp_path / "b.json"
+    path.write_text(MatrixDocument.from_matrix(build_b_phi("-", 0.0)).to_json())
+    args = list(command)
+    for name in flags:
+        value = str(path) if name == "matrix_file" else _FLAG_VALUES.get(name, "0.37")
+        args += [f"--{name.replace('_', '-')}", value]
+    code, _, err = run_cli(args, capsys)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("param", ["theta", "phi"])
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_sweep_concurrence_rows_bit_identical_to_per_point(param, sign, capsys):
+    other = ["--phi", "2.2"] if param == "theta" else ["--theta", "0.3"]
+    code, out, _ = run_cli(
+        ["sweep", "concurrence", "--param", param, "--from", "-7", "--to", "7",
+         "--steps", "333", "--sign", sign, *other],
+        capsys,
+    )
+    assert code == 0
+    report = json.loads(out)
+    if param == "theta":
+        expected = [concurrence(r_theta_action(sign, 2.2, v, 0)) for v in report["values"]]
+    else:
+        expected = [concurrence(r_theta_action(sign, v, 0.3, 0)) for v in report["values"]]
+    assert np.array_equal(report["results"], expected)
+
+
+@pytest.mark.filterwarnings(_WARNINGS)
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--phi", "nan", "error: gate is not unitary (residual nan)\n"),
+        ("--phi", "inf", "error: gate is not unitary (residual nan)\n"),
+        ("--theta", "nan", "error: gate is not unitary (residual nan)\n"),
+        ("--theta", "inf", "error: math domain error\n"),
+    ],
+)
+def test_sweep_concurrence_bad_gate_messages(flag, value, message, capsys):
+    param = "theta" if flag == "--phi" else "phi"
+    code, out, err = run_cli(
+        ["sweep", "concurrence", "--param", param, "--from", "0", "--to", "1",
+         "--steps", "3", flag, value],
+        capsys,
+    )
+    assert (code, out, err) == (2, "", message)
+
+
+@given(
+    start=st.floats(-1e3, 1e3),
+    stop=st.floats(-1e3, 1e3),
+    steps=st.integers(2, 40),
+)
+def test_sweep_values_are_the_python_grid(start, stop, steps):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["sweep", "braid", "--param", "phi", "--from", repr(start),
+                     "--to", repr(stop), "--steps", str(steps)])
+    assert code == 0
+    expected = [start + (stop - start) * k / (steps - 1) for k in range(steps)]
+    assert json.loads(out.getvalue())["values"] == expected

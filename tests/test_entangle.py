@@ -27,6 +27,7 @@ from ybgates.entangle import (
     is_entangling,
     product_state_grid,
     r_theta_action,
+    r_theta_concurrences,
     single_qubit_eigenstates,
 )
 from ybgates.gates import cnot
@@ -309,3 +310,22 @@ def test_bell_from_b_rejects_nan_angle():
         bell_from_b("+", math.nan, 0)
     with pytest.raises(NonUnitaryGateError):
         r_theta_action("-", 0.3, math.nan, 1)
+
+
+@given(
+    sign=st.sampled_from(["+", "-"]),
+    phis=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5),
+    thetas=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5),
+)
+def test_r_theta_concurrences_bit_identical_to_per_point(sign, phis, thetas):
+    phi, theta = phis[0], thetas[0]
+    by_theta = [concurrence(r_theta_action(sign, phi, t, 0)) for t in thetas]
+    assert np.array_equal(r_theta_concurrences(sign, phi, thetas), by_theta)
+    by_phi = [concurrence(r_theta_action(sign, p, theta, 0)) for p in phis]
+    assert np.array_equal(r_theta_concurrences(sign, phis, theta), by_phi)
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+def test_r_theta_concurrences_refuses_the_first_nonunitary_gate():
+    with pytest.raises(NonUnitaryGateError, match=r"^gate is not unitary \(residual nan\)$"):
+        r_theta_concurrences("+", [0.1, math.nan], 0.3)

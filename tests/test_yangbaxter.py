@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ybgates.yangbaxter
+
 from ybgates.eightvertex import (
     EIGENVALUES,
     build_b,
@@ -14,11 +16,13 @@ from ybgates.eightvertex import (
     build_b_phi_stack,
     build_R_x,
     build_R_x_stack,
+    R_x_family,
 )
 from ybgates.linalg import DimensionMismatchError, SingularMatrixError
 from ybgates.yangbaxter import (
     braid_residual,
     braid_residuals,
+    lift,
     qybe_residual,
     qybe_residuals,
     verify_two_eigenvalues,
@@ -239,3 +243,112 @@ def test_braid_residuals_shape_checks():
         braid_residuals(np.stack([I2, I2]))
     with pytest.raises(DimensionMismatchError):
         braid_residual(np.stack([I4, I4]))
+
+
+# Signed zeros and subnormals, which a product with 1 or 0 can change
+# (the sign of a zero) while a copy cannot.
+_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308])
+_NONFINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+def _stacks(count, specials, least=0):
+    """``count`` equal-shaped (N, 4, 4) complex stacks of seeded random
+    parts, a third of them zero, with ``least`` to 8 parts drawn from
+    ``specials``."""
+
+    @st.composite
+    def draw_stacks(draw):
+        n = draw(st.integers(1, 3))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        parts = rng.standard_normal((count, n, 4, 4, 2)) * 10.0 ** rng.integers(-6, 7)
+        parts[rng.random(parts.shape) < 1 / 3] = 0.0
+        for _ in range(draw(st.integers(least, 8))):
+            parts[tuple(draw(st.integers(0, d - 1)) for d in parts.shape)] = draw(specials)
+        # A view keeps every part bit for bit (1j * part would not).
+        return parts.view(np.complex128)[..., 0]
+
+    return draw_stacks()
+
+
+def _qybe_stack_oracle(r_x, r_y, r_xy):
+    r1 = lambda m: np.kron(m, I2)
+    r2 = lambda m: np.kron(I2, m)
+    return [
+        np.max(np.abs(r1(a) @ r2(c) @ r1(b) - r2(b) @ r1(c) @ r2(a)))
+        for a, b, c in zip(r_x, r_y, r_xy)
+    ]
+
+
+@given(stacks=_stacks(1, st.floats(allow_nan=False, allow_infinity=False) | _EDGES))
+def test_lift_equals_kron_in_value_and_copies_entries(stacks):
+    stack = stacks[0]
+    lifted = lift(stack)
+    assert lifted.shape == stack.shape[:1] + (2, 8, 8)
+    for m, (left, right) in zip(stack, lifted):
+        assert np.array_equal(left, np.kron(m, I2))
+        assert np.array_equal(right, np.kron(I2, m))
+    # The source entries arrive bit for bit, signed zeros included.
+    assert lifted[:, 0, ::2, ::2].tobytes() == stack.tobytes()
+    assert lifted[:, 1, 4:, :4].tobytes() == np.zeros_like(stack).tobytes()
+
+
+def test_lift_keeps_leading_axes_and_checks_shape():
+    stack = np.arange(2 * 3 * 16).reshape(2, 3, 4, 4)
+    assert lift(stack).shape == (2, 3, 2, 8, 8)
+    assert np.array_equal(lift(stack)[1, 2, 1], np.kron(I2, stack[1, 2]))
+    with pytest.raises(DimensionMismatchError):
+        lift(np.zeros((3, 2, 2)))
+
+
+@given(stacks=_stacks(3, _EDGES))
+def test_residuals_bit_identical_to_kron_oracle_on_finite_stacks(stacks):
+    r_x, r_y, r_xy = stacks
+    expected = _qybe_stack_oracle(r_x, r_y, r_xy)
+    assert np.array_equal(qybe_residuals(r_x, r_y, r_xy), expected)
+    # Lifted arguments, and a lift broadcast over the points, run the same
+    # kernel.
+    lifted_x = lift(r_x)
+    assert np.array_equal(
+        qybe_residuals(lifted_x, np.broadcast_to(lift(r_y[0]), lifted_x.shape), r_xy),
+        _qybe_stack_oracle(r_x, np.broadcast_to(r_y[0], r_y.shape), r_xy),
+    )
+    assert np.array_equal(braid_residuals(r_x), [_braid_oracle(m) for m in r_x])
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+@given(stacks=_stacks(3, _NONFINITE, least=1))
+def test_residuals_nonfinite_exactly_where_kron_oracle_is(stacks):
+    r_x, r_y, r_xy = stacks
+    with np.errstate(all="ignore"):
+        got = qybe_residuals(r_x, r_y, r_xy)
+        expected = np.array(_qybe_stack_oracle(r_x, r_y, r_xy))
+        braids = braid_residuals(r_x)
+        braid_expected = np.array([_braid_oracle(m) for m in r_x])
+    assert np.array_equal(np.isfinite(got), np.isfinite(expected))
+    assert np.array_equal(got[np.isfinite(got)], expected[np.isfinite(expected)])
+    assert np.array_equal(np.isfinite(braids), np.isfinite(braid_expected))
+    assert np.array_equal(braids[np.isfinite(braids)], braid_expected[np.isfinite(braid_expected)])
+
+
+def test_qybe_residuals_refuses_unequal_lifts():
+    stack = np.stack([I4, I4])
+    with pytest.raises(DimensionMismatchError):
+        qybe_residuals(lift(stack), stack, lift(stack[:1]))
+    with pytest.raises(DimensionMismatchError):
+        qybe_residuals(lift(I4), lift(I4), lift(I4))
+
+
+def test_R_x_family_inverts_once_and_matches_build_R_x(monkeypatch):
+    calls = []
+    real = ybgates.yangbaxter.inverse
+    monkeypatch.setattr(
+        ybgates.yangbaxter, "inverse", lambda b: calls.append(b.shape) or real(b)
+    )
+    q = np.exp(-0.8j)
+    family = R_x_family("+", q)
+    xs = np.array([0.25, -1.5, 3.0])
+    first, second = family(xs), family(xs * 0.7)
+    assert calls == [(4, 4)]
+    for x, got in zip(np.concatenate([xs, xs * 0.7]), np.concatenate([first, second])):
+        assert np.array_equal(got, build_R_x("+", q, float(x)))
+    assert np.array_equal(build_R_x_stack("+", q, xs), first)
