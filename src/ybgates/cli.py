@@ -27,6 +27,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -164,15 +165,31 @@ def _phi_grid(n: int) -> list[float]:
     return [2.0 * math.pi * k / n for k in range(n)]
 
 
+# A flag table's default for a flag that must be given.
+_REQUIRED = object()
+
+
 def _read_flags(args: argparse.Namespace, flags: dict, command: str) -> None:
-    """Refuse every optional flag given that is not a key of ``flags``, and
-    set each key not given to its value there, the default."""
-    for name in ("sign", "grid", "phi_grid", "step", "matrix_file", "phi", "theta", "x", "y"):
+    """Refuse every optional flag given that is not a key of ``flags``,
+    require each key whose value there is _REQUIRED, and set every other
+    key not given to its value there, the default."""
+    for name in ("sign", "q", "grid", "phi_grid", "step", "matrix_file", "phi", "theta", "x", "y"):
         if getattr(args, name, None) is None:
+            if flags.get(name) is _REQUIRED:
+                raise CliError(f"{command} requires --{name}")
             if name in flags:
                 setattr(args, name, flags[name])
         elif name not in flags:
             raise CliError(f"--{name.replace('_', '-')} is not used by {command}")
+
+
+def _given(args: argparse.Namespace, flags: dict) -> dict[str, str]:
+    """Each flag of ``flags`` that holds a value, as a document meta string."""
+    return {
+        name: value if isinstance(value, str) else repr(value)
+        for name in flags
+        if (value := getattr(args, name)) is not None
+    }
 
 
 def _in_blocks(count: int, residuals_at) -> np.ndarray:
@@ -186,15 +203,28 @@ def _in_blocks(count: int, residuals_at) -> np.ndarray:
     )
 
 
-def _picks(results: np.ndarray, label) -> list[tuple[str, float]]:
-    """Entries for every non-finite result, or else for the first maximum.
+def _picks(results: np.ndarray, label) -> tuple[str, float, int]:
+    """The worst point's label and result, and the count of non-finite results.
 
-    ``results`` holds a runner's residuals in its iteration order and
-    ``label(k)`` names point k, so only the picked points are labelled.
+    The worst is the first non-finite result, or else the first maximum.
+    ``results`` holds a runner's residuals in its grid order and
+    ``label(k)`` names point k, so only the worst point is labelled.
     """
     nonfinite = np.flatnonzero(~np.isfinite(results))
-    picks = nonfinite if len(nonfinite) else [int(np.argmax(results))]
-    return [(label(int(k)), float(results[k])) for k in picks]
+    k = int(nonfinite[0]) if len(nonfinite) else int(np.argmax(results))
+    return label(k), float(results[k]), len(nonfinite)
+
+
+def _grid_label(*axes: tuple[str, Sequence]) -> Callable[[int], str]:
+    """label(k) for point k of the grid over ``axes``, (name, values) pairs
+    with the last axis fastest, as 'name=value ...'."""
+    shape = [len(values) for _, values in axes]
+
+    def label(k: int) -> str:
+        index = np.unravel_index(k, shape)
+        return " ".join(f"{name}={values[i]}" for (name, values), i in zip(axes, index))
+
+    return label
 
 
 def _json_float(value: float) -> float | None:
@@ -222,31 +252,26 @@ def _refuse_nonfinite(matrix: np.ndarray, what: str) -> bool:
 
 # --- verify -----------------------------------------------------------
 
-def _verify_braid(args: argparse.Namespace) -> tuple[list[tuple[str, float]], int]:
+def _verify_braid(args: argparse.Namespace) -> tuple[np.ndarray, Callable[[int], str]]:
     if args.matrix_file:
         doc = MatrixDocument.load(args.matrix_file)
-        value = braid_residual(doc.to_matrix())
-        return [(f"file={args.matrix_file}", value)], 1
+        return np.array([braid_residual(doc.to_matrix())]), lambda k: f"file={args.matrix_file}"
     signs, phis = _signs(args), _phi_grid(args.phi_grid)
     results = np.concatenate([braid_residuals(build_b_phi_stack(s, phis)) for s in signs])
-
-    def label(k: int) -> str:
-        s, p = divmod(k, len(phis))
-        return f"sign={signs[s]} phi={phis[p]!r}"
-
-    return _picks(results, label), len(results)
+    return results, _grid_label(("sign", signs), ("phi", phis))
 
 
-def _verify_qybe(args: argparse.Namespace) -> tuple[list[tuple[str, float]], int]:
-    # Points run x-major over an n x n grid. Each (sign, phi) builds and
-    # lifts the family at the n grid values once, and each block builds
-    # and lifts only its x*y products, all from one braid-matrix inverse:
-    # memory grows with n and the block, not with n*n.
+def _verify_qybe(args: argparse.Namespace) -> tuple[np.ndarray, Callable[[int], str]]:
+    # Points run sign, phi, then x-major over an n x n grid. Each (sign, phi)
+    # builds and lifts the family at the n grid values once, and each block
+    # builds and lifts only its x*y products, all from one braid-matrix
+    # inverse: memory grows with n and the block, not with n*n.
     n = args.grid
     values = np.array([2.0 * k / n for k in range(1, n + 1)])
-    entries = []
-    for sign in _signs(args):
-        for phi in _phi_grid(args.phi_grid):
+    signs, phis = _signs(args), _phi_grid(args.phi_grid)
+    results = []
+    for sign in signs:
+        for phi in phis:
             family = R_x_family(sign, np.exp(-1j * phi))
             table = lift(family(values))
 
@@ -254,17 +279,13 @@ def _verify_qybe(args: argparse.Namespace) -> tuple[list[tuple[str, float]], int
                 i, j = np.divmod(points, n)
                 return qybe_residuals(table[i], table[j], lift(family(values[i] * values[j])))
 
-            entries.extend(
-                _picks(
-                    _in_blocks(n * n, residuals_at),
-                    lambda k: f"sign={sign} phi={phi!r} x={float(values[k // n])!r}"
-                    f" y={float(values[k % n])!r}",
-                )
-            )
-    return entries, len(_signs(args)) * args.phi_grid * n * n
+            results.append(_in_blocks(n * n, residuals_at))
+    xs = values.tolist()
+    label = _grid_label(("sign", signs), ("phi", phis), ("x", xs), ("y", xs))
+    return np.concatenate(results), label
 
 
-def _verify_unitarity(args: argparse.Namespace) -> tuple[list[tuple[str, float]], int]:
+def _verify_unitarity(args: argparse.Namespace) -> tuple[np.ndarray, Callable[[int], str]]:
     # Points run sign, then phi, then x; one stack per sign.
     signs, phis = _signs(args), _phi_grid(args.phi_grid)
     xs = np.linspace(-3.0, 3.0, args.grid)
@@ -275,19 +296,14 @@ def _verify_unitarity(args: argparse.Namespace) -> tuple[list[tuple[str, float]]
             for s in signs
         ]
     )
-
-    def label(k: int) -> str:
-        s, p, m = np.unravel_index(k, (len(signs), len(phis), len(xs)))
-        return f"sign={signs[s]} phi={phis[p]!r} x={float(xs[m])!r}"
-
-    return _picks(results, label), len(results)
+    return results, _grid_label(("sign", signs), ("phi", phis), ("x", xs.tolist()))
 
 
 _SCHRODINGER_PHIS = (0.0, math.pi / 3.0)
 _SCHRODINGER_XS = (0.4, 1.0, 2.0)
 
 
-def _verify_schrodinger(args: argparse.Namespace) -> tuple[list[tuple[str, float]], int]:
+def _verify_schrodinger(args: argparse.Namespace) -> tuple[np.ndarray, Callable[[int], str]]:
     rng = np.random.default_rng(_seed())
     states = []
     for _ in range(8):
@@ -306,19 +322,11 @@ def _verify_schrodinger(args: argparse.Namespace) -> tuple[list[tuple[str, float
         )
     except OverflowError as exc:
         raise CliError(f"--step {args.step!r}: {exc}") from exc
-
-    def label(k: int) -> str:
-        shape = (len(signs), len(_SCHRODINGER_PHIS), len(_SCHRODINGER_XS), len(states))
-        s, p, m, index = np.unravel_index(k, shape)
-        return (
-            f"sign={signs[s]} phi={_SCHRODINGER_PHIS[p]!r} x={_SCHRODINGER_XS[m]!r}"
-            f" state={index}"
-        )
-
-    return _picks(results, label), len(results)
+    axes = ("sign", signs), ("phi", _SCHRODINGER_PHIS), ("x", _SCHRODINGER_XS)
+    return results, _grid_label(*axes, ("state", range(len(states))))
 
 
-def _verify_exponential(args: argparse.Namespace) -> tuple[list[tuple[str, float]], int]:
+def _verify_exponential(args: argparse.Namespace) -> tuple[np.ndarray, Callable[[int], str]]:
     # Points run sign, phi, theta, then the closed form R before the
     # exponential U, as in the per-point closed forms of hamiltonian and
     # eightvertex. Each coefficient is the Python float or complex those
@@ -348,20 +356,20 @@ def _verify_exponential(args: argparse.Namespace) -> tuple[list[tuple[str, float
     direct = residuals(np.concatenate(evolutions), expm(np.concatenate(generators)))
     fixed = residual(build_b_phi("-", 0.0), expm(0.25j * math.pi * kron(SIGMA_X, SIGMA_Y)))
     results = np.append(np.stack([np.ravel(closed), direct], axis=-1), fixed)
-    shape = (len(signs), len(phis), len(thetas), 2)
+    grid = _grid_label(("sign", signs), ("phi", phis), ("theta", thetas))
 
     def label(k: int) -> str:
         if k == len(results) - 1:
             return "bphi(-,0) vs expm(i pi/4 x.y)"
-        s, p, t, kind = np.unravel_index(k, shape)
-        return f"{'RU'[kind]} sign={signs[s]} phi={phis[p]!r} theta={thetas[t]!r}"
+        return f"{'RU'[k % 2]} {grid(k // 2)}"
 
-    return _picks(results, label), len(results)
+    return results, label
 
 
 # Each relation's runner, default tolerance, and the optional flags it
 # reads with their defaults (sign None runs both); a flag it does not read
-# is refused, never ignored.
+# is refused, never ignored. A runner returns its residuals in grid order
+# and a label for each point.
 _RELATIONS = {
     "braid": (_verify_braid, 1e-12, {"sign": None, "phi_grid": 32}),
     "qybe": (_verify_qybe, 1e-10, {"sign": None, "grid": 16, "phi_grid": 8}),
@@ -380,107 +388,87 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         flags, command = {"matrix_file": None}, command + " --matrix-file"
     _read_flags(args, flags, command)
     tol = args.tol if args.tol is not None else default_tol
-    entries, points = run(args)
-    # max() skips a NaN that follows a finite value, so non-finite
-    # residuals are picked out first and always fail.
-    nonfinite = [entry for entry in entries if not math.isfinite(entry[1])]
-    if nonfinite:
-        worst_label, worst_value = nonfinite[0]
-    else:
-        worst_label, worst_value = max(entries, key=lambda item: item[1])
+    results, label = run(args)
+    worst_label, worst_value, nonfinite = _picks(results, label)
     passed = not nonfinite and worst_value < tol
     report = {
         "command": "verify",
         "relation": args.relation,
-        "points": points,
+        "points": len(results),
         "tol": tol,
         "max_residual": _json_float(worst_value),
         "worst": worst_label,
         "pass": passed,
     }
     if nonfinite:
-        report["nonfinite"] = len(nonfinite)
+        report["nonfinite"] = nonfinite
     print(json.dumps(report, sort_keys=True, allow_nan=False))
     return 0 if passed else 1
 
 
 # --- matrix -----------------------------------------------------------
 
-def _require(args: argparse.Namespace, names: list[str]) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise CliError(f"family {args.family!r} requires --{name}")
-
-
-def _resolve_theta(args: argparse.Namespace) -> float:
-    if args.theta is not None and args.x is not None:
-        raise CliError("give either --theta or --x, not both")
-    if args.theta is not None:
-        return args.theta
-    if args.x is not None:
-        return theta_from_x(args.x)
-    raise CliError(f"family {args.family!r} requires --theta or --x")
-
-
-def _build_family_matrix(args: argparse.Namespace) -> tuple[np.ndarray, dict[str, str]]:
-    family = args.family
-    meta: dict[str, str] = {"family": family}
-    if family == "cnot":
-        return cnot(), meta
-    _require(args, ["sign"])
-    meta["sign"] = args.sign
-    if family == "b":
-        _require(args, ["q"])
-        meta["q"] = args.q
-        return build_b(args.sign, _parse_q(args.q)), meta
-    if family == "Rx":
-        _require(args, ["q", "x"])
-        meta["q"] = args.q
-        meta["x"] = repr(args.x)
-        return build_R_x(args.sign, _parse_q(args.q), args.x), meta
-    _require(args, ["phi"])
-    meta["phi"] = repr(args.phi)
-    if family == "bphi":
-        return build_b_phi(args.sign, args.phi), meta
-    if family == "H":
-        return hamiltonian_const(args.sign, args.phi), meta
-    if family == "Hx":
-        _require(args, ["x"])
-        meta["x"] = repr(args.x)
-        return hamiltonian_x(args.sign, args.phi, args.x), meta
-    if family == "U":
-        _require(args, ["theta"])
-        meta["theta"] = repr(args.theta)
-        return evolution_U(args.sign, args.phi, args.theta), meta
-    if family == "Rtheta":
-        theta = _resolve_theta(args)
-        meta["theta"] = repr(theta)
-        return build_R_theta(args.sign, args.phi, theta), meta
-    raise CliError(f"unknown family {family!r}")
+# Each family's flags, _REQUIRED for those it must be given, and its
+# matrix; the flags given become the document's meta. Rtheta also takes
+# its angle as --x = tan(theta).
+_FAMILIES = {
+    "b": ({"sign": _REQUIRED, "q": _REQUIRED}, lambda a: build_b(a.sign, _parse_q(a.q))),
+    "bphi": ({"sign": _REQUIRED, "phi": _REQUIRED}, lambda a: build_b_phi(a.sign, a.phi)),
+    "Rx": (
+        {"sign": _REQUIRED, "q": _REQUIRED, "x": _REQUIRED},
+        lambda a: build_R_x(a.sign, _parse_q(a.q), a.x),
+    ),
+    "Rtheta": (
+        {"sign": _REQUIRED, "phi": _REQUIRED, "theta": _REQUIRED},
+        lambda a: build_R_theta(a.sign, a.phi, a.theta),
+    ),
+    "H": ({"sign": _REQUIRED, "phi": _REQUIRED}, lambda a: hamiltonian_const(a.sign, a.phi)),
+    "Hx": (
+        {"sign": _REQUIRED, "phi": _REQUIRED, "x": _REQUIRED},
+        lambda a: hamiltonian_x(a.sign, a.phi, a.x),
+    ),
+    "U": (
+        {"sign": _REQUIRED, "phi": _REQUIRED, "theta": _REQUIRED},
+        lambda a: evolution_U(a.sign, a.phi, a.theta),
+    ),
+    "cnot": ({}, lambda a: cnot()),
+}
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
+    flags, build = _FAMILIES[args.family]
+    if args.family == "Rtheta" and args.x is not None:
+        if args.theta is not None:
+            raise CliError("give either --theta or --x, not both")
+        args.theta, args.x = theta_from_x(args.x), None
+    _read_flags(args, flags, f"matrix {args.family}")
     _refuse_infinite_angles(theta=args.theta)
-    matrix, meta = _build_family_matrix(args)
+    matrix = build(args)
     if _refuse_nonfinite(matrix, f"the {args.family} matrix at these parameters"):
         return 1
+    meta = {"family": args.family, **_given(args, flags)}
     print(MatrixDocument.from_matrix(matrix, meta).to_json())
     return 0
 
 
 # --- synthesize -------------------------------------------------------
 
+# Each route's flags with their defaults, and its candidate CNOT.
+_ROUTES = {
+    "theorem1": ({}, lambda a: cnot_via_theorem1()),
+    "evolution": (
+        {"phi": 0.0, "theta": math.pi / 2.0},
+        lambda a: cnot_via_evolution(a.phi, theta=a.theta),
+    ),
+}
+
+
 def _cmd_synthesize(args: argparse.Namespace) -> int:
+    flags, build = _ROUTES[args.route]
+    _read_flags(args, flags, f"synthesize {args.route}")
+    _refuse_infinite_angles(phi=args.phi, theta=args.theta)
     tol = args.tol if args.tol is not None else _SYNTHESIZE_TOL
-    if args.route == "theorem1":
-        candidate = cnot_via_theorem1()
-        meta = {"route": "theorem1"}
-    else:
-        phi = args.phi if args.phi is not None else 0.0
-        theta = args.theta if args.theta is not None else math.pi / 2.0
-        _refuse_infinite_angles(phi=phi, theta=theta)
-        candidate = cnot_via_evolution(phi, theta=theta)
-        meta = {"route": "evolution", "phi": repr(phi), "theta": repr(theta)}
+    candidate = build(args)
     if _refuse_nonfinite(candidate, f"the {args.route} route's matrix"):
         return 1
     target = cnot()
@@ -503,7 +491,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         "matrix": {
             "dim": 4,
             "data": MatrixDocument.from_matrix(candidate).data,
-            "meta": meta,
+            "meta": {"route": args.route, **_given(args, flags)},
         },
     }
     print(json.dumps(report, sort_keys=True, allow_nan=False))
@@ -701,15 +689,13 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
 
     matrix = sub.add_parser("matrix", help="print a matrix document")
-    matrix.add_argument(
-        "family", choices=["b", "bphi", "Rx", "Rtheta", "H", "Hx", "U", "cnot"]
-    )
+    matrix.add_argument("family", choices=list(_FAMILIES))
     _add_common_params(matrix)
     matrix.add_argument("--q", help="deformation parameter as 're' or 're,im'")
     matrix.set_defaults(func=_cmd_matrix)
 
     synthesize = sub.add_parser("synthesize", help="build CNOT along one route")
-    synthesize.add_argument("route", choices=["theorem1", "evolution"])
+    synthesize.add_argument("route", choices=list(_ROUTES))
     synthesize.add_argument("--phi", type=float, help="deformation angle (evolution route)")
     synthesize.add_argument("--theta", type=float, help="evolution angle, default pi/2")
     synthesize.add_argument("--tol", type=_finite_float, help="pass tolerance, default 1e-12")
@@ -741,11 +727,20 @@ def main(argv: list[str] | None = None) -> int:
         # Non-finite inputs are caught by explicit checks, which report
         # them; numpy's floating-point warnings would only add noise.
         with np.errstate(all="ignore"):
-            return args.func(args)
-    except (CliError, ValueError, ArithmeticError) as exc:
+            code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nothing reads stdout any more: point it at devnull so that the
+        # interpreter's flush at exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 2
+    except (CliError, ValueError, ArithmeticError, MemoryError) as exc:
         # ValueError covers domain errors from the constructors (zero
         # deformation, bad signs, dimension mismatches on loaded files);
-        # ArithmeticError covers overflow on out-of-range parameters.
+        # ArithmeticError covers overflow on out-of-range parameters and
+        # MemoryError a grid too large to allocate.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

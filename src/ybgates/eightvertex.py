@@ -9,9 +9,11 @@ matrix collapses (after fixing the overall scale w1 = 1) to
               [ 0,   -s, 1, 0 ],
               [ -1/q, 0, 0, 1 ]]        s = +1 or -1,
 
-with eigenvalues 1-i and 1+i. Baxterizing and normalizing gives a unitary
-one-parameter family exactly when x is real and |q| = 1; writing
-q = exp(-i*phi) and x = tan(theta) gives the equivalent angle form
+with eigenvalues 1-i and 1+i. Baxterizing and normalizing gives a
+one-parameter family that is unitary at every real x when |q| = 1. Off
+the unit circle a generic x gives a non-unitary matrix, though not every
+x does: R(1) = 2I for every q != 0. Writing q = exp(-i*phi) and
+x = tan(theta) gives the equivalent angle form
 cos(theta) * b(phi) + sin(theta) * b(phi)^(-1).
 """
 

@@ -5,10 +5,13 @@ import hashlib
 import io
 import json
 import math
+import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -498,6 +501,9 @@ def test_verify_qybe_all_zero_worst_is_first_point(monkeypatch, capsys):
         ["synthesize", "theorem1", "--tol", "nan"],
         ["sweep", "qybe", "--param", "x", "--from", "0", "--to", "1", "--steps", "3",
          "--tol", "-inf"],
+        # 7 PiB of grid: no 64-bit address space can hold it.
+        ["sweep", "braid", "--param", "phi", "--from", "0", "--to", "1",
+         "--steps", "1000000000000000"],
     ],
 )
 def test_bad_arguments_rejected_before_computing(args, capsys):
@@ -941,6 +947,13 @@ def test_verify_qybe_memory_does_not_grow_with_grid_squared(capsys):
          "--phi-grid is not used by verify schrodinger"),
         (["verify", "braid", "--matrix-file", "/nonexistent", "--sign", "+"],
          "--sign is not used by verify braid --matrix-file"),
+        (["matrix", "cnot", "--phi", "1", "--sign", "+", "--x", "3"],
+         "--sign is not used by matrix cnot"),
+        (["synthesize", "theorem1", "--phi", "2", "--theta", "1"],
+         "--phi is not used by synthesize theorem1"),
+        (["matrix", "H", "--sign", "+", "--phi", "1", "--x", "2"], "--x is not used by matrix H"),
+        (["matrix", "b", "--sign", "+", "--q", "1", "--theta", "2"],
+         "--theta is not used by matrix b"),
     ],
 )
 def test_ignored_flags_are_usage_errors(args, message, capsys):
@@ -961,6 +974,15 @@ _FLAG_VALUES = {"sign": "+", "grid": "3", "phi_grid": "2", "step": "1e-4"}
         (["sweep", quantity, "--param", param, "--from", "0", "--to", "1", "--steps", "3"],
          entry[1])
         for (quantity, param), entry in ybgates.cli._SWEEPS.items()
+    ]
+    + [(["matrix", family], list(entry[0])) for family, entry in ybgates.cli._FAMILIES.items()]
+    # Rtheta takes --x in place of --theta.
+    + [(["matrix", "Rtheta"], ["sign", "phi", "x"])]
+    # A loose --tol: these cases check that the route reads its flags, not
+    # that the flag values give CNOT.
+    + [
+        (["synthesize", route, "--tol", "4"], entry[0])
+        for route, entry in ybgates.cli._ROUTES.items()
     ],
     ids=str,
 )
@@ -1026,3 +1048,52 @@ def test_sweep_values_are_the_python_grid(start, stop, steps):
     assert code == 0
     expected = [start + (stop - start) * k / (steps - 1) for k in range(steps)]
     assert json.loads(out.getvalue())["values"] == expected
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_is_usage_error_without_traceback(unbuffered):
+    # The read end is closed before the child starts, so its write to
+    # stdout fails with EPIPE whatever the timing; buffered, the write
+    # happens only at the flush.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "ybgates", "synthesize", "theorem1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == 2
+    assert child.stderr == b"error: stdout was closed before the output was written\n"
+
+
+def test_readme_command_lines_exit_zero(capsys):
+    # Every `ybg ...` line of the README's "Command line" code block.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line.split("#", 1)[0])[1:]
+        for line in block.splitlines()
+        if line.startswith("ybg ")
+    ]
+    assert commands
+    for args in commands:
+        code, _, err = run_cli(args, capsys)
+        assert code == 0, (args, err)
+
+
+def test_verify_qybe_picks_once_over_the_whole_grid(monkeypatch, capsys):
+    seen = []
+    real = ybgates.cli._picks
+
+    def record(results, label):
+        seen.append(len(results))
+        return real(results, label)
+
+    monkeypatch.setattr(ybgates.cli, "_picks", record)
+    code, _, _ = run_cli(["verify", "qybe", "--grid", "4", "--phi-grid", "3"], capsys)
+    assert code == 0
+    assert seen == [2 * 3 * 4 * 4]
