@@ -108,6 +108,8 @@ class MatrixDocument:
             data = payload["data"]
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"matrix document missing dim/data: {exc}") from exc
+        if type(payload["dim"]) is not int:  # int() above also takes 4.7, "4" and true
+            raise CliError(f"matrix dim must be a JSON integer, got {json.dumps(payload['dim'])}")
         if dim <= 0:
             raise CliError(f"matrix dim must be positive, got {dim}")
         if not isinstance(data, list) or len(data) != dim * dim:
@@ -116,10 +118,9 @@ class MatrixDocument:
         for entry in data:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise CliError("matrix entries must be [re, im] pairs")
-            try:
-                pairs.append([float(entry[0]), float(entry[1])])
-            except (TypeError, ValueError) as exc:
-                raise CliError("matrix entries must be numeric [re, im] pairs") from exc
+            if not all(type(v) in (int, float) for v in entry):
+                raise CliError("matrix entries must be numeric [re, im] pairs")
+            pairs.append([float(entry[0]), float(entry[1])])
         meta = payload.get("meta", {})
         if not isinstance(meta, dict):
             raise CliError("matrix meta must be an object")
@@ -252,12 +253,22 @@ def _refuse_nonfinite(matrix: np.ndarray, what: str) -> bool:
 
 # --- verify -----------------------------------------------------------
 
+def _braid(sign: str, phi) -> np.ndarray:
+    """Braid-relation residual of b(sign, phi) at each angle of ``phi``."""
+    return braid_residuals(build_b_phi_stack(sign, phi))
+
+
+def _unitarity(sign: str, phi, x) -> np.ndarray:
+    """Unitarity residual of the normalized R(x), phi and x broadcast, flat."""
+    return unitarity_residuals(build_R_x_normalized_stack(sign, phi, x).reshape(-1, 4, 4))
+
+
 def _verify_braid(args: argparse.Namespace) -> tuple[np.ndarray, Callable[[int], str]]:
     if args.matrix_file:
         doc = MatrixDocument.load(args.matrix_file)
         return np.array([braid_residual(doc.to_matrix())]), lambda k: f"file={args.matrix_file}"
     signs, phis = _signs(args), _phi_grid(args.phi_grid)
-    results = np.concatenate([braid_residuals(build_b_phi_stack(s, phis)) for s in signs])
+    results = np.concatenate([_braid(s, phis) for s in signs])
     return results, _grid_label(("sign", signs), ("phi", phis))
 
 
@@ -290,12 +301,7 @@ def _verify_unitarity(args: argparse.Namespace) -> tuple[np.ndarray, Callable[[i
     signs, phis = _signs(args), _phi_grid(args.phi_grid)
     xs = np.linspace(-3.0, 3.0, args.grid)
     column = np.array(phis)[:, None]
-    results = np.concatenate(
-        [
-            unitarity_residuals(build_R_x_normalized_stack(s, column, xs).reshape(-1, 4, 4))
-            for s in signs
-        ]
-    )
+    results = np.concatenate([_unitarity(s, column, xs) for s in signs])
     return results, _grid_label(("sign", signs), ("phi", phis), ("x", xs.tolist()))
 
 
@@ -500,56 +506,37 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 # --- sweep ------------------------------------------------------------
 
-def _qybe_sweep_x(args: argparse.Namespace, xs: np.ndarray) -> np.ndarray:
+def _qybe_sweep_x(sign: str, phi: float, x: np.ndarray, y: float) -> np.ndarray:
     # R(y) is one matrix, lifted once; each block lifts R(x) and R(xy).
-    family = R_x_family(args.sign, np.exp(-1j * args.phi))
-    r_y = lift(family(args.y))
+    family = R_x_family(sign, np.exp(-1j * phi))
+    r_y = lift(family(y))
 
     def residuals_at(points: np.ndarray) -> np.ndarray:
-        r_x, r_xy = lift(family(np.stack([xs[points], xs[points] * args.y])))
+        r_x, r_xy = lift(family(np.stack([x[points], x[points] * y])))
         return qybe_residuals(r_x, np.broadcast_to(r_y, r_x.shape), r_xy)
 
-    return _in_blocks(len(xs), residuals_at)
+    return _in_blocks(len(x), residuals_at)
 
 
-def _qybe_sweep_phi(args: argparse.Namespace, phis: np.ndarray) -> np.ndarray:
-    spectral = np.array([[args.x], [args.y], [args.x * args.y]])
+def _qybe_sweep_phi(sign: str, phi: np.ndarray, x: float, y: float) -> np.ndarray:
+    spectral = np.array([[x], [y], [x * y]])
     return _in_blocks(
-        len(phis),
+        len(phi),
         lambda points: qybe_residuals(
-            *lift(build_R_x_stack(args.sign, np.exp(-1j * phis[points]), spectral))
+            *lift(build_R_x_stack(sign, np.exp(-1j * phi[points]), spectral))
         ),
     )
 
 
 # Each sweep's default tolerance, the optional flags it reads with their
-# defaults, and its results at an array v of parameter values.
+# defaults, and its kernel, called with those flags and the swept parameter
+# by name; verify runs _braid and _unitarity over its full grids.
 _SWEEPS = {
-    ("concurrence", "theta"): (
-        None,
-        {"sign": "-", "phi": 0.0},
-        lambda args, v: r_theta_concurrences(args.sign, args.phi, v),
-    ),
-    ("concurrence", "phi"): (
-        None,
-        {"sign": "-", "theta": 0.0},
-        lambda args, v: r_theta_concurrences(args.sign, v, args.theta),
-    ),
-    ("unitarity", "x"): (
-        1e-12,
-        {"sign": "-", "phi": 0.0},
-        lambda args, v: unitarity_residuals(build_R_x_normalized_stack(args.sign, args.phi, v)),
-    ),
-    ("unitarity", "phi"): (
-        1e-12,
-        {"sign": "-", "x": 0.3},
-        lambda args, v: unitarity_residuals(build_R_x_normalized_stack(args.sign, v, args.x)),
-    ),
-    ("braid", "phi"): (
-        1e-12,
-        {"sign": "-"},
-        lambda args, v: braid_residuals(build_b_phi_stack(args.sign, v)),
-    ),
+    ("concurrence", "theta"): (None, {"sign": "-", "phi": 0.0}, r_theta_concurrences),
+    ("concurrence", "phi"): (None, {"sign": "-", "theta": 0.0}, r_theta_concurrences),
+    ("unitarity", "x"): (1e-12, {"sign": "-", "phi": 0.0}, _unitarity),
+    ("unitarity", "phi"): (1e-12, {"sign": "-", "x": 0.3}, _unitarity),
+    ("braid", "phi"): (1e-12, {"sign": "-"}, _braid),
     ("qybe", "x"): (1e-10, {"sign": "-", "phi": 0.0, "y": 0.7}, _qybe_sweep_x),
     ("qybe", "phi"): (1e-10, {"sign": "-", "x": 0.3, "y": 0.7}, _qybe_sweep_phi),
 }
@@ -561,23 +548,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     key = (args.quantity, args.param)
     if key not in _SWEEPS:
         raise CliError("quantity {!r} cannot sweep parameter {!r}".format(*key))
-    default_tol, flags, evaluate = _SWEEPS[key]
+    default_tol, flags, kernel = _SWEEPS[key]
     _read_flags(args, flags, "sweep {} --param {}".format(*key))
     # The same float operations, in the same order, as a Python loop over k.
     grid = args.start + (args.stop - args.start) * np.arange(args.steps) / (args.steps - 1)
     if not np.isfinite(grid).all():
         raise CliError("--from/--to span overflows the parameter grid")
     try:
-        results = evaluate(args, grid)
+        results = kernel(**{name: getattr(args, name) for name in flags}, **{args.param: grid})
     except OverflowError as exc:
         # Only rho(x) overflows; name the flag that set x.
         flag = "--from/--to" if args.param == "x" else f"--x {args.x!r}"
         raise CliError(f"{flag}: {exc}") from exc
-    nonfinite = len(results) - int(np.count_nonzero(np.isfinite(results)))
+    # A non-finite result fails, and is the peak, whatever the tolerance.
+    _, peak, nonfinite = _picks(results, str)
     values, results = grid.tolist(), results.tolist()
     tol = args.tol if args.tol is not None else default_tol
-    # A non-finite result fails, and is the peak, whatever the tolerance.
-    peak = math.nan if nonfinite else max(results)
     passed = False if nonfinite else None if tol is None else peak < tol
     if args.format == "csv":
         lines = ["param,value,quantity"]

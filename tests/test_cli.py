@@ -160,6 +160,42 @@ def test_verify_non_numeric_matrix_file(tmp_path, capsys):
     assert "numeric" in err
 
 
+_B_PHI_DATA = MatrixDocument.from_matrix(build_b_phi("-", 0.0)).data
+_NOT_NUMERIC = "matrix entries must be numeric [re, im] pairs"
+
+
+@pytest.mark.parametrize(
+    "dim, data, message",
+    [
+        # int() would truncate 4.7 and read "4", 4.0 and true as integers.
+        (4.7, _B_PHI_DATA, "matrix dim must be a JSON integer, got 4.7"),
+        ("4", _B_PHI_DATA, 'matrix dim must be a JSON integer, got "4"'),
+        (4.0, _B_PHI_DATA, "matrix dim must be a JSON integer, got 4.0"),
+        (True, [[1.0, 0.0]], "matrix dim must be a JSON integer, got true"),
+        # float() would read numeric strings, and true and false as 1.0 and 0.0.
+        (4, [[repr(re), repr(im)] for re, im in _B_PHI_DATA], _NOT_NUMERIC),
+        (4, [[True, 0] if k % 5 == 0 else [0, 0] for k in range(16)], _NOT_NUMERIC),
+        (4, [[1.0, False] if k % 5 == 0 else [0, 0] for k in range(16)], _NOT_NUMERIC),
+    ],
+)
+def test_verify_matrix_file_needs_json_numbers(dim, data, message, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dim": dim, "data": data}))
+    code, out, err = run_cli(["verify", "braid", "--matrix-file", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_verify_matrix_file_integer_entries_are_numbers(tmp_path, capsys):
+    # A JSON integer entry is a number: the identity written with 1 and 0.
+    path = tmp_path / "eye.json"
+    data = [[1 if k % 5 == 0 else 0, 0] for k in range(16)]
+    path.write_text(json.dumps({"dim": 4, "data": data}))
+    code, out, _ = run_cli(["verify", "braid", "--matrix-file", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
 def test_matrix_zero_deformation_is_usage_error(capsys):
     code, _, err = run_cli(["matrix", "b", "--sign", "+", "--q", "0"], capsys)
     assert code == 2
@@ -789,6 +825,15 @@ def test_document_round_trip_signed_zero_and_subnormals(value):
 def _relation_oracle(relation):
     """Per-point residuals of a relation at its default grid, in verify order."""
     phis = [2.0 * math.pi * k / 8 for k in range(8)]
+    if relation == "qybe":
+        values = [2.0 * k / 16 for k in range(1, 17)]
+        return [
+            _qybe_oracle(lambda t: build_R_x(sign, np.exp(-1j * phi), t), x, y)
+            for sign in "+-"
+            for phi in phis
+            for x in values
+            for y in values
+        ]
     if relation == "braid":
         return [
             braid_residual(build_b_phi(sign, 2.0 * math.pi * k / 32))
@@ -827,7 +872,9 @@ def _relation_oracle(relation):
     return out
 
 
-@pytest.mark.parametrize("relation", ["braid", "unitarity", "schrodinger", "exponential"])
+@pytest.mark.parametrize(
+    "relation", ["braid", "unitarity", "schrodinger", "exponential", "qybe"]
+)
 def test_verify_residuals_bit_identical_to_per_point_oracle(relation, monkeypatch, capsys):
     seen = []
     real = ybgates.cli._picks
