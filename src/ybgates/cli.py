@@ -97,19 +97,14 @@ class MatrixDocument:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise CliError(f"invalid matrix document: {exc}") from exc
-        return cls.from_dict(payload)
-
-    @classmethod
-    def from_dict(cls, payload: object) -> "MatrixDocument":
         if not isinstance(payload, dict):
             raise CliError("matrix document must be a JSON object")
         try:
-            dim = int(payload["dim"])
-            data = payload["data"]
-        except (KeyError, TypeError, ValueError) as exc:
+            dim, data = payload["dim"], payload["data"]
+        except KeyError as exc:
             raise CliError(f"matrix document missing dim/data: {exc}") from exc
-        if type(payload["dim"]) is not int:  # int() above also takes 4.7, "4" and true
-            raise CliError(f"matrix dim must be a JSON integer, got {json.dumps(payload['dim'])}")
+        if type(dim) is not int:  # not 4.7, "4", true or null
+            raise CliError(f"matrix dim must be a JSON integer, got {json.dumps(dim)}")
         if dim <= 0:
             raise CliError(f"matrix dim must be positive, got {dim}")
         if not isinstance(data, list) or len(data) != dim * dim:
@@ -141,9 +136,12 @@ def _seed() -> int:
     if raw is None:
         return DEFAULT_SEED
     try:
-        return int(raw, 0)
+        seed = int(raw, 0)
     except ValueError as exc:
         raise CliError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
+    if seed < 0:
+        raise CliError(f"{SEED_ENV_VAR} must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def _parse_q(text: str) -> complex:
@@ -158,8 +156,8 @@ def _parse_q(text: str) -> complex:
     raise CliError(f"--q expects 're' or 're,im', got {text!r}")
 
 
-def _signs(args: argparse.Namespace) -> list[str]:
-    return [args.sign] if args.sign else ["+", "-"]
+def _signs(sign: str | None) -> list[str]:
+    return [sign] if sign else ["+", "-"]
 
 
 def _phi_grid(n: int) -> list[float]:
@@ -170,27 +168,25 @@ def _phi_grid(n: int) -> list[float]:
 _REQUIRED = object()
 
 
-def _read_flags(args: argparse.Namespace, flags: dict, command: str) -> None:
-    """Refuse every optional flag given that is not a key of ``flags``,
-    require each key whose value there is _REQUIRED, and set every other
-    key not given to its value there, the default."""
+def _read_flags(args: argparse.Namespace, flags: dict, command: str) -> dict:
+    """The value of each key of ``flags``: the one given, else its value
+    there, the default. Refuse every optional flag given that is not a key
+    of ``flags``, and require each key whose value there is _REQUIRED."""
     for name in ("sign", "q", "grid", "phi_grid", "step", "matrix_file", "phi", "theta", "x", "y"):
         if getattr(args, name, None) is None:
             if flags.get(name) is _REQUIRED:
                 raise CliError(f"{command} requires --{name}")
-            if name in flags:
-                setattr(args, name, flags[name])
         elif name not in flags:
             raise CliError(f"--{name.replace('_', '-')} is not used by {command}")
-
-
-def _given(args: argparse.Namespace, flags: dict) -> dict[str, str]:
-    """Each flag of ``flags`` that holds a value, as a document meta string."""
     return {
-        name: value if isinstance(value, str) else repr(value)
-        for name in flags
-        if (value := getattr(args, name)) is not None
+        name: default if getattr(args, name) is None else getattr(args, name)
+        for name, default in flags.items()
     }
+
+
+def _given(values: dict) -> dict[str, str]:
+    """Each flag value, as a document meta string."""
+    return {name: v if isinstance(v, str) else repr(v) for name, v in values.items()}
 
 
 def _in_blocks(count: int, residuals_at) -> np.ndarray:
@@ -236,7 +232,7 @@ def _refuse_infinite_angles(**angles: float | None) -> None:
     """Raise CliError naming the first infinite angle flag.
 
     An infinite angle has no cosine; a NaN one gives a non-finite matrix,
-    which the commands refuse with exit 1.
+    which each command refuses on its own.
     """
     for name, value in angles.items():
         if value is not None and math.isinf(value):
@@ -263,43 +259,48 @@ def _unitarity(sign: str, phi, x) -> np.ndarray:
     return unitarity_residuals(build_R_x_normalized_stack(sign, phi, x).reshape(-1, 4, 4))
 
 
-def _verify_braid(args: argparse.Namespace) -> tuple[np.ndarray, Callable[[int], str]]:
-    if args.matrix_file:
-        doc = MatrixDocument.load(args.matrix_file)
-        return np.array([braid_residual(doc.to_matrix())]), lambda k: f"file={args.matrix_file}"
-    signs, phis = _signs(args), _phi_grid(args.phi_grid)
+# What each verify runner returns: residuals in grid order, and label(k).
+_Labelled = tuple[np.ndarray, Callable[[int], str]]
+
+
+def _verify_matrix_file(matrix_file: str) -> _Labelled:
+    doc = MatrixDocument.load(matrix_file)
+    return np.array([braid_residual(doc.to_matrix())]), lambda k: f"file={matrix_file}"
+
+
+def _verify_braid(sign: str | None, phi_grid: int) -> _Labelled:
+    signs, phis = _signs(sign), _phi_grid(phi_grid)
     results = np.concatenate([_braid(s, phis) for s in signs])
     return results, _grid_label(("sign", signs), ("phi", phis))
 
 
-def _verify_qybe(args: argparse.Namespace) -> tuple[np.ndarray, Callable[[int], str]]:
-    # Points run sign, phi, then x-major over an n x n grid. Each (sign, phi)
-    # builds and lifts the family at the n grid values once, and each block
-    # builds and lifts only its x*y products, all from one braid-matrix
-    # inverse: memory grows with n and the block, not with n*n.
-    n = args.grid
-    values = np.array([2.0 * k / n for k in range(1, n + 1)])
-    signs, phis = _signs(args), _phi_grid(args.phi_grid)
+def _verify_qybe(sign: str | None, grid: int, phi_grid: int) -> _Labelled:
+    # Points run sign, phi, then x-major over a grid x grid square. Each
+    # (sign, phi) builds and lifts the family at the grid values once, and
+    # each block builds and lifts only its x*y products, all from one
+    # braid-matrix inverse: memory grows with grid and the block, not grid**2.
+    values = np.array([2.0 * k / grid for k in range(1, grid + 1)])
+    signs, phis = _signs(sign), _phi_grid(phi_grid)
     results = []
-    for sign in signs:
+    for s in signs:
         for phi in phis:
-            family = R_x_family(sign, np.exp(-1j * phi))
+            family = R_x_family(s, np.exp(-1j * phi))
             table = lift(family(values))
 
             def residuals_at(points: np.ndarray) -> np.ndarray:
-                i, j = np.divmod(points, n)
+                i, j = np.divmod(points, grid)
                 return qybe_residuals(table[i], table[j], lift(family(values[i] * values[j])))
 
-            results.append(_in_blocks(n * n, residuals_at))
+            results.append(_in_blocks(grid * grid, residuals_at))
     xs = values.tolist()
     label = _grid_label(("sign", signs), ("phi", phis), ("x", xs), ("y", xs))
     return np.concatenate(results), label
 
 
-def _verify_unitarity(args: argparse.Namespace) -> tuple[np.ndarray, Callable[[int], str]]:
+def _verify_unitarity(sign: str | None, grid: int, phi_grid: int) -> _Labelled:
     # Points run sign, then phi, then x; one stack per sign.
-    signs, phis = _signs(args), _phi_grid(args.phi_grid)
-    xs = np.linspace(-3.0, 3.0, args.grid)
+    signs, phis = _signs(sign), _phi_grid(phi_grid)
+    xs = np.linspace(-3.0, 3.0, grid)
     column = np.array(phis)[:, None]
     results = np.concatenate([_unitarity(s, column, xs) for s in signs])
     return results, _grid_label(("sign", signs), ("phi", phis), ("x", xs.tolist()))
@@ -309,35 +310,35 @@ _SCHRODINGER_PHIS = (0.0, math.pi / 3.0)
 _SCHRODINGER_XS = (0.4, 1.0, 2.0)
 
 
-def _verify_schrodinger(args: argparse.Namespace) -> tuple[np.ndarray, Callable[[int], str]]:
+def _verify_schrodinger(sign: str | None, step: float) -> _Labelled:
     rng = np.random.default_rng(_seed())
     states = []
     for _ in range(8):
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         states.append(v / np.linalg.norm(v))
     states = np.array(states)
-    signs = _signs(args)
+    signs = _signs(sign)
     try:
         results = np.concatenate(
             [
-                schrodinger_residuals(sign, phi, states, x, h=args.step)
-                for sign in signs
+                schrodinger_residuals(s, phi, states, x, h=step)
+                for s in signs
                 for phi in _SCHRODINGER_PHIS
                 for x in _SCHRODINGER_XS
             ]
         )
     except OverflowError as exc:
-        raise CliError(f"--step {args.step!r}: {exc}") from exc
+        raise CliError(f"--step {step!r}: {exc}") from exc
     axes = ("sign", signs), ("phi", _SCHRODINGER_PHIS), ("x", _SCHRODINGER_XS)
     return results, _grid_label(*axes, ("state", range(len(states))))
 
 
-def _verify_exponential(args: argparse.Namespace) -> tuple[np.ndarray, Callable[[int], str]]:
+def _verify_exponential(sign: str | None, phi_grid: int) -> _Labelled:
     # Points run sign, phi, theta, then the closed form R before the
     # exponential U, as in the per-point closed forms of hamiltonian and
     # eightvertex. Each coefficient is the Python float or complex those
     # functions compute from math.cos/math.sin, one row per theta.
-    signs, phis = _signs(args), _phi_grid(args.phi_grid)
+    signs, phis = _signs(sign), _phi_grid(phi_grid)
     thetas = [float(t) for t in np.linspace(0.0, 2.0 * math.pi, 9)]
 
     def column(coefficient) -> np.ndarray:
@@ -351,12 +352,12 @@ def _verify_exponential(args: argparse.Namespace) -> tuple[np.ndarray, Callable[
     sin_half = column(lambda t: 1j * math.sin(t / 2.0))
     exponents = column(lambda t: -0.5j * t)
     closed, evolutions, generators = [], [], []
-    for sign in signs:
+    for s in signs:
         for phi in phis:
-            b = build_b_phi(sign, phi)
-            from_h = cos_u * eye + sin_u * hamiltonian_const(sign, phi)
+            b = build_b_phi(s, phi)
+            from_h = cos_u * eye + sin_u * hamiltonian_const(s, phi)
             closed.append(residuals(from_h, cos_t * b + sin_t * inverse(b)))
-            op = interaction_operator(sign, phi)
+            op = interaction_operator(s, phi)
             evolutions.append(cos_half * eye - sin_half * op)
             generators.append(exponents * op)
     direct = residuals(np.concatenate(evolutions), expm(np.concatenate(generators)))
@@ -373,9 +374,9 @@ def _verify_exponential(args: argparse.Namespace) -> tuple[np.ndarray, Callable[
 
 
 # Each relation's runner, default tolerance, and the optional flags it
-# reads with their defaults (sign None runs both); a flag it does not read
-# is refused, never ignored. A runner returns its residuals in grid order
-# and a label for each point.
+# reads with their defaults (sign None runs both), which it is called with
+# by keyword; a flag it does not read is refused, never ignored. A runner
+# returns its residuals in grid order and a label for each point.
 _RELATIONS = {
     "braid": (_verify_braid, 1e-12, {"sign": None, "phi_grid": 32}),
     "qybe": (_verify_qybe, 1e-10, {"sign": None, "grid": 16, "phi_grid": 8}),
@@ -392,9 +393,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.relation != "braid":
             raise CliError("only braid accepts --matrix-file")
         flags, command = {"matrix_file": None}, command + " --matrix-file"
-    _read_flags(args, flags, command)
+        run = _verify_matrix_file
+    values = _read_flags(args, flags, command)
     tol = args.tol if args.tol is not None else default_tol
-    results, label = run(args)
+    results, label = run(**values)
     worst_label, worst_value, nonfinite = _picks(results, label)
     passed = not nonfinite and worst_value < tol
     report = {
@@ -415,29 +417,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # --- matrix -----------------------------------------------------------
 
 # Each family's flags, _REQUIRED for those it must be given, and its
-# matrix; the flags given become the document's meta. Rtheta also takes
-# its angle as --x = tan(theta).
+# matrix, called with them by keyword; the flags given become the
+# document's meta. Rtheta also takes its angle as --x = tan(theta).
 _FAMILIES = {
-    "b": ({"sign": _REQUIRED, "q": _REQUIRED}, lambda a: build_b(a.sign, _parse_q(a.q))),
-    "bphi": ({"sign": _REQUIRED, "phi": _REQUIRED}, lambda a: build_b_phi(a.sign, a.phi)),
+    "b": ({"sign": _REQUIRED, "q": _REQUIRED}, lambda sign, q: build_b(sign, _parse_q(q))),
+    "bphi": ({"sign": _REQUIRED, "phi": _REQUIRED}, build_b_phi),
     "Rx": (
         {"sign": _REQUIRED, "q": _REQUIRED, "x": _REQUIRED},
-        lambda a: build_R_x(a.sign, _parse_q(a.q), a.x),
+        lambda sign, q, x: build_R_x(sign, _parse_q(q), x),
     ),
-    "Rtheta": (
-        {"sign": _REQUIRED, "phi": _REQUIRED, "theta": _REQUIRED},
-        lambda a: build_R_theta(a.sign, a.phi, a.theta),
-    ),
-    "H": ({"sign": _REQUIRED, "phi": _REQUIRED}, lambda a: hamiltonian_const(a.sign, a.phi)),
-    "Hx": (
-        {"sign": _REQUIRED, "phi": _REQUIRED, "x": _REQUIRED},
-        lambda a: hamiltonian_x(a.sign, a.phi, a.x),
-    ),
-    "U": (
-        {"sign": _REQUIRED, "phi": _REQUIRED, "theta": _REQUIRED},
-        lambda a: evolution_U(a.sign, a.phi, a.theta),
-    ),
-    "cnot": ({}, lambda a: cnot()),
+    "Rtheta": ({"sign": _REQUIRED, "phi": _REQUIRED, "theta": _REQUIRED}, build_R_theta),
+    "H": ({"sign": _REQUIRED, "phi": _REQUIRED}, hamiltonian_const),
+    "Hx": ({"sign": _REQUIRED, "phi": _REQUIRED, "x": _REQUIRED}, hamiltonian_x),
+    "U": ({"sign": _REQUIRED, "phi": _REQUIRED, "theta": _REQUIRED}, evolution_U),
+    "cnot": ({}, cnot),
 }
 
 
@@ -447,34 +440,31 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         if args.theta is not None:
             raise CliError("give either --theta or --x, not both")
         args.theta, args.x = theta_from_x(args.x), None
-    _read_flags(args, flags, f"matrix {args.family}")
-    _refuse_infinite_angles(theta=args.theta)
-    matrix = build(args)
+    values = _read_flags(args, flags, f"matrix {args.family}")
+    _refuse_infinite_angles(theta=values.get("theta"))
+    matrix = build(**values)
     if _refuse_nonfinite(matrix, f"the {args.family} matrix at these parameters"):
         return 1
-    meta = {"family": args.family, **_given(args, flags)}
+    meta = {"family": args.family, **_given(values)}
     print(MatrixDocument.from_matrix(matrix, meta).to_json())
     return 0
 
 
 # --- synthesize -------------------------------------------------------
 
-# Each route's flags with their defaults, and its candidate CNOT.
+# Each route's flags with their defaults, and its CNOT, called with them.
 _ROUTES = {
-    "theorem1": ({}, lambda a: cnot_via_theorem1()),
-    "evolution": (
-        {"phi": 0.0, "theta": math.pi / 2.0},
-        lambda a: cnot_via_evolution(a.phi, theta=a.theta),
-    ),
+    "theorem1": ({}, cnot_via_theorem1),
+    "evolution": ({"phi": 0.0, "theta": math.pi / 2.0}, cnot_via_evolution),
 }
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
     flags, build = _ROUTES[args.route]
-    _read_flags(args, flags, f"synthesize {args.route}")
-    _refuse_infinite_angles(phi=args.phi, theta=args.theta)
+    values = _read_flags(args, flags, f"synthesize {args.route}")
+    _refuse_infinite_angles(**values)
     tol = args.tol if args.tol is not None else _SYNTHESIZE_TOL
-    candidate = build(args)
+    candidate = build(**values)
     if _refuse_nonfinite(candidate, f"the {args.route} route's matrix"):
         return 1
     target = cnot()
@@ -497,7 +487,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         "matrix": {
             "dim": 4,
             "data": MatrixDocument.from_matrix(candidate).data,
-            "meta": {"route": args.route, **_given(args, flags)},
+            "meta": {"route": args.route, **_given(values)},
         },
     }
     print(json.dumps(report, sort_keys=True, allow_nan=False))
@@ -549,16 +539,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if key not in _SWEEPS:
         raise CliError("quantity {!r} cannot sweep parameter {!r}".format(*key))
     default_tol, flags, kernel = _SWEEPS[key]
-    _read_flags(args, flags, "sweep {} --param {}".format(*key))
+    values = _read_flags(args, flags, "sweep {} --param {}".format(*key))
+    _refuse_infinite_angles(theta=values.get("theta"))
     # The same float operations, in the same order, as a Python loop over k.
     grid = args.start + (args.stop - args.start) * np.arange(args.steps) / (args.steps - 1)
     if not np.isfinite(grid).all():
         raise CliError("--from/--to span overflows the parameter grid")
     try:
-        results = kernel(**{name: getattr(args, name) for name in flags}, **{args.param: grid})
+        results = kernel(**values, **{args.param: grid})
     except OverflowError as exc:
         # Only rho(x) overflows; name the flag that set x.
-        flag = "--from/--to" if args.param == "x" else f"--x {args.x!r}"
+        flag = "--from/--to" if args.param == "x" else f"--x {values.get('x')!r}"
         raise CliError(f"{flag}: {exc}") from exc
     # A non-finite result fails, and is the peak, whatever the tolerance.
     _, peak, nonfinite = _picks(results, str)

@@ -115,17 +115,16 @@ def single_qubit_eigenstates() -> tuple[np.ndarray, ...]:
     )
 
 
-def product_state_grid(seed: int = DEFAULT_SEED, randoms: int = 64) -> list[np.ndarray]:
+def product_state_grid(seed: int = DEFAULT_SEED) -> list[np.ndarray]:
     """Deterministic product-state probe set.
 
-    All 36 pairs of Pauli eigenstates followed by ``randoms`` seeded
-    pseudorandom product states, in a fixed order so scans are
-    reproducible.
+    All 36 pairs of Pauli eigenstates followed by 64 seeded pseudorandom
+    product states, in a fixed order so scans are reproducible.
     """
     factors = single_qubit_eigenstates()
     states = [kron(u, v) for u in factors for v in factors]
     rng = np.random.default_rng(seed)
-    for _ in range(randoms):
+    for _ in range(64):
         u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         states.append(kron(u / np.linalg.norm(u), v / np.linalg.norm(v)))

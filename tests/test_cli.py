@@ -172,6 +172,9 @@ _NOT_NUMERIC = "matrix entries must be numeric [re, im] pairs"
         ("4", _B_PHI_DATA, 'matrix dim must be a JSON integer, got "4"'),
         (4.0, _B_PHI_DATA, "matrix dim must be a JSON integer, got 4.0"),
         (True, [[1.0, 0.0]], "matrix dim must be a JSON integer, got true"),
+        # A dim that is present but unusable is not reported as missing.
+        (None, _B_PHI_DATA, "matrix dim must be a JSON integer, got null"),
+        ("abc", _B_PHI_DATA, 'matrix dim must be a JSON integer, got "abc"'),
         # float() would read numeric strings, and true and false as 1.0 and 0.0.
         (4, [[repr(re), repr(im)] for re, im in _B_PHI_DATA], _NOT_NUMERIC),
         (4, [[True, 0] if k % 5 == 0 else [0, 0] for k in range(16)], _NOT_NUMERIC),
@@ -377,6 +380,12 @@ def test_seed_env_var_changes_probe_states():
     assert base.stdout != other.stdout
     repeat = _run_subprocess(args, env={"YBG_SEED": "7"})
     assert other.stdout == repeat.stdout
+
+
+def test_negative_seed_env_var_is_named():
+    child = _run_subprocess(["verify", "schrodinger"], env={"YBG_SEED": "-1"})
+    assert (child.returncode, child.stdout) == (2, b"")
+    assert child.stderr == b"error: YBG_SEED must be a non-negative integer, got '-1'\n"
 
 
 def _qybe_oracle(family, x, y):
@@ -1069,7 +1078,7 @@ def test_sweep_concurrence_rows_bit_identical_to_per_point(param, sign, capsys):
         ("--phi", "nan", "error: gate is not unitary (residual nan)\n"),
         ("--phi", "inf", "error: gate is not unitary (residual nan)\n"),
         ("--theta", "nan", "error: gate is not unitary (residual nan)\n"),
-        ("--theta", "inf", "error: math domain error\n"),
+        ("--theta", "inf", "error: --theta must not be infinite, got inf\n"),
     ],
 )
 def test_sweep_concurrence_bad_gate_messages(flag, value, message, capsys):
@@ -1130,6 +1139,43 @@ def test_readme_command_lines_exit_zero(capsys):
     for args in commands:
         code, _, err = run_cli(args, capsys)
         assert code == 0, (args, err)
+
+
+@pytest.mark.parametrize("relation", list(ybgates.cli._RELATIONS))
+def test_relation_runner_called_with_table_flags_by_keyword(relation, monkeypatch, capsys):
+    # The runner, called with its table's flags by keyword, gives the very
+    # residuals that `ybg verify <relation>` hands to _picks.
+    seen = []
+    real = ybgates.cli._picks
+
+    def record(results, label):
+        seen.append(np.array(results))
+        return real(results, label)
+
+    monkeypatch.setattr(ybgates.cli, "_picks", record)
+    assert run_cli(["verify", relation], capsys)[0] == 0
+    run, _, flags = ybgates.cli._RELATIONS[relation]
+    results, _ = run(**flags)
+    assert np.array_equal(results, seen[0])
+
+
+@pytest.mark.parametrize(
+    "command, flags, given",
+    [
+        (["verify", "qybe", "--grid", "3"], ybgates.cli._RELATIONS["qybe"][2], {"grid": 3}),
+        (["verify", "schrodinger", "--sign", "-"], ybgates.cli._RELATIONS["schrodinger"][2],
+         {"sign": "-"}),
+        (["sweep", "qybe", "--param", "x", "--from", "0", "--to", "1", "--steps", "3",
+          "--y", "0.2"], ybgates.cli._SWEEPS[("qybe", "x")][1], {"y": 0.2}),
+        (["synthesize", "evolution", "--theta", "1.5"], ybgates.cli._ROUTES["evolution"][0],
+         {"theta": 1.5}),
+    ],
+)
+def test_read_flags_returns_defaults_and_leaves_namespace(command, flags, given):
+    args = ybgates.cli._build_parser().parse_args(command)
+    before = dict(vars(args))
+    assert ybgates.cli._read_flags(args, flags, "test") == {**flags, **given}
+    assert vars(args) == before
 
 
 def test_verify_qybe_picks_once_over_the_whole_grid(monkeypatch, capsys):
