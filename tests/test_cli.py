@@ -172,13 +172,13 @@ _NOT_NUMERIC = "matrix entries must be numeric [re, im] pairs"
         ("4", _B_PHI_DATA, 'matrix dim must be a JSON integer, got "4"'),
         (4.0, _B_PHI_DATA, "matrix dim must be a JSON integer, got 4.0"),
         (True, [[1.0, 0.0]], "matrix dim must be a JSON integer, got true"),
-        # A dim that is present but unusable is not reported as missing.
-        (None, _B_PHI_DATA, "matrix dim must be a JSON integer, got null"),
-        ("abc", _B_PHI_DATA, 'matrix dim must be a JSON integer, got "abc"'),
         # float() would read numeric strings, and true and false as 1.0 and 0.0.
         (4, [[repr(re), repr(im)] for re, im in _B_PHI_DATA], _NOT_NUMERIC),
         (4, [[True, 0] if k % 5 == 0 else [0, 0] for k in range(16)], _NOT_NUMERIC),
         (4, [[1.0, False] if k % 5 == 0 else [0, 0] for k in range(16)], _NOT_NUMERIC),
+        # A dim that is present but unusable is not reported as missing.
+        (None, _B_PHI_DATA, "matrix dim must be a JSON integer, got null"),
+        ("abc", _B_PHI_DATA, 'matrix dim must be a JSON integer, got "abc"'),
     ],
 )
 def test_verify_matrix_file_needs_json_numbers(dim, data, message, tmp_path, capsys):
