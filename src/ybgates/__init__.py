@@ -13,8 +13,8 @@ from .eightvertex import (
     build_R_x,
     build_R_x_normalized,
     build_R_x_normalized_stack,
-    build_R_x_stack,
     check_constraints,
+    R_x_family,
     rho,
     theta_from_x,
 )

@@ -38,7 +38,6 @@ from .eightvertex import (
     build_R_theta,
     build_R_x,
     build_R_x_normalized_stack,
-    build_R_x_stack,
     R_x_family,
     theta_from_x,
 )
@@ -160,8 +159,9 @@ def _signs(sign: str | None) -> list[str]:
     return [sign] if sign else ["+", "-"]
 
 
-def _phi_grid(n: int) -> list[float]:
-    return [2.0 * math.pi * k / n for k in range(n)]
+def _phi_grid(n: int) -> np.ndarray:
+    # The same float operations as 2.0 * math.pi * k / n for each k.
+    return 2.0 * math.pi * np.arange(n) / n
 
 
 # A flag table's default for a flag that must be given.
@@ -189,15 +189,13 @@ def _given(values: dict) -> dict[str, str]:
     return {name: v if isinstance(v, str) else repr(v) for name, v in values.items()}
 
 
-def _in_blocks(count: int, residuals_at) -> np.ndarray:
-    """residuals_at(points) over ``count`` points, _QYBE_BLOCK at a time;
-    ``points`` is an array of consecutive point indices."""
-    return np.concatenate(
-        [
-            residuals_at(np.arange(start, min(start + _QYBE_BLOCK, count)))
-            for start in range(0, count, _QYBE_BLOCK)
-        ]
-    )
+def _in_blocks(out: np.ndarray, residuals_at) -> np.ndarray:
+    """Fill ``out`` with residuals_at(points), _QYBE_BLOCK points at a time,
+    and return it; ``points`` is an array of consecutive indices into out."""
+    for start in range(0, len(out), _QYBE_BLOCK):
+        stop = min(start + _QYBE_BLOCK, len(out))
+        out[start:stop] = residuals_at(np.arange(start, stop))
+    return out
 
 
 def _picks(results: np.ndarray, label) -> tuple[str, float, int]:
@@ -278,12 +276,13 @@ def _verify_qybe(sign: str | None, grid: int, phi_grid: int) -> _Labelled:
     # Points run sign, phi, then x-major over a grid x grid square. Each
     # (sign, phi) builds and lifts the family at the grid values once, and
     # each block builds and lifts only its x*y products, all from one
-    # braid-matrix inverse: memory grows with grid and the block, not grid**2.
-    values = np.array([2.0 * k / grid for k in range(1, grid + 1)])
+    # braid-matrix inverse. Only the residuals, allocated first so that a grid
+    # too large to hold fails at once, grow with grid**2.
     signs, phis = _signs(sign), _phi_grid(phi_grid)
-    results = []
-    for s in signs:
-        for phi in phis:
+    results = np.empty((len(signs), len(phis), grid * grid))
+    values = 2.0 * np.arange(1, grid + 1) / grid
+    for s, rows in zip(signs, results):
+        for phi, row in zip(phis, rows):
             family = R_x_family(s, np.exp(-1j * phi))
             table = lift(family(values))
 
@@ -291,18 +290,17 @@ def _verify_qybe(sign: str | None, grid: int, phi_grid: int) -> _Labelled:
                 i, j = np.divmod(points, grid)
                 return qybe_residuals(table[i], table[j], lift(family(values[i] * values[j])))
 
-            results.append(_in_blocks(grid * grid, residuals_at))
+            _in_blocks(row, residuals_at)
     xs = values.tolist()
     label = _grid_label(("sign", signs), ("phi", phis), ("x", xs), ("y", xs))
-    return np.concatenate(results), label
+    return results.ravel(), label
 
 
 def _verify_unitarity(sign: str | None, grid: int, phi_grid: int) -> _Labelled:
     # Points run sign, then phi, then x; one stack per sign.
     signs, phis = _signs(sign), _phi_grid(phi_grid)
     xs = np.linspace(-3.0, 3.0, grid)
-    column = np.array(phis)[:, None]
-    results = np.concatenate([_unitarity(s, column, xs) for s in signs])
+    results = np.concatenate([_unitarity(s, phis[:, None], xs) for s in signs])
     return results, _grid_label(("sign", signs), ("phi", phis), ("x", xs.tolist()))
 
 
@@ -477,6 +475,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
             verdict, phase_angle = "mismatch", None
         else:
             verdict, phase_angle = "phase-only", math.atan2(phase.imag, phase.real)
+    meta = {"route": args.route, **_given(values)}
     report = {
         "command": "synthesize",
         "route": args.route,
@@ -484,11 +483,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         "tol": tol,
         "verdict": verdict,
         "phase_angle": phase_angle,
-        "matrix": {
-            "dim": 4,
-            "data": MatrixDocument.from_matrix(candidate).data,
-            "meta": {"route": args.route, **_given(values)},
-        },
+        "matrix": vars(MatrixDocument.from_matrix(candidate, meta)),
     }
     print(json.dumps(report, sort_keys=True, allow_nan=False))
     return 0 if value < tol else 1
@@ -505,30 +500,31 @@ def _qybe_sweep_x(sign: str, phi: float, x: np.ndarray, y: float) -> np.ndarray:
         r_x, r_xy = lift(family(np.stack([x[points], x[points] * y])))
         return qybe_residuals(r_x, np.broadcast_to(r_y, r_x.shape), r_xy)
 
-    return _in_blocks(len(x), residuals_at)
+    return _in_blocks(np.empty(len(x)), residuals_at)
 
 
 def _qybe_sweep_phi(sign: str, phi: np.ndarray, x: float, y: float) -> np.ndarray:
     spectral = np.array([[x], [y], [x * y]])
     return _in_blocks(
-        len(phi),
+        np.empty(len(phi)),
         lambda points: qybe_residuals(
-            *lift(build_R_x_stack(sign, np.exp(-1j * phi[points]), spectral))
+            *lift(R_x_family(sign, np.exp(-1j * phi[points]))(spectral))
         ),
     )
 
 
-# Each sweep's default tolerance, the optional flags it reads with their
-# defaults, and its kernel, called with those flags and the swept parameter
-# by name; verify runs _braid and _unitarity over its full grids.
+# Each sweep's optional flags with their defaults, and its kernel, called
+# with those flags and the swept parameter by name; verify runs _braid and
+# _unitarity over its full grids. A relation's sweep has the relation's
+# default tolerance, and concurrence has none.
 _SWEEPS = {
-    ("concurrence", "theta"): (None, {"sign": "-", "phi": 0.0}, r_theta_concurrences),
-    ("concurrence", "phi"): (None, {"sign": "-", "theta": 0.0}, r_theta_concurrences),
-    ("unitarity", "x"): (1e-12, {"sign": "-", "phi": 0.0}, _unitarity),
-    ("unitarity", "phi"): (1e-12, {"sign": "-", "x": 0.3}, _unitarity),
-    ("braid", "phi"): (1e-12, {"sign": "-"}, _braid),
-    ("qybe", "x"): (1e-10, {"sign": "-", "phi": 0.0, "y": 0.7}, _qybe_sweep_x),
-    ("qybe", "phi"): (1e-10, {"sign": "-", "x": 0.3, "y": 0.7}, _qybe_sweep_phi),
+    ("concurrence", "theta"): ({"sign": "-", "phi": 0.0}, r_theta_concurrences),
+    ("concurrence", "phi"): ({"sign": "-", "theta": 0.0}, r_theta_concurrences),
+    ("unitarity", "x"): ({"sign": "-", "phi": 0.0}, _unitarity),
+    ("unitarity", "phi"): ({"sign": "-", "x": 0.3}, _unitarity),
+    ("braid", "phi"): ({"sign": "-"}, _braid),
+    ("qybe", "x"): ({"sign": "-", "phi": 0.0, "y": 0.7}, _qybe_sweep_x),
+    ("qybe", "phi"): ({"sign": "-", "x": 0.3, "y": 0.7}, _qybe_sweep_phi),
 }
 
 
@@ -538,7 +534,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     key = (args.quantity, args.param)
     if key not in _SWEEPS:
         raise CliError("quantity {!r} cannot sweep parameter {!r}".format(*key))
-    default_tol, flags, kernel = _SWEEPS[key]
+    flags, kernel = _SWEEPS[key]
     values = _read_flags(args, flags, "sweep {} --param {}".format(*key))
     _refuse_infinite_angles(theta=values.get("theta"))
     # The same float operations, in the same order, as a Python loop over k.
@@ -554,6 +550,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # A non-finite result fails, and is the peak, whatever the tolerance.
     _, peak, nonfinite = _picks(results, str)
     values, results = grid.tolist(), results.tolist()
+    default_tol = _RELATIONS[args.quantity][1] if args.quantity in _RELATIONS else None
     tol = args.tol if args.tol is not None else default_tol
     passed = False if nonfinite else None if tol is None else peak < tol
     if args.format == "csv":
@@ -680,7 +677,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="tabulate a quantity over a range")
     sweep.add_argument("quantity", choices=list(dict.fromkeys(q for q, _ in _SWEEPS)))
-    sweep.add_argument("--param", required=True, choices=["theta", "phi", "x"])
+    sweep.add_argument(
+        "--param", required=True, choices=list(dict.fromkeys(p for _, p in _SWEEPS))
+    )
     sweep.add_argument("--from", dest="start", type=_finite_float, required=True)
     sweep.add_argument("--to", dest="stop", type=_finite_float, required=True)
     sweep.add_argument("--steps", type=int, required=True)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .linalg import inverse
 from .paulis import SQRT2
-from .yangbaxter import baxterization, yang_baxterize
+from .yangbaxter import yang_baxterize
 
 # The two eigenvalues shared by every member of the family; their product
 # is the Baxterization coefficient 2.
@@ -138,23 +138,15 @@ def build_b_phi_stack(sign: str, phi: np.ndarray) -> np.ndarray:
 
 def build_R_x(sign: str, q: complex, x: float) -> np.ndarray:
     """Baxterized family b + 2x * b^(-1); entries follow 1+x and q(1-x)."""
-    return yang_baxterize(build_b(sign, q), EIGENVALUES, x)
-
-
-def build_R_x_stack(sign: str, q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """build_R_x over arrays: q and x broadcast to a shape S, result S + (4, 4).
-
-    One braid matrix and one inverse are built per entry of q, not per
-    point, so a grid over x at fixed q costs a single inverse. Each matrix
-    is bit-identical to build_R_x at the same numpy complex q and float x.
-    """
-    return R_x_family(sign, q)(x)
+    return yang_baxterize(build_b(sign, q), EIGENVALUES)(x)
 
 
 def R_x_family(sign: str, q: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The map x -> build_R_x_stack(sign, q, x), with the braid matrices and
-    their inverses built once however often the map is called."""
-    baxterized = baxterization(build_b_stack(sign, q), EIGENVALUES)
+    """The map x -> build_R_x(sign, q, x) over arrays: q and x broadcast to a
+    shape S, the result S + (4, 4), each matrix bit-identical to build_R_x at
+    the same numpy complex q and float x. One braid matrix and one inverse
+    are built per entry of q, once, however often the map is called."""
+    baxterized = yang_baxterize(build_b_stack(sign, q), EIGENVALUES)
     return lambda x: baxterized(np.asarray(x, dtype=float)[..., None, None])
 
 
@@ -185,7 +177,7 @@ def build_R_x_normalized_stack(sign: str, phi: np.ndarray, x: np.ndarray) -> np.
     x = np.asarray(x, dtype=float)
     norms = np.reshape([math.sqrt(rho(v)) for v in x.ravel().tolist()], x.shape)
     q = np.exp(-1j * np.asarray(phi, dtype=float))
-    return build_R_x_stack(sign, q, x) / norms[..., None, None]
+    return R_x_family(sign, q)(x) / norms[..., None, None]
 
 
 def build_R_theta(sign: str, phi: float, theta: float) -> np.ndarray:

@@ -7,8 +7,8 @@ scans product states and measures the concurrence of the output. A
 positive verdict is certified by the witness state it returns; a negative
 verdict is grid evidence, not a proof.
 
-The scan is batched: the 100 probe states of a seed are built once per
-process, on first use, as a read-only (100, 4) array, and each call
+The scan is batched: the one fixed set of 100 probe states is built once
+per process, on first use, as a read-only (100, 4) array, and each call
 applies the gate to all of them in one stacked product and computes every
 concurrence in one vectorised pass. Verdicts, maxima and witnesses are
 bit-identical to applying the gate and concurrence() state by state.
@@ -115,15 +115,16 @@ def single_qubit_eigenstates() -> tuple[np.ndarray, ...]:
     )
 
 
-def product_state_grid(seed: int = DEFAULT_SEED) -> list[np.ndarray]:
+def product_state_grid() -> list[np.ndarray]:
     """Deterministic product-state probe set.
 
-    All 36 pairs of Pauli eigenstates followed by 64 seeded pseudorandom
-    product states, in a fixed order so scans are reproducible.
+    All 36 pairs of Pauli eigenstates followed by 64 pseudorandom product
+    states drawn from DEFAULT_SEED, in a fixed order so scans are
+    reproducible.
     """
     factors = single_qubit_eigenstates()
     states = [kron(u, v) for u in factors for v in factors]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     for _ in range(64):
         u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -131,10 +132,10 @@ def product_state_grid(seed: int = DEFAULT_SEED) -> list[np.ndarray]:
     return states
 
 
-@functools.lru_cache(maxsize=8)
-def _probe_stack(seed: int) -> np.ndarray:
-    """product_state_grid(seed) as one read-only (100, 4) array."""
-    probes = np.array(product_state_grid(seed))
+@functools.cache
+def _probe_stack() -> np.ndarray:
+    """product_state_grid() as one read-only (100, 4) array."""
+    probes = np.array(product_state_grid())
     probes.flags.writeable = False
     return probes
 
@@ -167,12 +168,9 @@ class EntanglingVerdict:
     concurrence_max: float
 
 
-def is_entangling(
-    gate: np.ndarray,
-    threshold: float = DEFAULT_THRESHOLD,
-    seed: int = DEFAULT_SEED,
-) -> EntanglingVerdict:
-    """Scan product states and report the most entangling output found.
+def is_entangling(gate: np.ndarray) -> EntanglingVerdict:
+    """Scan the probe states and report the most entangling output found;
+    the gate is entangling if its maximum exceeds DEFAULT_THRESHOLD.
 
     The witness is the first probe output of maximal concurrence, in
     product_state_grid order, and is returned as a fresh array.
@@ -180,16 +178,13 @@ def is_entangling(
     gate = _require_unitary(gate)
     # The stacked product rounds exactly as gate @ state does per state;
     # probes @ gate.T would not.
-    out = np.matmul(gate, _probe_stack(seed)[:, :, None])[:, :, 0]
+    out = np.matmul(gate, _probe_stack()[:, :, None])[:, :, 0]
     c = _concurrences(out)
     k = int(np.argmax(c))
     best = float(c[k])
-    entangling = best > threshold
-    # As in a scan that starts from 0.0 and keeps only strictly larger
-    # values, an all-zero scan has no witness even below a negative
-    # threshold.
+    entangling = best > DEFAULT_THRESHOLD
     return EntanglingVerdict(
         entangling=entangling,
-        witness=out[k].copy() if entangling and best > 0.0 else None,
+        witness=out[k].copy() if entangling else None,
         concurrence_max=best,
     )

@@ -102,22 +102,15 @@ def qybe_residual(family: Callable[[float], np.ndarray], x: float, y: float) -> 
 
 
 def yang_baxterize(
-    b: np.ndarray, eigenvalues: tuple[complex, complex], x: float
-) -> np.ndarray:
-    """Spectral-parameter extension b + x * lam1 * lam2 * b^(-1).
-
-    Valid for braid matrices with exactly two distinct eigenvalues
-    (lam1, lam2); at x = 0 it returns b unchanged. b may be a stack
-    (..., 4, 4) and x an array that broadcasts against it.
-    """
-    return baxterization(b, eigenvalues)(x)
-
-
-def baxterization(
     b: np.ndarray, eigenvalues: tuple[complex, complex]
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The map x -> yang_baxterize(b, eigenvalues, x), inverting b once
-    however often the map is called."""
+    """The Baxterization map x -> b + x * lam1 * lam2 * b^(-1).
+
+    Valid for braid matrices with exactly two distinct eigenvalues
+    (lam1, lam2); at x = 0 the map returns b unchanged. b may be a stack
+    (..., 4, 4) and x an array that broadcasts against it. b is inverted
+    once, when the map is built, however often the map is called.
+    """
     lam1, lam2 = eigenvalues
     b = np.asarray(b, dtype=complex)
     b_inv = inverse(b)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -985,6 +986,55 @@ def test_verify_qybe_memory_does_not_grow_with_grid_squared(capsys):
     assert peak < 3e6
 
 
+def _cap_address_space():
+    # 2 GiB: enough for numpy, and far too little for any grid below, so a
+    # grid that the machine could allocate is never filled either.
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "braid", "--phi-grid", "10000000000000"],
+        ["verify", "unitarity", "--grid", "2", "--phi-grid", "1000000000000"],
+        ["verify", "exponential", "--phi-grid", "1000000000000"],
+        ["verify", "qybe", "--grid", "10000000", "--phi-grid", "1", "--sign", "+"],
+    ],
+    ids=" ".join,
+)
+def test_unallocatable_verify_grid_exits_2_before_computing(args):
+    # Under the cap, building such a grid point by point also fails, but
+    # only after seconds of work and with an empty MemoryError message.
+    proc = subprocess.run(
+        [sys.executable, "-m", "ybgates", *args],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert lines[0][len("error: "):].strip(), "the error line gives no reason"
+
+
+@pytest.mark.parametrize("quantity, param", list(ybgates.cli._SWEEPS), ids="-".join)
+def test_sweep_default_tol_is_the_verify_tol(quantity, param, capsys):
+    code, out, _ = run_cli(
+        ["sweep", quantity, "--param", param, "--from", "0", "--to", "1", "--steps", "3"], capsys
+    )
+    assert code == 0
+    tol = json.loads(out)["tol"]
+    if quantity == "concurrence":
+        assert tol is None
+    else:
+        code, out, _ = run_cli(["verify", quantity], capsys)
+        assert code == 0
+        assert tol == json.loads(out)["tol"]
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -1028,7 +1078,7 @@ _FLAG_VALUES = {"sign": "+", "grid": "3", "phi_grid": "2", "step": "1e-4"}
     + [(["verify", "braid"], {"matrix_file": None})]
     + [
         (["sweep", quantity, "--param", param, "--from", "0", "--to", "1", "--steps", "3"],
-         entry[1])
+         entry[0])
         for (quantity, param), entry in ybgates.cli._SWEEPS.items()
     ]
     + [(["matrix", family], list(entry[0])) for family, entry in ybgates.cli._FAMILIES.items()]
@@ -1166,7 +1216,7 @@ def test_relation_runner_called_with_table_flags_by_keyword(relation, monkeypatc
         (["verify", "schrodinger", "--sign", "-"], ybgates.cli._RELATIONS["schrodinger"][2],
          {"sign": "-"}),
         (["sweep", "qybe", "--param", "x", "--from", "0", "--to", "1", "--steps", "3",
-          "--y", "0.2"], ybgates.cli._SWEEPS[("qybe", "x")][1], {"y": 0.2}),
+          "--y", "0.2"], ybgates.cli._SWEEPS[("qybe", "x")][0], {"y": 0.2}),
         (["synthesize", "evolution", "--theta", "1.5"], ybgates.cli._ROUTES["evolution"][0],
          {"theta": 1.5}),
     ],

@@ -18,8 +18,8 @@ from ybgates.eightvertex import (
     build_R_x,
     build_R_x_normalized,
     build_R_x_normalized_stack,
-    build_R_x_stack,
     check_constraints,
+    R_x_family,
     rho,
     sign_value,
     theta_from_x,
@@ -82,7 +82,7 @@ def test_stack_constructors_are_bit_identical_to_scalar(sign):
     b = build_b_stack(sign, qs)
     assert b.shape == (len(qs), 4, 4)
     # q varies along the first axis, x along the second.
-    r = build_R_x_stack(sign, qs[:, None], xs)
+    r = R_x_family(sign, qs[:, None])(xs)
     assert r.shape == (len(qs), len(xs), 4, 4)
     for k, phi in enumerate(phis):
         q = np.exp(-1j * float(phi))
@@ -245,7 +245,7 @@ def test_normalized_stack_divides_by_python_rho():
         for phi in (0.0, 0.3, 2.5):
             got = build_R_x_normalized_stack(sign, phi, xs)[0]
             assert np.array_equal(got, build_R_x_normalized(sign, phi, x))
-            by_numpy = build_R_x_stack(sign, np.exp(-1j * phi), x) / math.sqrt(numpy_rho)
+            by_numpy = R_x_family(sign, np.exp(-1j * phi))(x) / math.sqrt(numpy_rho)
             assert not np.array_equal(got, by_numpy)
 
 

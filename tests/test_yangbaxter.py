@@ -15,7 +15,6 @@ from ybgates.eightvertex import (
     build_b_phi,
     build_b_phi_stack,
     build_R_x,
-    build_R_x_stack,
     R_x_family,
 )
 from ybgates.linalg import DimensionMismatchError, SingularMatrixError
@@ -109,11 +108,11 @@ def test_qybe_first_factor_convention():
 
 def test_yang_baxterize_at_zero_is_exact():
     b = build_b("+", np.exp(-0.9j))
-    assert np.array_equal(yang_baxterize(b, EIGENVALUES, 0.0), b)
+    assert np.array_equal(yang_baxterize(b, EIGENVALUES)(0.0), b)
 
 
 def test_yang_baxterize_at_one():
-    got = yang_baxterize(build_b("-", 1.0), EIGENVALUES, 1.0)
+    got = yang_baxterize(build_b("-", 1.0), EIGENVALUES)(1.0)
     assert np.max(np.abs(got - 2.0 * I4)) < 1e-14
 
 
@@ -127,7 +126,7 @@ def test_yang_baxterize_frozen_midpoint():
         ],
         dtype=complex,
     )
-    got = yang_baxterize(build_b("-", 1.0), EIGENVALUES, 0.5)
+    got = yang_baxterize(build_b("-", 1.0), EIGENVALUES)(0.5)
     assert np.max(np.abs(got - expected)) < 1e-14
 
 
@@ -145,13 +144,13 @@ def test_yang_baxterize_entry_pattern():
                 ],
                 dtype=complex,
             )
-            got = yang_baxterize(build_b(sign, q), EIGENVALUES, x)
+            got = yang_baxterize(build_b(sign, q), EIGENVALUES)(x)
             assert np.max(np.abs(got - expected)) < 1e-12
 
 
 def test_yang_baxterize_singular_input():
     with pytest.raises(SingularMatrixError):
-        yang_baxterize(np.zeros((4, 4), dtype=complex), EIGENVALUES, 0.5)
+        yang_baxterize(np.zeros((4, 4), dtype=complex), EIGENVALUES)
 
 
 def test_two_eigenvalue_check():
@@ -181,7 +180,7 @@ def test_qybe_residuals_bit_identical_to_oracle_on_verify_grids(sign, n):
     ys = np.tile(values, n)
     for phi in [2.0 * math.pi * k / 8 for k in range(8)]:
         q = np.exp(-1j * phi)
-        got = qybe_residuals(*build_R_x_stack(sign, q, np.stack([xs, ys, xs * ys])))
+        got = qybe_residuals(*R_x_family(sign, q)(np.stack([xs, ys, xs * ys])))
         family = lambda t: build_R_x(sign, q, t)
         expected = [_qybe_oracle(family, x, y) for x in values for y in values]
         assert np.array_equal(got, expected)
@@ -195,7 +194,7 @@ def test_qybe_residuals_bit_identical_to_oracle_on_verify_grids(sign, n):
 )
 def test_qybe_residuals_property(sign, phi, x, y):
     q = np.exp(-1j * phi)
-    stacks = build_R_x_stack(sign, q, np.array([[x], [y], [x * y]]))
+    stacks = R_x_family(sign, q)(np.array([[x], [y], [x * y]]))
     got = qybe_residuals(*stacks)
     family = lambda t: build_R_x(sign, q, t)
     assert got.shape == (1,)
@@ -351,4 +350,4 @@ def test_R_x_family_inverts_once_and_matches_build_R_x(monkeypatch):
     assert calls == [(4, 4)]
     for x, got in zip(np.concatenate([xs, xs * 0.7]), np.concatenate([first, second])):
         assert np.array_equal(got, build_R_x("+", q, float(x)))
-    assert np.array_equal(build_R_x_stack("+", q, xs), first)
+    assert np.array_equal(R_x_family("+", q)(xs), first)
