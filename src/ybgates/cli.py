@@ -8,9 +8,8 @@ Subcommands
     sweep       tabulate a quantity over a parameter range (JSON or CSV)
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or IO error. Output is
-deterministic: fixed seeds (override with the YBG_SEED environment
-variable) and shortest round-trip float formatting, so repeated runs are
-byte-identical.
+deterministic: one fixed seed and shortest round-trip float formatting, so
+repeated runs are byte-identical.
 
 Matrix files are JSON objects {"dim": n, "data": [[re, im], ...],
 "meta": {...}} with row-major data; parsing a serialized document
@@ -39,7 +38,6 @@ from .eightvertex import (
     build_R_x,
     build_R_x_normalized_stack,
     R_x_family,
-    theta_from_x,
 )
 from .entangle import r_theta_concurrences
 from .gates import cnot, cnot_via_evolution, cnot_via_theorem1, global_phase_between
@@ -53,8 +51,6 @@ from .hamiltonian import (
 from .linalg import expm, inverse, kron, residual, residuals, unitarity_residuals
 from .paulis import DEFAULT_SEED, SIGMA_X, SIGMA_Y
 from .yangbaxter import braid_residual, braid_residuals, lift, qybe_residuals
-
-SEED_ENV_VAR = "YBG_SEED"
 
 _SYNTHESIZE_TOL = 1e-12
 
@@ -130,19 +126,6 @@ class MatrixDocument:
         return cls.from_json(text)
 
 
-def _seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        seed = int(raw, 0)
-    except ValueError as exc:
-        raise CliError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if seed < 0:
-        raise CliError(f"{SEED_ENV_VAR} must be a non-negative integer, got {raw!r}")
-    return seed
-
-
 def _parse_q(text: str) -> complex:
     parts = text.split(",")
     try:
@@ -172,7 +155,7 @@ def _read_flags(args: argparse.Namespace, flags: dict, command: str) -> dict:
     """The value of each key of ``flags``: the one given, else its value
     there, the default. Refuse every optional flag given that is not a key
     of ``flags``, and require each key whose value there is _REQUIRED."""
-    for name in ("sign", "q", "grid", "phi_grid", "step", "matrix_file", "phi", "theta", "x", "y"):
+    for name in ("sign", "q", "grid", "phi_grid", "matrix_file", "phi", "theta", "x", "y"):
         if getattr(args, name, None) is None:
             if flags.get(name) is _REQUIRED:
                 raise CliError(f"{command} requires --{name}")
@@ -308,25 +291,22 @@ _SCHRODINGER_PHIS = (0.0, math.pi / 3.0)
 _SCHRODINGER_XS = (0.4, 1.0, 2.0)
 
 
-def _verify_schrodinger(sign: str | None, step: float) -> _Labelled:
-    rng = np.random.default_rng(_seed())
+def _verify_schrodinger(sign: str | None) -> _Labelled:
+    rng = np.random.default_rng(DEFAULT_SEED)
     states = []
     for _ in range(8):
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         states.append(v / np.linalg.norm(v))
     states = np.array(states)
     signs = _signs(sign)
-    try:
-        results = np.concatenate(
-            [
-                schrodinger_residuals(s, phi, states, x, h=step)
-                for s in signs
-                for phi in _SCHRODINGER_PHIS
-                for x in _SCHRODINGER_XS
-            ]
-        )
-    except OverflowError as exc:
-        raise CliError(f"--step {step!r}: {exc}") from exc
+    results = np.concatenate(
+        [
+            schrodinger_residuals(s, phi, states, x)
+            for s in signs
+            for phi in _SCHRODINGER_PHIS
+            for x in _SCHRODINGER_XS
+        ]
+    )
     axes = ("sign", signs), ("phi", _SCHRODINGER_PHIS), ("x", _SCHRODINGER_XS)
     return results, _grid_label(*axes, ("state", range(len(states))))
 
@@ -379,7 +359,7 @@ _RELATIONS = {
     "braid": (_verify_braid, 1e-12, {"sign": None, "phi_grid": 32}),
     "qybe": (_verify_qybe, 1e-10, {"sign": None, "grid": 16, "phi_grid": 8}),
     "unitarity": (_verify_unitarity, 1e-12, {"sign": None, "grid": 61, "phi_grid": 8}),
-    "schrodinger": (_verify_schrodinger, 1e-6, {"sign": None, "step": 1e-5}),
+    "schrodinger": (_verify_schrodinger, 1e-6, {"sign": None}),
     "exponential": (_verify_exponential, 1e-12, {"sign": None, "phi_grid": 8}),
 }
 
@@ -416,7 +396,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 # Each family's flags, _REQUIRED for those it must be given, and its
 # matrix, called with them by keyword; the flags given become the
-# document's meta. Rtheta also takes its angle as --x = tan(theta).
+# document's meta.
 _FAMILIES = {
     "b": ({"sign": _REQUIRED, "q": _REQUIRED}, lambda sign, q: build_b(sign, _parse_q(q))),
     "bphi": ({"sign": _REQUIRED, "phi": _REQUIRED}, build_b_phi),
@@ -434,10 +414,6 @@ _FAMILIES = {
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     flags, build = _FAMILIES[args.family]
-    if args.family == "Rtheta" and args.x is not None:
-        if args.theta is not None:
-            raise CliError("give either --theta or --x, not both")
-        args.theta, args.x = theta_from_x(args.x), None
     values = _read_flags(args, flags, f"matrix {args.family}")
     _refuse_infinite_angles(theta=values.get("theta"))
     matrix = build(**values)
@@ -597,13 +573,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -656,9 +625,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--grid", type=_positive_int, help="points per spectral axis")
     verify.add_argument("--phi-grid", type=_positive_int, help="deformation grid points")
-    verify.add_argument(
-        "--step", type=_positive_float, help="finite-difference step, default 1e-5"
-    )
     verify.add_argument("--matrix-file", help="check one matrix document (braid only)")
     verify.set_defaults(func=_cmd_verify)
 
@@ -717,7 +683,7 @@ def main(argv: list[str] | None = None) -> int:
         # deformation, bad signs, dimension mismatches on loaded files);
         # ArithmeticError covers overflow on out-of-range parameters and
         # MemoryError a grid too large to allocate.
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -103,9 +103,12 @@ def concurrence(psi: np.ndarray) -> float:
     return 2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2])
 
 
-def single_qubit_eigenstates() -> tuple[np.ndarray, ...]:
-    """The six Pauli eigenstates |0>, |1>, |+>, |->, |+i>, |-i>."""
-    return (
+@functools.cache
+def _probe_stack() -> np.ndarray:
+    """The fixed probe set as one read-only (100, 4) array: all 36 pairs of
+    the Pauli eigenstates |0>, |1>, |+>, |->, |+i>, |-i>, then 64
+    pseudorandom product states drawn from DEFAULT_SEED."""
+    factors = (
         np.array([1.0, 0.0], dtype=complex),
         np.array([0.0, 1.0], dtype=complex),
         np.array([1.0, 1.0], dtype=complex) / SQRT2,
@@ -113,29 +116,13 @@ def single_qubit_eigenstates() -> tuple[np.ndarray, ...]:
         np.array([1.0, 1.0j], dtype=complex) / SQRT2,
         np.array([1.0, -1.0j], dtype=complex) / SQRT2,
     )
-
-
-def product_state_grid() -> list[np.ndarray]:
-    """Deterministic product-state probe set.
-
-    All 36 pairs of Pauli eigenstates followed by 64 pseudorandom product
-    states drawn from DEFAULT_SEED, in a fixed order so scans are
-    reproducible.
-    """
-    factors = single_qubit_eigenstates()
     states = [kron(u, v) for u in factors for v in factors]
     rng = np.random.default_rng(DEFAULT_SEED)
     for _ in range(64):
         u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         states.append(kron(u / np.linalg.norm(u), v / np.linalg.norm(v)))
-    return states
-
-
-@functools.cache
-def _probe_stack() -> np.ndarray:
-    """product_state_grid() as one read-only (100, 4) array."""
-    probes = np.array(product_state_grid())
+    probes = np.array(states)
     probes.flags.writeable = False
     return probes
 
@@ -173,7 +160,7 @@ def is_entangling(gate: np.ndarray) -> EntanglingVerdict:
     the gate is entangling if its maximum exceeds DEFAULT_THRESHOLD.
 
     The witness is the first probe output of maximal concurrence, in
-    product_state_grid order, and is returned as a fresh array.
+    probe order, and is returned as a fresh array.
     """
     gate = _require_unitary(gate)
     # The stacked product rounds exactly as gate @ state does per state;

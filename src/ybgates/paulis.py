@@ -8,8 +8,7 @@ import numpy as np
 SQRT2 = math.sqrt(2.0)
 
 # Seed of the pseudorandom product states in the entangling scan and of
-# the random states behind `ybg verify schrodinger` (YBG_SEED overrides it
-# on the command line).
+# the random states behind `ybg verify schrodinger`.
 DEFAULT_SEED = 0x5EED
 
 IDENTITY_2 = np.eye(2, dtype=complex)

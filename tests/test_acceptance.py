@@ -128,8 +128,11 @@ def test_criterion_04_unitarity_regime():
                     worst, unitarity_residual(build_R_x_normalized(sign, phi, float(x)))
                 )
     off_circle = unitarity_residual(build_R_x("+", 2.0, 0.5) / math.sqrt(rho(0.5)))
-    ok = worst < 1e-12 and off_circle > 1e-2
-    _criterion(4, "unitary iff x real and |q|=1", ok, f"max={worst:.3e} q=2 defect={off_circle:.3f}")
+    # R(1) = 2I for every q, so x = 1 is unitary off the circle too.
+    at_one = unitarity_residual(build_R_x("+", 2.0, 1.0) / math.sqrt(rho(1.0)))
+    ok = worst < 1e-12 and off_circle > 1e-2 and at_one < 1e-12
+    detail = f"max={worst:.3e} q=2 defect={off_circle:.3f} at x=1 {at_one:.3e}"
+    _criterion(4, "unitary at real x iff |q| = 1 or x = 1", ok, detail)
 
 
 def test_criterion_05_parameterization_consistency():

@@ -26,10 +26,8 @@ from ybgates.entangle import (
     bell_from_b,
     concurrence,
     is_entangling,
-    product_state_grid,
     r_theta_action,
     r_theta_concurrences,
-    single_qubit_eigenstates,
 )
 from ybgates.gates import cnot
 from ybgates.linalg import kron
@@ -45,7 +43,7 @@ def _scan_oracle(gate):
     # to each probe state in turn and keep the first strictly larger
     # concurrence, starting from 0.0.
     best, best_state = 0.0, None
-    for state in product_state_grid():
+    for state in _probe_stack():
         out = gate @ state
         c = concurrence(out)
         if c > best:
@@ -167,15 +165,6 @@ def test_concurrence_local_unitary_invariance():
         assert abs(concurrence(kron(u, v) @ psi) - concurrence(psi)) < 1e-12
 
 
-def test_product_state_grid_is_deterministic():
-    first = product_state_grid()
-    second = product_state_grid()
-    assert len(first) == 36 + 64
-    assert all(abs(np.linalg.norm(s) - 1.0) < 1e-12 for s in first)
-    assert all(np.array_equal(a, b) for a, b in zip(first, second))
-    assert len(single_qubit_eigenstates()) == 6
-
-
 def test_is_entangling_braid_gate():
     verdict = is_entangling(build_b_phi("-", 0.0))
     assert verdict.entangling
@@ -236,13 +225,9 @@ def test_is_entangling_oracle_semantics_at_the_edges():
 def test_is_entangling_all_zero_scan_has_no_witness(monkeypatch):
     # Basis probes under the identity give concurrence exactly 0.0, which
     # is not entangling at the fixed threshold, so there is no witness.
-    basis = [basis_state(i) for i in range(4)]
-    monkeypatch.setattr(entangle, "product_state_grid", lambda: basis)
-    _probe_stack.cache_clear()
-    try:
-        verdict = is_entangling(I4)
-    finally:
-        _probe_stack.cache_clear()
+    basis = np.array([basis_state(i) for i in range(4)])
+    monkeypatch.setattr(entangle, "_probe_stack", lambda: basis)
+    verdict = is_entangling(I4)
     assert not verdict.entangling
     assert verdict.witness is None
     assert verdict.concurrence_max == 0.0
@@ -262,7 +247,6 @@ def test_probe_stack_is_read_only_copy_of_grid():
     assert not probes.flags.writeable
     with pytest.raises(ValueError):
         probes[0, 0] = 1.0
-    assert np.array_equal(probes, np.array(product_state_grid()))
     assert _probe_stack() is probes
 
 
@@ -271,15 +255,6 @@ def test_probe_stack_bytes_are_pinned():
     # and the 64 states drawn from DEFAULT_SEED.
     digest = hashlib.sha256(_probe_stack().tobytes()).hexdigest()
     assert digest == "71aed9210356fd5aedd165b8ecbb6a58ff67eb52bd3bdb9dd26b932c38adc44d"
-
-
-def test_product_state_grid_still_returns_fresh_lists():
-    first, second = product_state_grid(), product_state_grid()
-    assert isinstance(first, list) and first is not second
-    assert all(a is not b for a, b in zip(first, second))
-    first[0][:] = 7.0
-    assert np.array_equal(product_state_grid()[0], second[0])
-    assert not np.array_equal(_probe_stack()[0], first[0])
 
 
 def test_import_does_not_build_probe_stack():
