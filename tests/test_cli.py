@@ -532,6 +532,8 @@ def test_verify_qybe_all_zero_worst_is_first_point(monkeypatch, capsys):
         # 7 PiB of grid: no 64-bit address space can hold it.
         ["sweep", "braid", "--param", "phi", "--from", "0", "--to", "1",
          "--steps", "1000000000000000"],
+        ["verify", "exponential", "--phi-grid", "-2"],
+        ["sweep", "unitarity", "--param", "x", "--from", "nan", "--to", "1", "--steps", "3"],
     ],
 )
 def test_bad_arguments_rejected_before_computing(args, capsys):
@@ -723,6 +725,8 @@ def test_numpy_warnings_silenced_in_process(capsys):
         (["synthesize", "evolution", "--theta", "-inf"], ["--theta", "-inf"]),
         (["matrix", "U", "--sign", "+", "--phi", "1", "--theta", "inf"], ["--theta", "inf"]),
         (["matrix", "Rtheta", "--sign", "-", "--phi", "1", "--theta", "-inf"], ["--theta", "-inf"]),
+        (["sweep", "unitarity", "--param", "x", "--from", "-1e200", "--to", "0", "--steps", "3"],
+         ["--from/--to", "x=-1e+200"]),
     ],
 )
 def test_arithmetic_errors_name_the_argument(args, names, capsys):
@@ -1056,8 +1060,7 @@ def test_sweep_default_tol_is_the_verify_tol(quantity, param, capsys):
           "--phi", "0.5"], "--phi is not used by sweep concurrence --param phi"),
         (["verify", "schrodinger", "--grid", "3"], "--grid is not used by verify schrodinger"),
         (["verify", "exponential", "--grid", "5"], "--grid is not used by verify exponential"),
-        (["matrix", "b", "--sign", "+", "--q", "1", "--theta", "2"],
-         "--theta is not used by matrix b"),
+        (["verify", "braid", "--grid", "4"], "--grid is not used by verify braid"),
         (["verify", "schrodinger", "--phi-grid", "2"],
          "--phi-grid is not used by verify schrodinger"),
         (["verify", "braid", "--matrix-file", "/nonexistent", "--sign", "+"],
@@ -1067,6 +1070,8 @@ def test_sweep_default_tol_is_the_verify_tol(quantity, param, capsys):
         (["synthesize", "theorem1", "--phi", "2", "--theta", "1"],
          "--phi is not used by synthesize theorem1"),
         (["matrix", "H", "--sign", "+", "--phi", "1", "--x", "2"], "--x is not used by matrix H"),
+        (["matrix", "b", "--sign", "+", "--q", "1", "--theta", "2"],
+         "--theta is not used by matrix b"),
     ],
 )
 def test_ignored_flags_are_usage_errors(args, message, capsys):
