@@ -120,10 +120,9 @@ class MatrixDocument:
     def load(cls, path: str) -> "MatrixDocument":
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
+                return cls.from_json(handle.read())
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc}") from exc
-        return cls.from_json(text)
 
 
 def _parse_q(text: str) -> complex:
@@ -517,8 +516,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = args.start + (args.stop - args.start) * np.arange(args.steps) / (args.steps - 1)
     if not np.isfinite(grid).all():
         raise CliError("--from/--to span overflows the parameter grid")
+    results = np.empty(args.steps)  # first, as in verify: a grid too large fails at once
     try:
-        results = kernel(**values, **{args.param: grid})
+        results[:] = kernel(**values, **{args.param: grid})
     except OverflowError as exc:
         # Only rho(x) overflows; name the flag that set x.
         flag = "--from/--to" if args.param == "x" else f"--x {values.get('x')!r}"

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import inverse
+from .linalg import inverse, map_floats
 from .paulis import SQRT2
 from .yangbaxter import yang_baxterize
 
@@ -175,7 +175,7 @@ def build_R_x_normalized_stack(sign: str, phi: np.ndarray, x: np.ndarray) -> np.
     bit for some x, and ** raises OverflowError where numpy returns inf.
     """
     x = np.asarray(x, dtype=float)
-    norms = np.reshape([math.sqrt(rho(v)) for v in x.ravel().tolist()], x.shape)
+    norms = map_floats(lambda v: math.sqrt(rho(v)), x)
     q = np.exp(-1j * np.asarray(phi, dtype=float))
     return R_x_family(sign, q)(x) / norms[..., None, None]
 

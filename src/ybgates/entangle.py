@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eightvertex import build_b_phi, build_b_phi_stack, build_R_theta
-from .linalg import inverse, kron, unitarity_residual, unitarity_residuals
+from .linalg import inverse, kron, map_floats, unitarity_residual, unitarity_residuals
 from .paulis import DEFAULT_SEED, SQRT2
 
 DEFAULT_THRESHOLD = 1e-9
@@ -83,11 +83,7 @@ def r_theta_concurrences(sign: str, phi: np.ndarray, theta: np.ndarray) -> np.nd
     phi and theta broadcast together, bit for bit: cos and sin come from
     math, as in build_R_theta, and a gate's first column is its action on
     |00>. Raises NonUnitaryGateError for the first non-unitary gate."""
-    theta = np.asarray(theta, dtype=float)
-    cos, sin = (
-        np.reshape([f(t) for t in theta.ravel().tolist()], theta.shape + (1, 1))
-        for f in (math.cos, math.sin)
-    )
+    cos, sin = (map_floats(f, theta)[..., None, None] for f in (math.cos, math.sin))
     b = build_b_phi_stack(sign, phi)
     gates = (cos * b + sin * inverse(b)).reshape(-1, 4, 4)
     defects = unitarity_residuals(gates)

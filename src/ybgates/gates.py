@@ -6,10 +6,15 @@ a fixed pair of local gates. The second drives the two-qubit evolution
 operator to a z-x coupling with Bloch rotations, evolves for theta = pi/2,
 and finishes with a phase gate; the phase gate's sign is fixed empirically
 (diag(1, -i) lands on CNOT exactly, diag(1, i) misses by 2).
+
+Gates that depend on no argument (CNOT, the theorem-1 product, the x-axis
+quarter turns) are built once per process, on first use, and kept
+read-only; the public functions return fresh copies.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,12 +75,29 @@ def projectors() -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.cache
+def _cnot() -> np.ndarray:
+    return _read_only(
+        np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+    )
+
+
 def cnot() -> np.ndarray:
     """Controlled-NOT: P_up (x) I + P_down (x) sigma_x."""
-    return np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-        dtype=complex,
-    )
+    return _cnot().copy()
+
+
+@functools.cache
+def _theorem1() -> np.ndarray:
+    g = local_gates()
+    m = kron(g.alpha, g.beta)
+    n = -kron(g.gamma, g.delta)
+    return _read_only(m @ build_b_phi("-", 0.0) @ n)
 
 
 def cnot_via_theorem1() -> np.ndarray:
@@ -84,10 +106,7 @@ def cnot_via_theorem1() -> np.ndarray:
     R is the unitary braid gate build_b_phi('-', 0); the product equals
     cnot() exactly, with no global phase left over.
     """
-    g = local_gates()
-    m = kron(g.alpha, g.beta)
-    n = -kron(g.gamma, g.delta)
-    return m @ build_b_phi("-", 0.0) @ n
+    return _theorem1().copy()
 
 
 def rotation(axis: tuple[float, float, float], theta: float) -> np.ndarray:
@@ -100,6 +119,12 @@ def rotation(axis: tuple[float, float, float], theta: float) -> np.ndarray:
     return math.cos(theta / 2.0) * IDENTITY_2 - 1j * math.sin(theta / 2.0) * direction
 
 
+@functools.cache
+def _x_quarter_turns() -> tuple[np.ndarray, np.ndarray]:
+    """rotation(X_AXIS, pi/2) and rotation(X_AXIS, -pi/2), read-only."""
+    return tuple(_read_only(rotation(X_AXIS, t)) for t in (math.pi / 2.0, -math.pi / 2.0))
+
+
 def conjugation_identities(phi: float) -> tuple[float, float]:
     """Residuals of the two axis-straightening conjugations.
 
@@ -109,8 +134,7 @@ def conjugation_identities(phi: float) -> tuple[float, float]:
     alpha1, alpha2 = axis_angle_pair(phi)
     dz_minus = rotation(Z_AXIS, -phi / 2.0)
     dz_plus = rotation(Z_AXIS, phi / 2.0)
-    dx_plus = rotation(X_AXIS, math.pi / 2.0)
-    dx_minus = rotation(X_AXIS, -math.pi / 2.0)
+    dx_plus, dx_minus = _x_quarter_turns()
     first = dx_plus @ dz_minus @ sigma_axis(alpha1) @ dz_plus @ dx_minus
     second = dz_minus @ sigma_axis(alpha2) @ dz_plus
     return residual(first, SIGMA_Z), residual(second, SIGMA_X)
@@ -120,8 +144,7 @@ def conjugate_to_zx(phi: float, theta: float) -> np.ndarray:
     """Rotate the '+' evolution operator into exp(-i (sigma_z x sigma_x) theta / 2)."""
     dz_minus = rotation(Z_AXIS, -phi / 2.0)
     dz_plus = rotation(Z_AXIS, phi / 2.0)
-    dx_plus = rotation(X_AXIS, math.pi / 2.0)
-    dx_minus = rotation(X_AXIS, -math.pi / 2.0)
+    dx_plus, dx_minus = _x_quarter_turns()
     left = kron(dx_plus @ dz_minus, dz_minus)
     right = kron(dz_plus @ dx_minus, dz_plus)
     return left @ evolution_U("+", phi, theta) @ right

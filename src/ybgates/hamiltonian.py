@@ -11,6 +11,7 @@ generator_fd, a convention-free central-difference generator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -18,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .eightvertex import build_b_phi, build_R_x_normalized_stack, sign_value
-from .linalg import dagger, kron
+from .linalg import DimensionMismatchError, _eye, dagger, kron
 from .paulis import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 DEFAULT_FD_STEP = 1e-5
@@ -102,14 +103,35 @@ class PauliDecomposition:
         return total
 
 
+@functools.cache
+def _pauli_gather() -> tuple[np.ndarray, np.ndarray]:
+    """Row i of sigma_a (x) sigma_b has one non-zero entry, a unit value
+    (+-1 or +-i) in column k: values[a, b, i] is that entry, and
+    index[a, b, i] = 4k + i is the flat index of the m[k, i] it multiplies
+    on the diagonal of the product with m. Built once, read-only."""
+    columns = np.argmax(np.abs(_PAULI_PRODUCTS), axis=-1)
+    values = np.take_along_axis(_PAULI_PRODUCTS, columns[..., None], axis=-1)[..., 0]
+    index = 4 * columns + np.arange(4)
+    values.flags.writeable = index.flags.writeable = False
+    return values, index
+
+
 def pauli_decompose(m: np.ndarray) -> PauliDecomposition:
     """Expand a 4x4 matrix as sum c_ab sigma_a (x) sigma_b.
 
-    c_ab = tr(sigma_a (x) sigma_b . m) / 4, all 16 traces taken over one
-    stacked product.
+    c_ab = tr(sigma_a (x) sigma_b . m) / 4. Each diagonal entry of the
+    product is a single unit-valued term, so the traces are gathered from m
+    rather than multiplied out: the terms are exact and reduced over the
+    diagonal as np.trace reduces it, which gives the dense products' bits,
+    signed zeros included. Non-finite entries are refused, as by expm.
     """
     m = np.asarray(m, dtype=complex)
-    coeffs = np.trace(_PAULI_PRODUCTS @ m, axis1=-2, axis2=-1) / 4.0
+    if m.shape != (4, 4):
+        raise DimensionMismatchError(f"expected a 4x4 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("Pauli decomposition of non-finite entries")
+    values, index = _pauli_gather()
+    coeffs = (values * m.take(index)).sum(axis=-1) / 4.0
     return PauliDecomposition(coefficients=coeffs)
 
 
@@ -124,8 +146,7 @@ def interaction_operator(sign: str, phi: float) -> np.ndarray:
 def evolution_U(sign: str, phi: float, theta: float) -> np.ndarray:
     """Evolution operator cos(theta/2) I - i sin(theta/2) times the coupling."""
     op = interaction_operator(sign, phi)
-    eye = np.eye(4, dtype=complex)
-    return math.cos(theta / 2.0) * eye - 1j * math.sin(theta / 2.0) * op
+    return math.cos(theta / 2.0) * _eye(4) - 1j * math.sin(theta / 2.0) * op
 
 
 def R_from_H(sign: str, phi: float, theta: float) -> np.ndarray:
@@ -136,7 +157,7 @@ def R_from_H(sign: str, phi: float, theta: float) -> np.ndarray:
     """
     h = hamiltonian_const(sign, phi)
     u = math.pi / 4.0 - theta
-    return math.cos(u) * np.eye(4, dtype=complex) + 2j * math.sin(u) * h
+    return math.cos(u) * _eye(4) + 2j * math.sin(u) * h
 
 
 def schrodinger_residuals(

@@ -8,6 +8,8 @@ tolerance means the same thing in every module, test, and report.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 SINGULARITY_THRESHOLD = 1e-12
@@ -16,6 +18,11 @@ SINGULARITY_THRESHOLD = 1e-12
 # comfortably under the convergence check.
 _SERIES_ORDER = 16
 _SERIES_TOL = 1e-13
+
+# Entries map_floats converts to Python floats at a time: large enough that
+# the per-block cost is spread thin, small enough that the list stays tens
+# of kilobytes whatever the array size.
+_FLOAT_BLOCK = 1024
 
 
 class SingularMatrixError(ValueError):
@@ -47,6 +54,21 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         [d for s in sb for d in (1, s)]
     )
     return product.reshape([x * y for x, y in zip(sa, sb)])
+
+
+def map_floats(f, x: np.ndarray) -> np.ndarray:
+    """f(v) for each entry v of x, computed on Python floats, in x's shape.
+
+    For steps whose bits must match a per-point math-module computation;
+    the entries go through Python _FLOAT_BLOCK at a time, so no list of the
+    whole array is built.
+    """
+    x = np.asarray(x, dtype=float)
+    flat, out = x.ravel(), np.empty(x.size)
+    for start in range(0, x.size, _FLOAT_BLOCK):
+        block = slice(start, start + _FLOAT_BLOCK)
+        out[block] = [f(v) for v in flat[block].tolist()]
+    return out.reshape(x.shape)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -129,15 +151,31 @@ def residuals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.max(np.abs(a - b), axis=(-2, -1))
 
 
+@functools.lru_cache(maxsize=4)
+def _eye(n: int) -> np.ndarray:
+    """The n x n complex identity, read-only, built once for each of the
+    few sizes in use; bounded, as callers may pass a matrix of any size."""
+    eye = np.eye(n, dtype=complex)
+    eye.flags.writeable = False
+    return eye
+
+
 def unitarity_residual(u: np.ndarray) -> float:
-    """Residual of u @ dagger(u) against the identity."""
+    """Residual of u @ dagger(u) against the identity.
+
+    The same arithmetic as residual(u @ dagger(u), eye), with the identity
+    built once per size and without converting the operands a second time.
+    """
     u = np.asarray(u, dtype=complex)
-    return residual(u @ dagger(u), np.eye(u.shape[0], dtype=complex))
+    product = u @ u.conj().T
+    eye = _eye(u.shape[0])
+    if product.shape != eye.shape:
+        raise DimensionMismatchError(f"shape mismatch: {product.shape} vs {eye.shape}")
+    return float(np.abs(product - eye).max())
 
 
 def unitarity_residuals(u: np.ndarray) -> np.ndarray:
     """unitarity_residual of each matrix in an (N, n, n) stack; shape (N,)."""
     u = np.asarray(u, dtype=complex)
-    eye = np.eye(u.shape[-1], dtype=complex)
     product = u @ u.conj().swapaxes(-1, -2)
-    return np.max(np.abs(product - eye), axis=(-2, -1))
+    return np.max(np.abs(product - _eye(u.shape[-1])), axis=(-2, -1))

@@ -258,3 +258,18 @@ def test_schrodinger_residuals_bit_identical_to_oracle(sign, phi, x, h, count, s
     expected = [_schrodinger_oracle(sign, phi, psi0, x, h) for psi0 in states]
     assert np.array_equal(got, expected)
     assert schrodinger_residual(sign, phi, states[0], x, h) == expected[0]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("part", [1.0, 1.0j])
+def test_pauli_decompose_refuses_nonfinite(bad, part):
+    m = hamiltonian_const("+", 0.3)
+    m[2, 1] = bad * part if not math.isnan(bad) else complex(bad, 0) * part
+    with pytest.raises(ValueError, match="non-finite"):
+        pauli_decompose(m)
+
+
+def test_pauli_decompose_refuses_other_shapes():
+    for shape in ((3, 3), (5, 5), (2, 4, 4), (16,)):
+        with pytest.raises(ValueError):
+            pauli_decompose(np.zeros(shape, dtype=complex))
