@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, documents, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -128,6 +129,28 @@ def test_verify_braid_perturbed_matrix_file(tmp_path, capsys):
     )
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "matrix, invertible",
+    [
+        (np.zeros((4, 4)), False),
+        (np.diag([1.0, 1.0, 0.0, 0.0]), False),
+        (1e-4 * build_b_phi("-", 0.3), True),
+    ],
+    ids=["zero", "rank-2", "scaled-generator"],
+)
+def test_verify_matrix_file_refuses_singular_generators(matrix, invertible, tmp_path, capsys):
+    # A singular matrix satisfies the braid relation trivially: zero, and
+    # diag(1, 1, 0, 0), both at residual 0.
+    path = tmp_path / "b.json"
+    path.write_text(MatrixDocument.from_matrix(matrix).to_json())
+    code, out, err = run_cli(["verify", "braid", "--matrix-file", str(path)], capsys)
+    if invertible:
+        assert code == 0 and json.loads(out)["pass"] is True
+    else:
+        message = f"error: {path} is singular; a braid generator must be invertible\n"
+        assert (code, out, err) == (2, "", message)
 
 
 def test_verify_malformed_matrix_file(tmp_path, capsys):
@@ -534,6 +557,33 @@ def test_verify_qybe_all_zero_worst_is_first_point(monkeypatch, capsys):
          "--steps", "1000000000000000"],
         ["verify", "exponential", "--phi-grid", "-2"],
         ["sweep", "unitarity", "--param", "x", "--from", "nan", "--to", "1", "--steps", "3"],
+        # A NaN or infinite number names no member of a family: every float
+        # flag of every command refuses one in the parser (or, for --q, in
+        # _parse_q) before anything is built.
+        ["matrix", "Rx", "--sign", "+", "--q", "1", "--x", "nan"],
+        ["matrix", "b", "--sign", "-", "--q", "nan"],
+        ["matrix", "Rtheta", "--sign", "+", "--phi", "nan", "--theta", "0.2"],
+        ["synthesize", "evolution", "--phi", "nan"],
+        ["synthesize", "evolution", "--theta", "nan"],
+        ["sweep", "concurrence", "--param", "theta", "--from", "0", "--to", "1", "--steps", "3",
+         "--phi", "nan"],
+        ["sweep", "concurrence", "--param", "phi", "--from", "0", "--to", "1", "--steps", "3",
+         "--theta", "nan"],
+        ["sweep", "concurrence", "--param", "theta", "--from", "0", "--to", "1", "--steps", "3",
+         "--phi", "inf"],
+        ["sweep", "concurrence", "--param", "phi", "--from", "0", "--to", "1", "--steps", "3",
+         "--theta", "inf"],
+        ["synthesize", "evolution", "--phi", "inf"],
+        ["synthesize", "evolution", "--theta", "-inf"],
+        ["matrix", "U", "--sign", "+", "--phi", "1", "--theta", "inf"],
+        ["matrix", "Rtheta", "--sign", "-", "--phi", "1", "--theta", "-inf"],
+        ["matrix", "b", "--sign", "+", "--q", "1,inf"],
+        ["matrix", "Hx", "--sign", "+", "--phi", "0", "--x", "-inf"],
+        ["sweep", "unitarity", "--param", "phi", "--from", "0", "--to", "1", "--steps", "3",
+         "--x", "nan"],
+        ["sweep", "qybe", "--param", "x", "--from", "0", "--to", "1", "--steps", "3",
+         "--y", "nan"],
+        ["sweep", "braid", "--param", "phi", "--from", "0", "--to", "inf", "--steps", "3"],
     ],
 )
 def test_bad_arguments_rejected_before_computing(args, capsys):
@@ -541,6 +591,25 @@ def test_bad_arguments_rejected_before_computing(args, capsys):
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
+    for flag, value in zip(args, args[1:]):
+        if {"nan", "inf", "-inf"} & set(value.split(",")):
+            assert flag in err and repr(value) in err, err
+
+
+def test_no_option_parses_a_bare_float():
+    # float() takes 'nan' and 'inf'; every number flag goes through
+    # _finite_float instead, so that the parser refuses them.
+    parser = ybgates.cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    numbers = 0
+    for name, command in commands.choices.items():
+        for action in command._actions:
+            assert action.type is not float, (name, action.option_strings)
+            numbers += action.type is ybgates.cli._finite_float
+    # The walk found every number flag: --tol of verify; --phi, --theta and
+    # --x of matrix; --phi, --theta and --tol of synthesize; and --from,
+    # --to, --phi, --theta, --x, --y and --tol of sweep.
+    assert numbers == 14
 
 
 def test_arithmetic_error_is_usage_error(capsys):
@@ -562,47 +631,24 @@ def test_matrix_file_refused_outside_braid(relation, capsys):
     assert "only braid accepts --matrix-file" in err
 
 
-_WARNINGS = "ignore:.*encountered:RuntimeWarning"
-
-
-@pytest.mark.filterwarnings(_WARNINGS)
 @pytest.mark.parametrize(
     "args",
     [
-        ["matrix", "Rx", "--sign", "+", "--q", "1", "--x", "nan"],
+        # Finite flags whose matrix overflows: 2x and 1/q are infinite.
         ["matrix", "Rx", "--sign", "+", "--q", "1", "--x", "1e308"],
-        ["matrix", "b", "--sign", "-", "--q", "nan"],
-        ["matrix", "Rtheta", "--sign", "+", "--phi", "nan", "--theta", "0.2"],
-        ["synthesize", "evolution", "--phi", "nan"],
-        ["synthesize", "evolution", "--theta", "nan"],
+        ["matrix", "b", "--sign", "-", "--q", "1e-320"],
     ],
 )
 def test_nonfinite_matrix_fails_with_empty_stdout(args, capsys):
     code, out, err = run_cli(args, capsys)
-    assert code == 1
-    assert out == ""
-    assert "non-finite entries" in err
-    assert "Traceback" not in err
+    assert (code, out) == (2, "")
+    assert err == f"error: the {args[1]} matrix at these parameters has non-finite entries\n"
 
 
 def test_document_json_refuses_nonfinite_entries():
     doc = MatrixDocument.from_matrix(np.full((2, 2), np.nan, dtype=complex))
     with pytest.raises(ValueError):
         doc.to_json()
-
-
-@pytest.mark.filterwarnings(_WARNINGS)
-@pytest.mark.parametrize("param", ["theta", "phi"])
-def test_sweep_concurrence_nan_gate_is_usage_error(param, capsys):
-    other = "--phi" if param == "theta" else "--theta"
-    code, out, err = run_cli(
-        ["sweep", "concurrence", "--param", param, "--from", "0", "--to", "1",
-         "--steps", "3", other, "nan"],
-        capsys,
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "not unitary" in err
 
 
 @pytest.mark.parametrize(
@@ -687,10 +733,10 @@ def test_sweep_braid_phi_row_bit_identical_to_oracle(capsys):
     assert np.array_equal(report["results"], expected)
 
 
-def test_nan_input_writes_one_error_line_and_no_warnings():
+def test_overflow_input_writes_one_error_line_and_no_warnings():
     proc = subprocess.run(
-        [sys.executable, "-m", "ybgates", "sweep", "concurrence", "--param", "theta",
-         "--from", "0", "--to", "1", "--steps", "3", "--phi", "nan"],
+        [sys.executable, "-W", "error", "-m", "ybgates", "sweep", "unitarity", "--param", "x",
+         "--from", "0", "--to", "1e200", "--steps", "3"],
         capture_output=True,
         text=True,
         timeout=60,
@@ -698,19 +744,19 @@ def test_nan_input_writes_one_error_line_and_no_warnings():
     assert proc.returncode == 2
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert len(lines) == 1 and lines[0].startswith("error: --from/--to: "), proc.stderr
 
 
 def test_numpy_warnings_silenced_in_process(capsys):
+    # 1e200 is finite, but its 8x8 products overflow.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(
-            ["sweep", "unitarity", "--param", "x", "--from", "0", "--to", "1",
-             "--steps", "3", "--phi", "nan"],
+            ["sweep", "qybe", "--param", "x", "--from", "1", "--to", "1e200", "--steps", "3"],
             capsys,
         )
     assert code == 1
-    assert _strict_json(out)["nonfinite"] == 3
+    assert _strict_json(out)["nonfinite"] == 2
     assert err == ""
 
 
@@ -721,10 +767,6 @@ def test_numpy_warnings_silenced_in_process(capsys):
          ["--from/--to", "x=5e+199"]),
         (["sweep", "unitarity", "--param", "phi", "--from", "0", "--to", "1", "--steps", "3",
           "--x", "1e200"], ["--x 1e+200"]),
-        (["synthesize", "evolution", "--phi", "inf"], ["--phi", "inf"]),
-        (["synthesize", "evolution", "--theta", "-inf"], ["--theta", "-inf"]),
-        (["matrix", "U", "--sign", "+", "--phi", "1", "--theta", "inf"], ["--theta", "inf"]),
-        (["matrix", "Rtheta", "--sign", "-", "--phi", "1", "--theta", "-inf"], ["--theta", "-inf"]),
         (["sweep", "unitarity", "--param", "x", "--from", "-1e200", "--to", "0", "--steps", "3"],
          ["--from/--to", "x=-1e+200"]),
     ],
@@ -1129,26 +1171,6 @@ def test_sweep_concurrence_rows_bit_identical_to_per_point(param, sign, capsys):
     else:
         expected = [concurrence(r_theta_action(sign, v, 0.3, 0)) for v in report["values"]]
     assert np.array_equal(report["results"], expected)
-
-
-@pytest.mark.filterwarnings(_WARNINGS)
-@pytest.mark.parametrize(
-    "flag, value, message",
-    [
-        ("--phi", "nan", "error: gate is not unitary (residual nan)\n"),
-        ("--phi", "inf", "error: gate is not unitary (residual nan)\n"),
-        ("--theta", "nan", "error: gate is not unitary (residual nan)\n"),
-        ("--theta", "inf", "error: --theta must not be infinite, got inf\n"),
-    ],
-)
-def test_sweep_concurrence_bad_gate_messages(flag, value, message, capsys):
-    param = "theta" if flag == "--phi" else "phi"
-    code, out, err = run_cli(
-        ["sweep", "concurrence", "--param", param, "--from", "0", "--to", "1",
-         "--steps", "3", flag, value],
-        capsys,
-    )
-    assert (code, out, err) == (2, "", message)
 
 
 @given(
