@@ -637,12 +637,30 @@ def test_matrix_file_refused_outside_braid(relation, capsys):
         # Finite flags whose matrix overflows: 2x and 1/q are infinite.
         ["matrix", "Rx", "--sign", "+", "--q", "1", "--x", "1e308"],
         ["matrix", "b", "--sign", "-", "--q", "1e-320"],
+        ["matrix", "Rx", "--sign", "-", "--q", "1", "--x", "-1e308"],
+        ["matrix", "b", "--sign", "+", "--q", "1e-320"],
+        ["matrix", "b", "--sign", "-", "--q", "0,1e-320"],
+        ["matrix", "Rx", "--sign", "+", "--q", "1e-320", "--x", "1"],
     ],
 )
 def test_nonfinite_matrix_fails_with_empty_stdout(args, capsys):
     code, out, err = run_cli(args, capsys)
     assert (code, out) == (2, "")
     assert err == f"error: the {args[1]} matrix at these parameters has non-finite entries\n"
+
+
+@pytest.mark.parametrize("param", ["theta", "phi"])
+def test_sweep_concurrence_nan_gate_is_usage_error(param, capsys):
+    # A NaN angle names no gate: the parser refuses it before any is built.
+    other = "--phi" if param == "theta" else "--theta"
+    code, out, err = run_cli(
+        ["sweep", "concurrence", "--param", param, "--from", "0", "--to", "1",
+         "--steps", "3", other, "nan"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.endswith(f"error: argument {other}: must be finite, got 'nan'\n"), err
 
 
 def test_document_json_refuses_nonfinite_entries():
@@ -767,6 +785,14 @@ def test_numpy_warnings_silenced_in_process(capsys):
          ["--from/--to", "x=5e+199"]),
         (["sweep", "unitarity", "--param", "phi", "--from", "0", "--to", "1", "--steps", "3",
           "--x", "1e200"], ["--x 1e+200"]),
+        (["sweep", "unitarity", "--param", "x", "--from", "1e200", "--to", "0", "--steps", "3"],
+         ["--from/--to", "x=1e+200"]),
+        (["sweep", "unitarity", "--param", "x", "--sign", "+", "--from", "0", "--to", "1e200",
+          "--steps", "3"], ["--from/--to", "x=5e+199"]),
+        (["sweep", "unitarity", "--param", "phi", "--from", "0", "--to", "1", "--steps", "3",
+          "--x", "-1e200"], ["--x -1e+200"]),
+        (["sweep", "unitarity", "--param", "x", "--from", "-1e200", "--to", "1e200",
+          "--steps", "3"], ["--from/--to", "x=-1e+200"]),
         (["sweep", "unitarity", "--param", "x", "--from", "-1e200", "--to", "0", "--steps", "3"],
          ["--from/--to", "x=-1e+200"]),
     ],
