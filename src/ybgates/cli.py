@@ -276,21 +276,12 @@ _SCHRODINGER_XS = (0.4, 1.0, 2.0)
 
 
 def _verify_schrodinger(sign: str | None) -> _Labelled:
+    # Points run sign, phi, x, then state; one kernel call per sign.
     rng = np.random.default_rng(DEFAULT_SEED)
-    states = []
-    for _ in range(8):
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        states.append(v / np.linalg.norm(v))
-    states = np.array(states)
-    signs = _signs(sign)
-    results = np.concatenate(
-        [
-            schrodinger_residuals(s, phi, states, x)
-            for s in signs
-            for phi in _SCHRODINGER_PHIS
-            for x in _SCHRODINGER_XS
-        ]
-    )
+    draws = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(8)]
+    states = np.array([v / np.linalg.norm(v) for v in draws])
+    signs, phis = _signs(sign), np.array(_SCHRODINGER_PHIS)[:, None]
+    results = np.ravel([schrodinger_residuals(s, phis, states, _SCHRODINGER_XS) for s in signs])
     axes = ("sign", signs), ("phi", _SCHRODINGER_PHIS), ("x", _SCHRODINGER_XS)
     return results, _grid_label(*axes, ("state", range(len(states))))
 
@@ -315,16 +306,15 @@ def _verify_exponential(sign: str | None, phi_grid: int) -> _Labelled:
     exponents = column(lambda t: -0.5j * t)
     closed, evolutions, generators = [], [], []
     for s in signs:
-        for phi in phis:
-            b = build_b_phi(s, phi)
-            from_h = cos_u * eye + sin_u * hamiltonian_const(s, phi)
-            closed.append(residuals(from_h, cos_t * b + sin_t * inverse(b)))
-            op = interaction_operator(s, phi)
-            evolutions.append(cos_half * eye - sin_half * op)
-            generators.append(exponents * op)
-    direct = residuals(np.concatenate(evolutions), expm(np.concatenate(generators)))
+        b = build_b_phi_stack(s, phis)[:, None]
+        from_h = cos_u * eye + sin_u * (-0.5j * (b @ b))  # H as hamiltonian_const builds it
+        closed.append(residuals(from_h, cos_t * b + sin_t * inverse(b)))
+        op = np.stack([interaction_operator(s, phi) for phi in phis])[:, None]
+        evolutions.append(cos_half * eye - sin_half * op)
+        generators.append(exponents * op)
+    direct = residuals(np.stack(evolutions), expm(np.stack(generators)))
     fixed = residual(build_b_phi("-", 0.0), expm(0.25j * math.pi * kron(SIGMA_X, SIGMA_Y)))
-    results = np.append(np.stack([np.ravel(closed), direct], axis=-1), fixed)
+    results = np.append(np.stack([np.ravel(closed), np.ravel(direct)], axis=-1), fixed)
     grid = _grid_label(("sign", signs), ("phi", phis), ("theta", thetas))
 
     def label(k: int) -> str:

@@ -113,7 +113,7 @@ def rotation(axis: tuple[float, float, float], theta: float) -> np.ndarray:
     """Bloch rotation cos(theta/2) I - i sin(theta/2) (sigma . n)."""
     nx, ny, nz = axis
     norm = math.sqrt(nx * nx + ny * ny + nz * nz)
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
         raise NonUnitAxisError(f"axis norm {norm!r} is not 1")
     direction = nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z
     return math.cos(theta / 2.0) * IDENTITY_2 - 1j * math.sin(theta / 2.0) * direction

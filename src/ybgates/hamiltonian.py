@@ -162,25 +162,37 @@ def R_from_H(sign: str, phi: float, theta: float) -> np.ndarray:
 
 def schrodinger_residuals(
     sign: str,
-    phi: float,
+    phi: np.ndarray,
     states: np.ndarray,
-    x: float,
+    x: np.ndarray,
     h: float = DEFAULT_FD_STEP,
 ) -> np.ndarray:
     """Defect of i d/dx psi(x) = H(x) psi(x) for psi(x) = R(x) psi0, one per
-    row psi0 of an (M, 4) array of states; the result has shape (M,).
+    row psi0 of an (M, 4) array of states; phi and x broadcast to a shape S,
+    and the result has shape S + (M,).
 
     psi evolves under the normalized (unitary) spectral family so its norm
     is conserved; the derivative is the central difference at step h and
     the defect is the euclidean norm of the difference. R(x+h), R(x-h) and
     R(x) are built as one stack and, like H(x), applied to all states at once.
     """
-    columns = np.asarray(states, dtype=complex)[:, :, None]
-    family = build_R_x_normalized_stack(sign, phi, np.array([x + h, x - h, x]))
-    psi_plus, psi_minus, psi = np.matmul(family[:, None], columns)
-    lhs = 1j * (psi_plus - psi_minus)[..., 0] / (2.0 * h)
-    rhs = np.matmul(hamiltonian_x(sign, phi, x), psi)[..., 0]
-    return np.array([np.linalg.norm(row) for row in lhs - rhs])
+    states = np.asarray(states, dtype=complex)
+    if states.shape[1:] != (4,):
+        raise DimensionMismatchError(f"expected (M, 4) states, got shape {states.shape}")
+    phis, xs = np.broadcast_arrays(np.asarray(phi, dtype=float), np.asarray(x, dtype=float))
+    spectral = np.stack([xs + h, xs - h, xs], axis=-1)
+    family = build_R_x_normalized_stack(sign, phis[..., None], spectral)
+    # Each S + (M, 4): R(x+h), R(x-h) and R(x) applied to every state.
+    plus, minus, psi = np.moveaxis(family[..., None, :, :] @ states[:, :, None], -4, 0)[..., 0]
+    # H(x) has no stacked constructor: one hamiltonian_x call per point of S.
+    points = zip(phis.ravel().tolist(), xs.ravel().tolist())
+    hamiltonian = np.reshape([hamiltonian_x(sign, p, xv) for p, xv in points], xs.shape + (4, 4))
+    rhs = (hamiltonian[..., None, :, :] @ psi[..., None])[..., 0]
+    defects = 1j * (plus - minus) / (2.0 * h) - rhs
+    # np.linalg.norm's sqrt(re.re + im.im), each row's dots as stacked dots.
+    re, im = defects.real, defects.imag
+    squares = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
+    return np.sqrt(squares[..., 0, 0])
 
 
 def schrodinger_residual(
@@ -191,5 +203,4 @@ def schrodinger_residual(
     h: float = DEFAULT_FD_STEP,
 ) -> float:
     """schrodinger_residuals for the single state psi0."""
-    psi0 = np.asarray(psi0, dtype=complex)
-    return float(schrodinger_residuals(sign, phi, psi0[None], x, h)[0])
+    return float(schrodinger_residuals(sign, phi, [psi0], x, h)[0])

@@ -95,10 +95,12 @@ def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring a fixed-order series.
 
     Accepts one matrix or a stack of shape (..., n, n). Each matrix gets
-    its own squaring count; matrices that share a count run the series
-    and the squarings together, so every matrix is computed exactly as it
-    would be alone. Raises NonConvergenceError if any matrix's series
-    fails its convergence check.
+    its own squaring count and is divided by its own power of two; one
+    series runs over the whole stack, and squaring round r squares only
+    the matrices whose count is above r, so every matrix is computed
+    exactly as it would be alone. Raises NonConvergenceError if any
+    matrix's series fails its convergence check; the message names the
+    first failing matrix in stack order by its index over the leading axes.
     """
     a = np.asarray(a, dtype=complex)
     if not np.all(np.isfinite(a)):
@@ -108,29 +110,26 @@ def expm(a: np.ndarray) -> np.ndarray:
     # The 1-norm (largest absolute column sum) sets the squaring count.
     norms = np.abs(flat).sum(axis=-2).max(axis=-1).tolist()
     counts = [0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5))) for norm in norms]
-    out = np.empty_like(flat)
-    # Grouped in Python: np.unique would sort, and first use of numpy's
-    # sort costs about half a megabyte of resident memory.
-    for squarings in sorted(set(counts)):
-        members = [k for k, count in enumerate(counts) if count == squarings]
-        scaled = flat[members] / (2.0 ** squarings)
-        term = np.zeros_like(scaled)
-        term[..., range(n), range(n)] = 1
-        total = term.copy()
-        for k in range(1, _SERIES_ORDER + 1):
-            term = term @ scaled / k
-            total += term
-        tails = np.abs(term).max(axis=(-2, -1))
-        bounds = _SERIES_TOL * np.maximum(1.0, np.abs(total).max(axis=(-2, -1)))
-        failed = np.flatnonzero(~(tails <= bounds))
-        if len(failed):
-            raise NonConvergenceError(
-                f"series tail {tails[failed[0]]:.3e} after {_SERIES_ORDER} terms"
-            )
-        for _ in range(squarings):
-            total = total @ total
-        out[members] = total
-    return out.reshape(a.shape)
+    scaled = flat / np.array([2.0 ** count for count in counts])[:, None, None]
+    term = np.zeros_like(scaled)
+    term[..., range(n), range(n)] = 1
+    total = term.copy()
+    for k in range(1, _SERIES_ORDER + 1):
+        term = term @ scaled / k
+        total += term
+    tails = np.abs(term).max(axis=(-2, -1))
+    bounds = _SERIES_TOL * np.maximum(1.0, np.abs(total).max(axis=(-2, -1)))
+    failed = np.flatnonzero(~(tails <= bounds))
+    if len(failed):
+        index = tuple(int(i) for i in np.unravel_index(failed[0], a.shape[:-2]))
+        raise NonConvergenceError(
+            f"series tail {tails[failed[0]]:.3e} after {_SERIES_ORDER} terms at index {index}"
+        )
+    squarings = np.array(counts)
+    for r in range(max(counts, default=0)):
+        members = squarings > r
+        total[members] = total[members] @ total[members]
+    return total.reshape(a.shape)
 
 
 def residual(a: np.ndarray, b: np.ndarray) -> float:

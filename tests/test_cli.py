@@ -30,10 +30,12 @@ from ybgates.gates import cnot
 from ybgates.hamiltonian import (
     R_from_H,
     evolution_U,
+    hamiltonian_const,
     interaction_operator,
     schrodinger_residual,
+    schrodinger_residuals,
 )
-from ybgates.linalg import expm, kron, residual, unitarity_residual
+from ybgates.linalg import expm, inverse, kron, residual, residuals, unitarity_residual
 from ybgates.paulis import DEFAULT_SEED, SIGMA_X, SIGMA_Y
 from ybgates.yangbaxter import braid_residual
 
@@ -837,15 +839,15 @@ def test_cached_parser_gives_fresh_namespaces(capsys):
     ],
 )
 def test_verify_picks_every_nonfinite_point(monkeypatch, capsys, relation, kernel, points, worst):
-    # Points 1 and 2 of the first kernel call are made NaN and inf.
+    # Flat entries 1 and 2 of the first kernel call are made NaN and inf.
     real = getattr(ybgates.cli, kernel)
     calls = []
 
     def poisoned(*args, **kwargs):
         out = np.array(real(*args, **kwargs))
         if not calls:
-            out[[1, 2]] = [math.nan, math.inf]
-        calls.append(len(out))
+            out.flat[[1, 2]] = [math.nan, math.inf]
+        calls.append(out.size)
         return out
 
     monkeypatch.setattr(ybgates.cli, kernel, poisoned)
@@ -885,6 +887,16 @@ def test_document_round_trip_signed_zero_and_subnormals(value):
     assert again.to_json() == doc.to_json()
 
 
+def _schrodinger_states():
+    """The eight unit states of verify schrodinger, drawn one at a time."""
+    rng = np.random.default_rng(DEFAULT_SEED)
+    states = []
+    for _ in range(8):
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        states.append(v / np.linalg.norm(v))
+    return np.array(states)
+
+
 def _relation_oracle(relation):
     """Per-point residuals of a relation at its default grid, in verify order."""
     phis = [2.0 * math.pi * k / 8 for k in range(8)]
@@ -911,11 +923,7 @@ def _relation_oracle(relation):
             for x in np.linspace(-3.0, 3.0, 61)
         ]
     if relation == "schrodinger":
-        rng = np.random.default_rng(DEFAULT_SEED)
-        states = []
-        for _ in range(8):
-            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            states.append(v / np.linalg.norm(v))
+        states = _schrodinger_states()
         return [
             schrodinger_residual(sign, phi, psi0, x, h=1e-5)
             for sign in "+-"
@@ -951,6 +959,61 @@ def test_verify_residuals_bit_identical_to_per_point_oracle(relation, monkeypatc
     assert code == 0
     assert len(seen) == 1
     assert np.array_equal(seen[0], _relation_oracle(relation))
+
+
+def _exponential_loop(sign, phi_grid):
+    # The per-(sign, phi) loop that the stacked runner replaced, with each
+    # exponential computed alone.
+    signs = [sign] if sign else ["+", "-"]
+    thetas = [float(t) for t in np.linspace(0.0, 2.0 * math.pi, 9)]
+
+    def column(coefficient):
+        return np.array([coefficient(t) for t in thetas])[:, None, None]
+
+    eye = np.eye(4, dtype=complex)
+    cos_u = column(lambda t: math.cos(math.pi / 4.0 - t))
+    sin_u = column(lambda t: 2j * math.sin(math.pi / 4.0 - t))
+    cos_t, sin_t = column(math.cos), column(math.sin)
+    cos_half = column(lambda t: math.cos(t / 2.0))
+    sin_half = column(lambda t: 1j * math.sin(t / 2.0))
+    exponents = column(lambda t: -0.5j * t)
+    closed, direct = [], []
+    for s in signs:
+        for phi in 2.0 * math.pi * np.arange(phi_grid) / phi_grid:
+            b = build_b_phi(s, phi)
+            from_h = cos_u * eye + sin_u * hamiltonian_const(s, phi)
+            closed.append(residuals(from_h, cos_t * b + sin_t * inverse(b)))
+            op = interaction_operator(s, phi)
+            exponentials = np.array([expm(g) for g in exponents * op])
+            direct.append(residuals(cos_half * eye - sin_half * op, exponentials))
+    fixed = residual(build_b_phi("-", 0.0), expm(0.25j * math.pi * kron(SIGMA_X, SIGMA_Y)))
+    return np.append(np.stack([np.ravel(closed), np.ravel(direct)], axis=-1), fixed)
+
+
+def _schrodinger_loop(sign):
+    # One kernel call per (sign, phi, x), as before the runner batched them.
+    states = _schrodinger_states()
+    return np.concatenate(
+        [
+            schrodinger_residuals(s, phi, states, x)
+            for s in ([sign] if sign else ["+", "-"])
+            for phi in (0.0, math.pi / 3.0)
+            for x in (0.4, 1.0, 2.0)
+        ]
+    )
+
+
+@pytest.mark.parametrize("sign", [None, "+", "-"])
+@pytest.mark.parametrize("phi_grid", [1, 3, 8, 13])
+def test_verify_exponential_bit_identical_to_per_phi_loop(sign, phi_grid):
+    results, _ = ybgates.cli._verify_exponential(sign, phi_grid)
+    assert results.tobytes() == _exponential_loop(sign, phi_grid).tobytes()
+
+
+@pytest.mark.parametrize("sign", [None, "+", "-"])
+def test_verify_schrodinger_bit_identical_to_per_point_calls(sign):
+    results, _ = ybgates.cli._verify_schrodinger(sign)
+    assert results.tobytes() == _schrodinger_loop(sign).tobytes()
 
 
 @pytest.mark.parametrize(

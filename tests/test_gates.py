@@ -110,8 +110,10 @@ def test_rotation_axis_composition():
 
 
 def test_rotation_rejects_non_unit_axis():
-    with pytest.raises(NonUnitAxisError):
-        rotation((1.0, 1.0, 0.0), 0.5)
+    nan = math.nan
+    for axis in ((1.0, 1.0, 0.0), (nan, 0.0, 0.0), (1.0, nan, 0.0), (math.inf, 0.0, 0.0)):
+        with pytest.raises(NonUnitAxisError):
+            rotation(axis, 0.5)
 
 
 @pytest.mark.parametrize("phi", [0.0, math.pi / 2, 1.3])

@@ -26,7 +26,7 @@ from ybgates.hamiltonian import (
     schrodinger_residuals,
     sigma_axis,
 )
-from ybgates.linalg import dagger, expm, kron, residual
+from ybgates.linalg import DimensionMismatchError, dagger, expm, kron, residual
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -258,6 +258,38 @@ def test_schrodinger_residuals_bit_identical_to_oracle(sign, phi, x, h, count, s
     expected = [_schrodinger_oracle(sign, phi, psi0, x, h) for psi0 in states]
     assert np.array_equal(got, expected)
     assert schrodinger_residual(sign, phi, states[0], x, h) == expected[0]
+
+
+@given(
+    sign=st.sampled_from(["+", "-"]),
+    phis=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=3),
+    xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+    h=st.sampled_from([1e-3, 1e-5, 1e-7]),
+    count=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_schrodinger_residuals_bit_identical_to_single_points(
+    sign, phis, xs, h, count, seed
+):
+    # phi runs down a column and x along a row, so they broadcast to a grid.
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((count, 4)) + 1j * rng.standard_normal((count, 4))
+    got = schrodinger_residuals(sign, np.array(phis)[:, None], states, np.array(xs), h)
+    assert got.shape == (len(phis), len(xs), count)
+    singles = [[schrodinger_residuals(sign, phi, states, x, h) for x in xs] for phi in phis]
+    assert got.tobytes() == np.array(singles).reshape(got.shape).tobytes()
+    # The stacked dots give np.linalg.norm's bits, row by row.
+    norms = [
+        [[_schrodinger_oracle(sign, phi, psi0, x, h) for psi0 in states] for x in xs]
+        for phi in phis
+    ]
+    assert got.tobytes() == np.array(norms).reshape(got.shape).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 4, 1)])
+def test_schrodinger_residuals_refuse_malformed_states(shape):
+    with pytest.raises(DimensionMismatchError, match="expected \\(M, 4\\) states"):
+        schrodinger_residuals("+", 0.3, np.ones(shape, dtype=complex), 0.7)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

@@ -1,6 +1,7 @@
 """Checks for the small dense complex linear algebra layer."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -233,7 +234,7 @@ def test_expm_stack_mixing_squaring_counts_bit_identical_to_oracle():
 
 
 @given(
-    shape=st.sampled_from([(2, 2), (1, 4, 4), (3, 2, 2), (2, 3, 4, 4)]),
+    shape=st.sampled_from([(2, 2), (1, 4, 4), (3, 2, 2), (2, 3, 4, 4), (0, 4, 4)]),
     scale=st.floats(1e-3, 50.0),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -255,6 +256,20 @@ def test_expm_convergence_checked_per_matrix(monkeypatch):
     mixed[1] = 0.25 * np.kron(SX, SY)
     with pytest.raises(NonConvergenceError):
         expm(mixed)
+
+
+@pytest.mark.parametrize(
+    "shape, failing, index",
+    [((4,), [2, 3], "(2,)"), ((2, 3), [4, 5], "(1, 1)"), ((), [0], "()")],
+)
+def test_expm_nonconvergence_names_first_failing_matrix(monkeypatch, shape, failing, index):
+    # Flat members in failing are given a norm the 2-term series cannot meet;
+    # the message gives the first one's index over the batch axes.
+    monkeypatch.setattr(ybgates.linalg, "_SERIES_ORDER", 2)
+    flat = np.zeros((max(1, math.prod(shape)), 4, 4), dtype=complex)
+    flat[failing] = 0.25 * np.kron(SX, SY)
+    with pytest.raises(NonConvergenceError, match=re.escape(f"at index {index}") + "$"):
+        expm(flat.reshape(shape + (4, 4)))
 
 
 def test_expm_stack_rejects_any_nonfinite_matrix():
