@@ -50,14 +50,15 @@ from .hamiltonian import (
 )
 from .linalg import expm, inverse, kron, residual, residuals, unitarity_residuals
 from .paulis import DEFAULT_SEED, SIGMA_X, SIGMA_Y
-from .yangbaxter import braid_residual, braid_residuals, lift, qybe_residuals
+from .yangbaxter import braid_residual, braid_residuals, lift, qybe_residuals, qybe_table_residuals
 
 _SYNTHESIZE_TOL = 1e-12
 
-# QYBE points are lifted to 8x8 and multiplied this many at a time: large
-# enough that numpy's per-call cost is spread thin, small enough that the
-# lifted stacks stay a few hundred kilobytes whatever the grid size.
+# QYBE points are lifted to 8x8 and multiplied this many at a time, in rows
+# or square tiles: enough to spread numpy's per-call cost thin, few enough
+# that the lifted stacks stay a few hundred kilobytes at any grid size.
 _QYBE_BLOCK = 64
+_QYBE_TILE = math.isqrt(_QYBE_BLOCK)
 
 
 class CliError(Exception):
@@ -241,23 +242,22 @@ def _verify_braid(sign: str | None, phi_grid: int) -> _Labelled:
 
 def _verify_qybe(sign: str | None, grid: int, phi_grid: int) -> _Labelled:
     # Points run sign, phi, then x-major over a grid x grid square. Each
-    # (sign, phi) builds and lifts the family at the grid values once, and
-    # each block builds and lifts only its x*y products, all from one
-    # braid-matrix inverse. Only the residuals, allocated first so that a grid
-    # too large to hold fails at once, grow with grid**2.
+    # (sign, phi) builds and lifts the family at the grid values once; each
+    # tile, clipped at the square's edges, builds only its x*y products, all
+    # from one braid-matrix inverse. Only the residuals, allocated first so
+    # that a grid too large to hold fails at once, grow with grid**2.
     signs, phis = _signs(sign), _phi_grid(phi_grid)
     results = np.empty((len(signs), len(phis), grid * grid))
     values = 2.0 * np.arange(1, grid + 1) / grid
+    tiles = [slice(start, start + _QYBE_TILE) for start in range(0, grid, _QYBE_TILE)]
     for s, rows in zip(signs, results):
         for phi, row in zip(phis, rows):
             family = R_x_family(s, np.exp(-1j * phi))
-            table = lift(family(values))
-
-            def residuals_at(points: np.ndarray) -> np.ndarray:
-                i, j = np.divmod(points, grid)
-                return qybe_residuals(table[i], table[j], lift(family(values[i] * values[j])))
-
-            _in_blocks(row, residuals_at)
+            table, square = lift(family(values)), row.reshape(grid, grid)
+            for i in tiles:
+                for j in tiles:
+                    r_xy = family(values[i, None] * values[j])
+                    square[i, j] = qybe_table_residuals(table[i], table[j], r_xy)
     xs = values.tolist()
     label = _grid_label(("sign", signs), ("phi", phis), ("x", xs), ("y", xs))
     return results.ravel(), label
@@ -438,13 +438,13 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 # --- sweep ------------------------------------------------------------
 
 def _qybe_sweep_x(sign: str, phi: float, x: np.ndarray, y: float) -> np.ndarray:
-    # R(y) is one matrix, lifted once; each block lifts R(x) and R(xy).
+    # R(y) is one matrix, lifted once and shared; each block lifts R(x) and R(xy).
     family = R_x_family(sign, np.exp(-1j * phi))
-    r_y = lift(family(y))
+    r_y = lift(family([y]))
 
     def residuals_at(points: np.ndarray) -> np.ndarray:
         r_x, r_xy = lift(family(np.stack([x[points], x[points] * y])))
-        return qybe_residuals(r_x, np.broadcast_to(r_y, r_x.shape), r_xy)
+        return qybe_table_residuals(r_x, r_y, r_xy[:, None])[:, 0]
 
     return _in_blocks(np.empty(len(x)), residuals_at)
 

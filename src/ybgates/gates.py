@@ -22,7 +22,7 @@ import numpy as np
 
 from .eightvertex import build_b_phi
 from .hamiltonian import axis_angle_pair, evolution_U, sigma_axis
-from .linalg import kron, residual
+from .linalg import DimensionMismatchError, kron, residual
 from .paulis import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, SQRT2
 
 X_AXIS = (1.0, 0.0, 0.0)
@@ -176,10 +176,12 @@ def global_phase_between(candidate: np.ndarray, target: np.ndarray) -> complex |
 
     The phase is read off the largest-magnitude entry of the candidate;
     returns None when no unit scalar brings the max-entry residual of the
-    pair below 1e-12.
+    pair below 1e-12. Raises DimensionMismatchError when the shapes differ.
     """
     candidate = np.asarray(candidate, dtype=complex)
     target = np.asarray(target, dtype=complex)
+    if candidate.shape != target.shape:
+        raise DimensionMismatchError(f"shape mismatch: {candidate.shape} vs {target.shape}")
     index = np.unravel_index(np.argmax(np.abs(candidate)), candidate.shape)
     pivot = candidate[index]
     if abs(pivot) < 1e-12 or abs(target[index]) < 1e-12:

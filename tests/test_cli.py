@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -436,6 +437,59 @@ def test_sweep_qybe_x_row_bit_identical_to_oracle(capsys):
     assert np.array_equal(report["results"], expected)
 
 
+def _verify_qybe_oracle(sign, grid, phi_grid):
+    """verify qybe's residuals in its order (sign, phi, then x-major), one
+    point at a time with np.kron; each value's two lifts are built once."""
+    values = [2.0 * k / grid for k in range(1, grid + 1)]
+    results = []
+    for s in [sign] if sign else ["+", "-"]:
+        for phi in [2.0 * math.pi * k / phi_grid for k in range(phi_grid)]:
+            q = np.exp(-1j * phi)
+
+            @functools.lru_cache(maxsize=None)
+            def lifts(t, s=s, q=q):
+                m = build_R_x(s, q, t)
+                return np.kron(m, I2), np.kron(I2, m)
+
+            for x in values:
+                for y in values:
+                    (x1, x2), (y1, y2), (xy1, xy2) = lifts(x), lifts(y), lifts(x * y)
+                    results.append(np.max(np.abs(x1 @ xy2 @ y1 - y2 @ xy1 @ x2)))
+    return np.array(results)
+
+
+# Grids below, at and above one 8 x 8 tile, and grids whose last row and
+# column of tiles are clipped.
+@pytest.mark.parametrize("sign", ["+", "-"], ids=["plus", "minus"])
+@pytest.mark.parametrize("phi_grid", [1, 3], ids=lambda n: f"phi{n}")
+@pytest.mark.parametrize("grid", [1, 3, 7, 8, 9, 13, 17, 40], ids=lambda n: f"grid{n}")
+def test_verify_qybe_tiles_bit_identical_to_oracle(grid, phi_grid, sign):
+    results, label = ybgates.cli._verify_qybe(sign, grid, phi_grid)
+    expected = _verify_qybe_oracle(sign, grid, phi_grid)
+    assert results.shape == (phi_grid * grid * grid,)
+    assert results.tobytes() == expected.tobytes()
+    last_phi = 2.0 * math.pi * (phi_grid - 1) / phi_grid
+    assert label(len(results) - 1) == f"sign={sign} phi={last_phi} x=2.0 y=2.0"
+
+
+# Step counts that end in a partial 64-point block.
+@pytest.mark.parametrize("steps", [2, 65, 131], ids=lambda n: f"steps{n}")
+def test_sweep_qybe_x_partial_block_bit_identical_to_oracle(steps, capsys):
+    code, out, _ = run_cli(
+        [
+            "sweep", "qybe", "--param", "x", "--from", "-2.5", "--to", "4",
+            "--steps", str(steps), "--sign", "+", "--phi", "0.4", "--y", "-1.3",
+        ],
+        capsys,
+    )
+    assert code == 0
+    report = json.loads(out)
+    family = lambda t: build_R_x("+", np.exp(-1j * 0.4), t)
+    expected = np.array([_qybe_oracle(family, v, -1.3) for v in report["values"]])
+    assert len(expected) == steps
+    assert np.array(report["results"]).tobytes() == expected.tobytes()
+
+
 def test_sweep_qybe_phi_row_bit_identical_to_oracle(capsys):
     code, out, _ = run_cli(
         [
@@ -494,12 +548,13 @@ def test_verify_nonfinite_matrix_file_fails(tmp_path, capsys):
 
 
 def _patch_qybe(monkeypatch, results):
-    """Make the CLI's QYBE kernel return ``results`` for a one-block grid."""
+    """Make the CLI's QYBE kernel return the 64 ``results``, x-major, for
+    the one 8 x 8 tile of a --grid 8 square."""
     def fake(r_x, r_y, r_xy):
-        assert len(r_x) == len(results)
-        return np.array(results, dtype=float)
+        assert (len(r_x), len(r_y)) == (8, 8) and len(results) == 64
+        return np.array(results, dtype=float).reshape(8, 8)
 
-    monkeypatch.setattr(ybgates.cli, "qybe_residuals", fake)
+    monkeypatch.setattr(ybgates.cli, "qybe_table_residuals", fake)
 
 
 def _verify_one_grid(capsys):

@@ -25,7 +25,7 @@ from ybgates.gates import (
     transform_R_to_zx,
 )
 from ybgates.hamiltonian import axis_angle_pair, sigma_axis
-from ybgates.linalg import expm, kron, residual, unitarity_residual
+from ybgates.linalg import DimensionMismatchError, expm, kron, residual, unitarity_residual
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -212,3 +212,13 @@ def test_global_phase_between():
     assert phase is not None
     assert abs(phase - np.exp(-0.3j)) < 1e-12
     assert global_phase_between(kron(SX, SX), target) is None
+
+
+@pytest.mark.parametrize(
+    "candidate, target",
+    [(np.diag([1, 1, 1, 2.0]), I2), (I2, np.diag([1, 1, 1, 2.0]))],
+    ids=["candidate-larger", "target-larger"],
+)
+def test_global_phase_between_refuses_unequal_shapes(candidate, target):
+    with pytest.raises(DimensionMismatchError, match="shape mismatch"):
+        global_phase_between(candidate, target)

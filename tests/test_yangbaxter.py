@@ -24,6 +24,7 @@ from ybgates.yangbaxter import (
     lift,
     qybe_residual,
     qybe_residuals,
+    qybe_table_residuals,
     verify_two_eigenvalues,
     yang_baxterize,
 )
@@ -327,6 +328,55 @@ def test_residuals_nonfinite_exactly_where_kron_oracle_is(stacks):
     assert np.array_equal(got[np.isfinite(got)], expected[np.isfinite(expected)])
     assert np.array_equal(np.isfinite(braids), np.isfinite(braid_expected))
     assert np.array_equal(braids[np.isfinite(braids)], braid_expected[np.isfinite(braid_expected)])
+
+
+@st.composite
+def _tables(draw):
+    """An x axis of I matrices, a y axis of J, and the (I, J) stack at
+    their products, of seeded random parts, a third of them zero, with up
+    to 6 parts drawn from infinities, NaN and +-1e300."""
+    i, j = draw(st.integers(1, 70)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tables = []
+    for shape in ((i,), (j,), (i, j)):
+        parts = rng.standard_normal(shape + (4, 4, 2)) * 10.0 ** rng.integers(-6, 7)
+        parts[rng.random(parts.shape) < 1 / 3] = 0.0
+        tables.append(parts)
+    specials = st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -1e300])
+    for _ in range(draw(st.integers(0, 6))):
+        parts = tables[draw(st.integers(0, 2))]
+        parts[tuple(draw(st.integers(0, d - 1)) for d in parts.shape)] = draw(specials)
+    return [parts.view(np.complex128)[..., 0] for parts in tables]
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+@given(tables=_tables())
+def test_qybe_table_residuals_bit_identical_to_point_kernel(tables):
+    r_x, r_y, r_xy = tables
+    i, j = len(r_x), len(r_y)
+    with np.errstate(all="ignore"):
+        got = qybe_table_residuals(r_x, r_y, r_xy)
+        from_lifts = qybe_table_residuals(lift(r_x), r_y, lift(r_xy))
+        points = qybe_residuals(
+            np.repeat(r_x, j, axis=0), np.tile(r_y, (i, 1, 1)), r_xy.reshape(-1, 4, 4)
+        )
+    expected = points.reshape(i, j)
+    finite = np.isfinite(expected)
+    for result in (got, from_lifts):
+        assert result.shape == (i, j)
+        assert np.array_equal(np.isfinite(result), finite)
+        assert result[finite].tobytes() == expected[finite].tobytes()
+
+
+def test_qybe_table_residuals_shape_checks():
+    x, y = np.stack([I4] * 3), np.stack([I4, I4])
+    assert qybe_table_residuals(x, y, np.stack([y] * 3)).shape == (3, 2)
+    with pytest.raises(DimensionMismatchError):
+        qybe_table_residuals(x, y, np.stack([x] * 2))
+    with pytest.raises(DimensionMismatchError):
+        qybe_table_residuals(I4, y, y)
+    with pytest.raises(DimensionMismatchError):
+        qybe_table_residuals(x, y, x)
 
 
 def test_qybe_residuals_refuses_unequal_lifts():
