@@ -48,7 +48,7 @@ from .hamiltonian import (
     interaction_operator,
     schrodinger_residuals,
 )
-from .linalg import expm, inverse, kron, residual, residuals, unitarity_residuals
+from .linalg import expm, inverse, kron, read_only, residual, residuals, unitarity_residuals
 from .paulis import DEFAULT_SEED, SIGMA_X, SIGMA_Y
 from .yangbaxter import braid_residual, braid_residuals, lift, qybe_residuals, qybe_table_residuals
 
@@ -275,12 +275,19 @@ _SCHRODINGER_PHIS = (0.0, math.pi / 3.0)
 _SCHRODINGER_XS = (0.4, 1.0, 2.0)
 
 
-def _verify_schrodinger(sign: str | None) -> _Labelled:
-    # Points run sign, phi, x, then state; one kernel call per sign.
+@functools.cache
+def _schrodinger_states() -> np.ndarray:
+    """verify schrodinger's eight unit states, drawn from DEFAULT_SEED one at
+    a time, as one read-only (8, 4) array built on first use."""
     rng = np.random.default_rng(DEFAULT_SEED)
     draws = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(8)]
-    states = np.array([v / np.linalg.norm(v) for v in draws])
-    signs, phis = _signs(sign), np.array(_SCHRODINGER_PHIS)[:, None]
+    return read_only(np.array([v / np.linalg.norm(v) for v in draws]))
+
+
+def _verify_schrodinger(sign: str | None) -> _Labelled:
+    # Points run sign, phi, x, then state; one kernel call per sign.
+    states, signs = _schrodinger_states(), _signs(sign)
+    phis = np.array(_SCHRODINGER_PHIS)[:, None]
     results = np.ravel([schrodinger_residuals(s, phis, states, _SCHRODINGER_XS) for s in signs])
     axes = ("sign", signs), ("phi", _SCHRODINGER_PHIS), ("x", _SCHRODINGER_XS)
     return results, _grid_label(*axes, ("state", range(len(states))))
@@ -312,17 +319,14 @@ def _verify_exponential(sign: str | None, phi_grid: int) -> _Labelled:
         op = np.stack([interaction_operator(s, phi) for phi in phis])[:, None]
         evolutions.append(cos_half * eye - sin_half * op)
         generators.append(exponents * op)
-    direct = residuals(np.stack(evolutions), expm(np.stack(generators)))
-    fixed = residual(build_b_phi("-", 0.0), expm(0.25j * math.pi * kron(SIGMA_X, SIGMA_Y)))
-    results = np.append(np.stack([np.ravel(closed), np.ravel(direct)], axis=-1), fixed)
+    xy = 0.25j * math.pi * kron(SIGMA_X, SIGMA_Y)  # rides last; its expm is bphi(-,0)
+    exponentials = expm(np.concatenate([np.reshape(generators, (-1, 4, 4)), [xy]]))
+    direct = residuals(np.reshape(evolutions, (-1, 4, 4)), exponentials[:-1])
+    fixed = residual(build_b_phi("-", 0.0), exponentials[-1])
+    results = np.append(np.stack([np.ravel(closed), direct], axis=-1), fixed)
     grid = _grid_label(("sign", signs), ("phi", phis), ("theta", thetas))
-
-    def label(k: int) -> str:
-        if k == len(results) - 1:
-            return "bphi(-,0) vs expm(i pi/4 x.y)"
-        return f"{'RU'[k % 2]} {grid(k // 2)}"
-
-    return results, label
+    fixed_label, last = "bphi(-,0) vs expm(i pi/4 x.y)", len(results) - 1
+    return results, lambda k: fixed_label if k == last else f"{'RU'[k % 2]} {grid(k // 2)}"
 
 
 # Each relation's runner, default tolerance, and the optional flags it
@@ -500,12 +504,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     tol = args.tol if args.tol is not None else default_tol
     passed = False if nonfinite else None if tol is None else peak < tol
     if args.format == "csv":
-        lines = ["param,value,quantity"]
-        lines.extend(
-            f"{args.param},{value!r},{result!r}"
-            for value, result in zip(values, results)
-        )
-        text = "\n".join(lines) + "\n"
+        rows = (f"{args.param},{value!r},{result!r}\n" for value, result in zip(values, results))
+        text = "param,value,quantity\n" + "".join(rows)
     else:
         report = {
             "command": "sweep",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eightvertex import build_b_phi, build_b_phi_stack, build_R_theta
-from .linalg import inverse, kron, map_floats, unitarity_residual, unitarity_residuals
+from .linalg import inverse, kron, map_floats, read_only, unitarity_residual, unitarity_residuals
 from .paulis import DEFAULT_SEED, SQRT2
 
 DEFAULT_THRESHOLD = 1e-9
@@ -118,9 +118,7 @@ def _probe_stack() -> np.ndarray:
         u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         states.append(kron(u / np.linalg.norm(u), v / np.linalg.norm(v)))
-    probes = np.array(states)
-    probes.flags.writeable = False
-    return probes
+    return read_only(np.array(states))
 
 
 def _concurrences(states: np.ndarray) -> np.ndarray:

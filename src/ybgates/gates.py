@@ -22,7 +22,7 @@ import numpy as np
 
 from .eightvertex import build_b_phi
 from .hamiltonian import axis_angle_pair, evolution_U, sigma_axis
-from .linalg import DimensionMismatchError, kron, residual
+from .linalg import DimensionMismatchError, kron, read_only, residual
 from .paulis import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, SQRT2
 
 X_AXIS = (1.0, 0.0, 0.0)
@@ -75,14 +75,9 @@ def projectors() -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @functools.cache
 def _cnot() -> np.ndarray:
-    return _read_only(
+    return read_only(
         np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     )
 
@@ -97,7 +92,7 @@ def _theorem1() -> np.ndarray:
     g = local_gates()
     m = kron(g.alpha, g.beta)
     n = -kron(g.gamma, g.delta)
-    return _read_only(m @ build_b_phi("-", 0.0) @ n)
+    return read_only(m @ build_b_phi("-", 0.0) @ n)
 
 
 def cnot_via_theorem1() -> np.ndarray:
@@ -122,7 +117,7 @@ def rotation(axis: tuple[float, float, float], theta: float) -> np.ndarray:
 @functools.cache
 def _x_quarter_turns() -> tuple[np.ndarray, np.ndarray]:
     """rotation(X_AXIS, pi/2) and rotation(X_AXIS, -pi/2), read-only."""
-    return tuple(_read_only(rotation(X_AXIS, t)) for t in (math.pi / 2.0, -math.pi / 2.0))
+    return tuple(read_only(rotation(X_AXIS, t)) for t in (math.pi / 2.0, -math.pi / 2.0))
 
 
 def conjugation_identities(phi: float) -> tuple[float, float]:

@@ -37,6 +37,12 @@ class NonConvergenceError(ArithmeticError):
     """The exponential series failed to converge; a bug, not bad data."""
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only and return it."""
+    a.flags.writeable = False
+    return a
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product: entry ((i*n+k), (j*n+l)) is a[i,j] * b[k,l].
 
@@ -94,15 +100,20 @@ def inverse(a: np.ndarray) -> np.ndarray:
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring a fixed-order series.
 
-    Accepts one matrix or a stack of shape (..., n, n). Each matrix gets
-    its own squaring count and is divided by its own power of two; one
-    series runs over the whole stack, and squaring round r squares only
-    the matrices whose count is above r, so every matrix is computed
-    exactly as it would be alone. Raises NonConvergenceError if any
-    matrix's series fails its convergence check; the message names the
-    first failing matrix in stack order by its index over the leading axes.
+    Accepts one matrix or a stack of shape (..., n, n); any other shape is
+    a DimensionMismatchError. Each matrix gets its own squaring count and
+    is divided by its own power of two. One series then runs over the
+    distinct scaled matrices, told apart by their bytes, and each distinct
+    matrix gets one squaring chain: a member with count c takes the chain's
+    value after c squarings. So every matrix goes through the same products
+    as it would alone, and gets the same bits. Raises NonConvergenceError
+    if any matrix's series fails its convergence check; the message names
+    the first failing matrix in stack order by its index over the leading
+    axes.
     """
     a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatchError(f"expm needs (..., n, n) matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix exponential of non-finite entries")
     n = a.shape[-1]
@@ -110,26 +121,38 @@ def expm(a: np.ndarray) -> np.ndarray:
     # The 1-norm (largest absolute column sum) sets the squaring count.
     norms = np.abs(flat).sum(axis=-2).max(axis=-1).tolist()
     counts = [0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5))) for norm in norms]
-    scaled = flat / np.array([2.0 ** count for count in counts])[:, None, None]
-    term = np.zeros_like(scaled)
+    counts = np.array(counts, dtype=int)
+    scaled = flat / (2.0 ** counts)[:, None, None]
+    # On a doubling grid (theta, 2 theta, 4 theta, ...) many matrices scale
+    # to the same bytes; +0.0 and -0.0 differ, so each keeps its own series.
+    keys = scaled.reshape(len(flat), n * n).view(np.dtype((np.void, 16 * n * n)))[:, 0]
+    _, first, member = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = scaled[first]
+    term = np.zeros_like(distinct)
     term[..., range(n), range(n)] = 1
     total = term.copy()
     for k in range(1, _SERIES_ORDER + 1):
-        term = term @ scaled / k
+        term = term @ distinct / k
         total += term
     tails = np.abs(term).max(axis=(-2, -1))
     bounds = _SERIES_TOL * np.maximum(1.0, np.abs(total).max(axis=(-2, -1)))
-    failed = np.flatnonzero(~(tails <= bounds))
+    failed = np.flatnonzero(~(tails <= bounds)[member])
     if len(failed):
         index = tuple(int(i) for i in np.unravel_index(failed[0], a.shape[:-2]))
         raise NonConvergenceError(
-            f"series tail {tails[failed[0]]:.3e} after {_SERIES_ORDER} terms at index {index}"
+            f"series tail {tails[member[failed[0]]]:.3e} after {_SERIES_ORDER} terms"
+            f" at index {index}"
         )
-    squarings = np.array(counts)
-    for r in range(max(counts, default=0)):
-        members = squarings > r
-        total[members] = total[members] @ total[members]
-    return total.reshape(a.shape)
+    chains = np.zeros(len(distinct), dtype=int)
+    np.maximum.at(chains, member, counts)
+    out = np.empty_like(flat)
+    for r in range(int(chains.max(initial=0)) + 1):
+        if r:
+            live = chains >= r
+            total[live] = total[live] @ total[live]
+        done = counts == r
+        out[done] = total[member[done]]
+    return out.reshape(a.shape)
 
 
 def residual(a: np.ndarray, b: np.ndarray) -> float:
@@ -154,9 +177,7 @@ def residuals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _eye(n: int) -> np.ndarray:
     """The n x n complex identity, read-only, built once for each of the
     few sizes in use; bounded, as callers may pass a matrix of any size."""
-    eye = np.eye(n, dtype=complex)
-    eye.flags.writeable = False
-    return eye
+    return read_only(np.eye(n, dtype=complex))
 
 
 def unitarity_residual(u: np.ndarray) -> float:

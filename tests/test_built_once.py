@@ -39,6 +39,7 @@ from ybgates.hamiltonian import (
     sigma_axis,
 )
 from ybgates.linalg import dagger, kron, map_floats, residual, unitarity_residual
+from test_cli import _schrodinger_states as _schrodinger_states_oracle
 
 PAULIS = (
     np.eye(2, dtype=complex),
@@ -48,6 +49,7 @@ PAULIS = (
 )
 # Every cache this module covers, as (module, function name).
 CACHES = [
+    (cli, "_schrodinger_states"),
     (gates, "_cnot"),
     (gates, "_theorem1"),
     (gates, "_x_quarter_turns"),
@@ -187,6 +189,28 @@ def test_evolution_U_matches_fresh_identity():
             assert _same_bits(evolution_U(sign, phi, theta), want)
 
 
+def test_schrodinger_states_match_per_draw_oracle():
+    cached = cli._schrodinger_states()
+    assert cached is cli._schrodinger_states()
+    assert cached.tobytes() == _schrodinger_states_oracle().tobytes()
+
+
+def test_verify_exponential_makes_one_expm_call(monkeypatch):
+    # The grid's generators and the fixed bphi(-,0) generator share one call.
+    stacks = []
+
+    def counting_expm(a):
+        stacks.append(np.shape(a))
+        return linalg.expm(a)
+
+    monkeypatch.setattr(cli, "expm", counting_expm)
+    for phi_grid in (8, 3):
+        stacks.clear()
+        assert cli.main(["verify", "exponential", "--phi-grid", str(phi_grid)]) == 0
+        # Two signs, phi_grid angles and 9 thetas, then the fixed generator.
+        assert stacks == [(2 * phi_grid * 9 + 1, 4, 4)]
+
+
 # --- fresh results, read-only caches, nothing built at import -----------
 
 
@@ -223,6 +247,7 @@ def test_cached_constants_are_read_only():
     pauli_decompose(np.eye(4))
     arrays = [gates._cnot(), gates._theorem1(), *gates._x_quarter_turns()]
     arrays += [*hamiltonian._pauli_gather(), linalg._eye(4), linalg._eye(2)]
+    arrays += [cli._schrodinger_states()]
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):

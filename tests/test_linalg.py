@@ -272,6 +272,100 @@ def test_expm_nonconvergence_names_first_failing_matrix(monkeypatch, shape, fail
         expm(flat.reshape(shape + (4, 4)))
 
 
+def _zero_signs_flipped(m):
+    # The same matrix with every zero real or imaginary part of the other sign.
+    m = m.copy()
+    for part in (m.real, m.imag):
+        part[part == 0] *= -1.0
+    return m
+
+
+_DERIVED = {
+    "copy": lambda m: m.copy(),
+    "x2": lambda m: 2.0 * m,
+    "x4": lambda m: 4.0 * m,
+    "x8": lambda m: 8.0 * m,
+    "zero": lambda m: np.zeros_like(m),
+    "signed zero": _zero_signs_flipped,
+}
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 10.0),
+    picks=st.lists(
+        st.tuples(st.sampled_from(sorted(_DERIVED)), st.integers(0, 63)), min_size=1, max_size=24
+    ),
+)
+def test_expm_deduplicated_stack_matches_one_call_per_matrix(seed, scale, picks):
+    # Exact duplicates, the doubling pattern of the theta grid, zero matrices
+    # and +-0.0 variants (kept as separate series) among fresh matrices.
+    rng = np.random.default_rng(seed)
+    stack = [_random_matrix(rng, n=4, scale=scale) for _ in range(3)]
+    for m in stack:
+        for part in (m.real, m.imag):
+            part[rng.random((4, 4)) < 0.3] = 0.0
+    for kind, k in picks:
+        # Multiples of the fresh matrices only, so that norms stay finite.
+        stack.append(_DERIVED[kind](stack[k % (3 if kind.startswith("x") else len(stack))]))
+    stack = np.array(stack)
+    got = expm(stack).tobytes()
+    assert got == np.array([expm(m) for m in stack]).tobytes()
+    assert got == np.array([_expm_oracle(m) for m in stack]).tobytes()
+
+
+def test_expm_runs_one_series_per_distinct_scaled_matrix(monkeypatch):
+    # a, 2a, 4a and 8a scale down to the same bytes, as theta, 2 theta,
+    # 4 theta and 8 theta do; the +-0.0 variant and the zero matrix do not.
+    a = 0.75j * np.kron(SX, SY)
+    stack = np.array([a, 2.0 * a, 4.0 * a, 8.0 * a, _zero_signs_flipped(a), 0 * I4, 0 * I4, a])
+    distinct = []
+    unique = np.unique
+
+    def spy(keys, **kwargs):
+        found = unique(keys, **kwargs)
+        distinct.append(len(found[0]))
+        return found
+
+    monkeypatch.setattr(ybgates.linalg.np, "unique", spy)
+    got = expm(stack)
+    monkeypatch.undo()
+    assert distinct == [3]
+    assert got.tobytes() == np.array([_expm_oracle(m) for m in stack]).tobytes()
+
+
+@pytest.mark.parametrize("order", ["ab", "ba"], ids=["a-first", "b-first"])
+def test_expm_nonconvergence_names_first_failing_matrix_before_its_duplicate(
+    monkeypatch, order
+):
+    # Two failing matrices, each repeated later in the stack: whichever of
+    # them sorts first by bytes, the message names stack index 1 and that
+    # matrix's own tail, as a one-matrix call gives it.
+    monkeypatch.setattr(ybgates.linalg, "_SERIES_ORDER", 2)
+    failing = {"a": 0.25 * np.kron(SX, SY), "b": 0.3 * np.kron(SZ, SX)}
+    first, second = (failing[c] for c in order)
+    stack = np.array([0 * I4, first, second, first, 0 * I4, second]).reshape(2, 3, 4, 4)
+    with pytest.raises(NonConvergenceError) as alone:
+        expm(first)
+    tail = str(alone.value).split(" at index")[0]
+    with pytest.raises(NonConvergenceError) as stacked:
+        expm(stack)
+    assert str(stacked.value) == f"{tail} at index (0, 1)"
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 4, 3), (), (4,), (2, 3)], ids=["stack-of-4x3", "0-d", "1-d", "2x3"]
+)
+def test_expm_refuses_non_square_shapes(shape):
+    with pytest.raises(DimensionMismatchError, match=re.escape(f"got shape {shape}") + "$"):
+        expm(np.full(shape, 2.0))
+
+
+def test_expm_empty_stack():
+    got = expm(np.zeros((0, 4, 4)))
+    assert got.shape == (0, 4, 4) and got.dtype == complex
+
+
 def test_expm_stack_rejects_any_nonfinite_matrix():
     stack = np.stack([I4, I4])
     stack[1, 2, 3] = np.inf
