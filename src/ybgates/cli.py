@@ -55,10 +55,9 @@ from .yangbaxter import braid_residual, braid_residuals, lift, qybe_residuals, q
 _SYNTHESIZE_TOL = 1e-12
 
 # QYBE points are lifted to 8x8 and multiplied this many at a time, in rows
-# or square tiles: enough to spread numpy's per-call cost thin, few enough
-# that the lifted stacks stay a few hundred kilobytes at any grid size.
+# or tiles: enough to spread numpy's per-call cost thin, few enough that
+# the lifted stacks stay a few hundred kilobytes at any grid size.
 _QYBE_BLOCK = 64
-_QYBE_TILE = math.isqrt(_QYBE_BLOCK)
 
 
 class CliError(Exception):
@@ -172,15 +171,6 @@ def _given(values: dict) -> dict[str, str]:
     return {name: v if isinstance(v, str) else repr(v) for name, v in values.items()}
 
 
-def _in_blocks(out: np.ndarray, residuals_at) -> np.ndarray:
-    """Fill ``out`` with residuals_at(points), _QYBE_BLOCK points at a time,
-    and return it; ``points`` is an array of consecutive indices into out."""
-    for start in range(0, len(out), _QYBE_BLOCK):
-        stop = min(start + _QYBE_BLOCK, len(out))
-        out[start:stop] = residuals_at(np.arange(start, stop))
-    return out
-
-
 def _picks(results: np.ndarray, label) -> tuple[str, float, int]:
     """The worst point's label and result, and the count of non-finite results.
 
@@ -217,12 +207,49 @@ def _braid(sign: str, phi) -> np.ndarray:
 
 
 def _unitarity(sign: str, phi, x) -> np.ndarray:
-    """Unitarity residual of the normalized R(x), phi and x broadcast, flat."""
-    return unitarity_residuals(build_R_x_normalized_stack(sign, phi, x).reshape(-1, 4, 4))
+    """Unitarity residual of the normalized R(x), phi and x broadcast."""
+    return unitarity_residuals(build_R_x_normalized_stack(sign, phi, x))
+
+
+def _qybe(sign: str, phi, x, y) -> np.ndarray:
+    """QYBE residual of R(x) over the open grid phi x x x y, each array
+    along its own axis, in the grid's broadcast shape. Per phi, the family
+    is built and all of y lifted once; rows of _QYBE_BLOCK // c x values,
+    c = min(len(y), 8), are lifted once and run in tiles of c y values
+    through qybe_table_residuals: 8 x 8 tiles, clipped at the edges, on
+    verify's square, and 64 x 1 rows on sweep's x axis."""
+    phi, x, y = (np.asarray(a, dtype=float) for a in (phi, x, y))
+    out, xs, ys = np.empty((phi.size, x.size, y.size)), x.ravel(), y.ravel()
+    cols = min(len(ys), math.isqrt(_QYBE_BLOCK))
+    rows = _QYBE_BLOCK // cols
+    for p, table in zip(phi.ravel(), out):
+        family = R_x_family(sign, np.exp(-1j * p))
+        r_y = lift(family(ys))
+        for i in range(0, len(xs), rows):
+            row = slice(i, i + rows)
+            r_x = lift(family(xs[row]))
+            for j in range(0, len(ys), cols):
+                col = slice(j, j + cols)
+                r_xy = family(xs[row, None] * ys[col])
+                table[row, col] = qybe_table_residuals(r_x, r_y[col], r_xy)
+    return out.reshape(np.broadcast_shapes(phi.shape, x.shape, y.shape))
 
 
 # What each verify runner returns: residuals in grid order, and label(k).
 _Labelled = tuple[np.ndarray, Callable[[int], str]]
+
+
+def _over_grid(kernel, sign: str | None, *axes: tuple[str, np.ndarray]) -> _Labelled:
+    """kernel(s, name=values, ...) for each sign s over the open grid of
+    ``axes``, (name, values) pairs, passed as np.ix_ arrays; points run
+    sign, then the axes in order, the last fastest. The whole result is
+    allocated first, so a grid too large to hold fails at once."""
+    signs = _signs(sign)
+    names, values = zip(*axes)
+    results = np.empty((len(signs), *map(len, values)))
+    for s, row in zip(signs, results):
+        row[...] = kernel(s, **dict(zip(names, np.ix_(*values))))
+    return results.ravel(), _grid_label(("sign", signs), *axes)
 
 
 def _verify_matrix_file(matrix_file: str) -> _Labelled:
@@ -235,40 +262,17 @@ def _verify_matrix_file(matrix_file: str) -> _Labelled:
 
 
 def _verify_braid(sign: str | None, phi_grid: int) -> _Labelled:
-    signs, phis = _signs(sign), _phi_grid(phi_grid)
-    results = np.concatenate([_braid(s, phis) for s in signs])
-    return results, _grid_label(("sign", signs), ("phi", phis))
+    return _over_grid(_braid, sign, ("phi", _phi_grid(phi_grid)))
 
 
 def _verify_qybe(sign: str | None, grid: int, phi_grid: int) -> _Labelled:
-    # Points run sign, phi, then x-major over a grid x grid square. Each
-    # (sign, phi) builds and lifts the family at the grid values once; each
-    # tile, clipped at the square's edges, builds only its x*y products, all
-    # from one braid-matrix inverse. Only the residuals, allocated first so
-    # that a grid too large to hold fails at once, grow with grid**2.
-    signs, phis = _signs(sign), _phi_grid(phi_grid)
-    results = np.empty((len(signs), len(phis), grid * grid))
     values = 2.0 * np.arange(1, grid + 1) / grid
-    tiles = [slice(start, start + _QYBE_TILE) for start in range(0, grid, _QYBE_TILE)]
-    for s, rows in zip(signs, results):
-        for phi, row in zip(phis, rows):
-            family = R_x_family(s, np.exp(-1j * phi))
-            table, square = lift(family(values)), row.reshape(grid, grid)
-            for i in tiles:
-                for j in tiles:
-                    r_xy = family(values[i, None] * values[j])
-                    square[i, j] = qybe_table_residuals(table[i], table[j], r_xy)
-    xs = values.tolist()
-    label = _grid_label(("sign", signs), ("phi", phis), ("x", xs), ("y", xs))
-    return results.ravel(), label
+    return _over_grid(_qybe, sign, ("phi", _phi_grid(phi_grid)), ("x", values), ("y", values))
 
 
 def _verify_unitarity(sign: str | None, grid: int, phi_grid: int) -> _Labelled:
-    # Points run sign, then phi, then x; one stack per sign.
-    signs, phis = _signs(sign), _phi_grid(phi_grid)
     xs = np.linspace(-3.0, 3.0, grid)
-    results = np.concatenate([_unitarity(s, phis[:, None], xs) for s in signs])
-    return results, _grid_label(("sign", signs), ("phi", phis), ("x", xs.tolist()))
+    return _over_grid(_unitarity, sign, ("phi", _phi_grid(phi_grid)), ("x", xs))
 
 
 _SCHRODINGER_PHIS = (0.0, math.pi / 3.0)
@@ -441,39 +445,27 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 # --- sweep ------------------------------------------------------------
 
-def _qybe_sweep_x(sign: str, phi: float, x: np.ndarray, y: float) -> np.ndarray:
-    # R(y) is one matrix, lifted once and shared; each block lifts R(x) and R(xy).
-    family = R_x_family(sign, np.exp(-1j * phi))
-    r_y = lift(family([y]))
-
-    def residuals_at(points: np.ndarray) -> np.ndarray:
-        r_x, r_xy = lift(family(np.stack([x[points], x[points] * y])))
-        return qybe_table_residuals(r_x, r_y, r_xy[:, None])[:, 0]
-
-    return _in_blocks(np.empty(len(x)), residuals_at)
-
-
 def _qybe_sweep_phi(sign: str, phi: np.ndarray, x: float, y: float) -> np.ndarray:
-    spectral = np.array([[x], [y], [x * y]])
-    return _in_blocks(
-        np.empty(len(phi)),
-        lambda points: qybe_residuals(
-            *lift(R_x_family(sign, np.exp(-1j * phi[points]))(spectral))
-        ),
-    )
+    # No factor is shared: each block of phis builds its three stacks, one
+    # braid matrix and inverse per phi, and runs the point kernel.
+    spectral, out = np.array([[x], [y], [x * y]]), np.empty(len(phi))
+    for start in range(0, len(phi), _QYBE_BLOCK):
+        block = slice(start, start + _QYBE_BLOCK)
+        out[block] = qybe_residuals(*lift(R_x_family(sign, np.exp(-1j * phi[block]))(spectral)))
+    return out
 
 
 # Each sweep's optional flags with their defaults, and its kernel, called
-# with those flags and the swept parameter by name; verify runs _braid and
-# _unitarity over its full grids. A relation's sweep has the relation's
-# default tolerance, and concurrence has none.
+# with those flags and the swept parameter by name; verify runs _braid,
+# _unitarity and _qybe over its full grids. A relation's sweep has the
+# relation's default tolerance, and concurrence has none.
 _SWEEPS = {
     ("concurrence", "theta"): ({"sign": "-", "phi": 0.0}, r_theta_concurrences),
     ("concurrence", "phi"): ({"sign": "-", "theta": 0.0}, r_theta_concurrences),
     ("unitarity", "x"): ({"sign": "-", "phi": 0.0}, _unitarity),
     ("unitarity", "phi"): ({"sign": "-", "x": 0.3}, _unitarity),
     ("braid", "phi"): ({"sign": "-"}, _braid),
-    ("qybe", "x"): ({"sign": "-", "phi": 0.0, "y": 0.7}, _qybe_sweep_x),
+    ("qybe", "x"): ({"sign": "-", "phi": 0.0, "y": 0.7}, _qybe),
     ("qybe", "phi"): ({"sign": "-", "x": 0.3, "y": 0.7}, _qybe_sweep_phi),
 }
 

@@ -116,12 +116,13 @@ def expm(a: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(f"expm needs (..., n, n) matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix exponential of non-finite entries")
+    if not a.size:  # no matrices, or 0x0 ones
+        return np.empty_like(a)
     n = a.shape[-1]
     flat = a.reshape(-1, n, n)
     # The 1-norm (largest absolute column sum) sets the squaring count.
-    norms = np.abs(flat).sum(axis=-2).max(axis=-1).tolist()
-    counts = [0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5))) for norm in norms]
-    counts = np.array(counts, dtype=int)
+    norms = np.abs(flat).sum(axis=-2).max(axis=-1)
+    counts = np.ceil(np.log2(np.maximum(norms, 0.5) / 0.5)).astype(int)
     scaled = flat / (2.0 ** counts)[:, None, None]
     # On a doubling grid (theta, 2 theta, 4 theta, ...) many matrices scale
     # to the same bytes; +0.0 and -0.0 differ, so each keeps its own series.
@@ -146,7 +147,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     chains = np.zeros(len(distinct), dtype=int)
     np.maximum.at(chains, member, counts)
     out = np.empty_like(flat)
-    for r in range(int(chains.max(initial=0)) + 1):
+    for r in range(int(chains.max()) + 1):
         if r:
             live = chains >= r
             total[live] = total[live] @ total[live]
@@ -195,7 +196,7 @@ def unitarity_residual(u: np.ndarray) -> float:
 
 
 def unitarity_residuals(u: np.ndarray) -> np.ndarray:
-    """unitarity_residual of each matrix in an (N, n, n) stack; shape (N,)."""
+    """unitarity_residual of each matrix in a (..., n, n) stack; shape (...)."""
     u = np.asarray(u, dtype=complex)
     product = u @ u.conj().swapaxes(-1, -2)
     return np.max(np.abs(product - _eye(u.shape[-1])), axis=(-2, -1))

@@ -98,13 +98,15 @@ def qybe_table_residuals(r_x: np.ndarray, r_y: np.ndarray, r_xy: np.ndarray) -> 
     ``r_x`` is an (I, 4, 4) stack, ``r_y`` a (J, 4, 4) stack and ``r_xy``
     the (I, J, 4, 4) stack at their products; any of them may be given as
     its lift(). The result has shape (I, J), and entry (i, j) is
-    bit-identical to qybe_residuals at the point (x_i, y_j): each factor
-    is multiplied once across the points that share it, with every
-    entry's 8-term sums and the association order unchanged. On the left,
-    R1(x_i) times R2(x_i y_j) for all j is one 8 x 8J product, and that
-    times R1(y_j) for all i one 8I x 8 product; on the right, R2(y_j)
-    times R1(x_i y_j) for all i is one 8 x 8I product, and that times
-    R2(x_i) for all j one 8J x 8 product.
+    qybe_residuals at the point (x_i, y_j), bit-identical on OpenBLAS's
+    SkylakeX kernel (its Haswell kernel sums in an order set by the shape
+    of the call, and differs in the last bits): each factor is multiplied
+    once across the points that share it, with every entry's 8-term sums
+    and the association order unchanged. On the left, R1(x_i) times
+    R2(x_i y_j) for all j is one 8 x 8J product, and that times R1(y_j)
+    for all i one 8I x 8 product; on the right, R2(y_j) times R1(x_i y_j)
+    for all i is one 8 x 8I product, and that times R2(x_i) for all j one
+    8J x 8 product.
     """
     stacks = [np.asarray(r, dtype=complex) for r in (r_x, r_y, r_xy)]
     lifted = [r if r.shape[-3:] == (2, 8, 8) else lift(r) for r in stacks]

@@ -472,6 +472,36 @@ def test_verify_qybe_tiles_bit_identical_to_oracle(grid, phi_grid, sign):
     assert label(len(results) - 1) == f"sign={sign} phi={last_phi} x=2.0 y=2.0"
 
 
+def _phis(n):
+    return [2.0 * math.pi * k / n for k in range(n)]
+
+
+@pytest.mark.parametrize(
+    "relation, flags, axes",
+    [
+        ("braid", {"sign": None, "phi_grid": 5}, [("phi", _phis(5))]),
+        (
+            "unitarity",
+            {"sign": "+", "grid": 6, "phi_grid": 3},
+            [("phi", _phis(3)), ("x", np.linspace(-3.0, 3.0, 6).tolist())],
+        ),
+        (
+            "qybe",
+            {"sign": None, "grid": 3, "phi_grid": 2},
+            [("phi", _phis(2)), ("x", [2.0 / 3, 4.0 / 3, 2.0]), ("y", [2.0 / 3, 4.0 / 3, 2.0])],
+        ),
+    ],
+    ids=["braid", "unitarity", "qybe"],
+)
+def test_verify_labels_every_point_in_nested_loop_order(relation, flags, axes):
+    results, label = ybgates.cli._RELATIONS[relation][0](**flags)
+    signs = [flags["sign"]] if flags["sign"] else ["+", "-"]
+    expected = [f"sign={s}" for s in signs]
+    for name, values in axes:  # each axis inside the ones before it
+        expected = [f"{point} {name}={v!r}" for point in expected for v in values]
+    assert [label(k) for k in range(len(results))] == expected
+
+
 # Step counts that end in a partial 64-point block.
 @pytest.mark.parametrize("steps", [2, 65, 131], ids=lambda n: f"steps{n}")
 def test_sweep_qybe_x_partial_block_bit_identical_to_oracle(steps, capsys):

@@ -366,6 +366,24 @@ def test_expm_empty_stack():
     assert got.shape == (0, 4, 4) and got.dtype == complex
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0)], ids=["0x0", "stack-of-0x0"])
+def test_expm_of_0x0_matrices_is_empty(shape):
+    got = expm(np.zeros(shape))
+    assert got.shape == shape and got.dtype == complex
+
+
+def test_expm_squaring_counts_at_powers_of_two_match_oracle():
+    # 1-norms 0.5 * 2**k and both float neighbours of each, where a
+    # squaring count could be off by one; each matrix is a rotation
+    # generator of that 1-norm, so every exponential stays finite.
+    powers = 0.5 * 2.0 ** np.arange(-3, 61)
+    norms = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])
+    stack = np.zeros((len(norms), 2, 2), dtype=complex)
+    stack[:, 0, 1], stack[:, 1, 0] = -norms, norms
+    expected = np.array([_expm_oracle(m) for m in stack])
+    assert expm(stack).tobytes() == expected.tobytes()
+
+
 def test_expm_stack_rejects_any_nonfinite_matrix():
     stack = np.stack([I4, I4])
     stack[1, 2, 3] = np.inf
