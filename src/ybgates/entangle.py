@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +36,19 @@ class NonUnitaryGateError(ValueError):
 
 
 def basis_state(index: int) -> np.ndarray:
-    """Computational basis state |00>, |01>, |10>, |11> for index 0..3."""
-    if index not in (0, 1, 2, 3):
-        raise ValueError(f"basis index must be 0..3, got {index}")
+    """Computational basis state |00>, |01>, |10>, |11> for index 0..3.
+
+    The index must be an integer (numpy integers too); a bool, which numpy
+    would take as a mask, or a float is refused with ValueError.
+    """
+    try:
+        i = None if isinstance(index, bool) else operator.index(index)
+    except TypeError:
+        i = None
+    if i not in (0, 1, 2, 3):
+        raise ValueError(f"basis index must be an integer 0..3, got {index!r}")
     state = np.zeros(4, dtype=complex)
-    state[index] = 1.0
+    state[i] = 1.0
     return state
 
 

@@ -8,14 +8,16 @@ and finishes with a phase gate; the phase gate's sign is fixed empirically
 (diag(1, -i) lands on CNOT exactly, diag(1, i) misses by 2).
 
 Gates that depend on no argument (CNOT, the theorem-1 product, the x-axis
-quarter turns) are built once per process, on first use, and kept
-read-only; the public functions return fresh copies.
+quarter turns) and each rotation axis's sigma . n are built once per
+process, on first use, and kept read-only; the public functions return
+fresh arrays.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,13 +106,26 @@ def cnot_via_theorem1() -> np.ndarray:
     return _theorem1().copy()
 
 
+@functools.lru_cache(maxsize=8)
+def _sigma_dot(key: bytes) -> np.ndarray:
+    """nx sigma_x + ny sigma_y + nz sigma_z, read-only, for the axis packed
+    in key as three doubles. Keyed by bits, so -0.0 and 0.0 stay apart;
+    bounded, as callers may pass any unit axis."""
+    nx, ny, nz = struct.unpack("3d", key)
+    return read_only(nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z)
+
+
 def rotation(axis: tuple[float, float, float], theta: float) -> np.ndarray:
-    """Bloch rotation cos(theta/2) I - i sin(theta/2) (sigma . n)."""
+    """Bloch rotation cos(theta/2) I - i sin(theta/2) (sigma . n).
+
+    sigma . n is built once per distinct axis, its components read as
+    doubles; each call returns a fresh array.
+    """
     nx, ny, nz = axis
     norm = math.sqrt(nx * nx + ny * ny + nz * nz)
     if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
         raise NonUnitAxisError(f"axis norm {norm!r} is not 1")
-    direction = nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z
+    direction = _sigma_dot(struct.pack("3d", nx, ny, nz))
     return math.cos(theta / 2.0) * IDENTITY_2 - 1j * math.sin(theta / 2.0) * direction
 
 

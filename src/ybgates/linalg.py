@@ -49,10 +49,14 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Same contract and bits as np.kron, including its leading-axis padding
     (an (N, 4, 4) stack times a 2x2 matrix is an (N, 8, 8) stack), but
     one broadcast multiply of interleaved reshapes with none of np.kron's
-    per-call axis bookkeeping.
+    per-call axis bookkeeping. Two matrices (both operands 2-D) take that
+    multiply directly, without the padding.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
+    if a.ndim == b.ndim == 2:
+        (m, n), (p, q) = a.shape, b.shape
+        return (a.reshape(m, 1, n, 1) * b.reshape(1, p, 1, q)).reshape(m * p, n * q)
     nd = max(a.ndim, b.ndim)
     sa = (1,) * (nd - a.ndim) + a.shape
     sb = (1,) * (nd - b.ndim) + b.shape

@@ -7,6 +7,7 @@ them.
 """
 
 import math
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -20,6 +21,7 @@ from ybgates.entangle import r_theta_concurrences
 from ybgates.gates import (
     CNOT_PHASE_GATE,
     X_AXIS,
+    Y_AXIS,
     Z_AXIS,
     cnot,
     cnot_via_evolution,
@@ -28,6 +30,7 @@ from ybgates.gates import (
     conjugation_identities,
     local_gates,
     rotation,
+    transform_R_to_zx,
 )
 from ybgates.hamiltonian import (
     axis_angle_pair,
@@ -51,6 +54,7 @@ PAULIS = (
 CACHES = [
     (cli, "_schrodinger_states"),
     (gates, "_cnot"),
+    (gates, "_sigma_dot"),
     (gates, "_theorem1"),
     (gates, "_x_quarter_turns"),
     (hamiltonian, "_pauli_gather"),
@@ -158,6 +162,56 @@ def test_evolution_route_matches_uncached_rebuild():
         )
 
 
+def _parent_rotation(axis, theta):
+    nx, ny, nz = axis
+    direction = nx * PAULIS[1] + ny * PAULIS[2] + nz * PAULIS[3]
+    return math.cos(theta / 2.0) * PAULIS[0] - 1j * math.sin(theta / 2.0) * direction
+
+
+def _parent_conjugate_to_zx(phi, theta):
+    # Written out with np.kron and a fresh sigma . n per rotation, as
+    # before either was shortened.
+    dz_minus = _parent_rotation(Z_AXIS, -phi / 2.0)
+    dz_plus = _parent_rotation(Z_AXIS, phi / 2.0)
+    dx_plus = _parent_rotation(X_AXIS, math.pi / 2.0)
+    dx_minus = _parent_rotation(X_AXIS, -math.pi / 2.0)
+    alpha1, alpha2 = axis_angle_pair(phi)
+    coupling = np.kron(sigma_axis(alpha1), sigma_axis(alpha2))
+    evolution = (
+        math.cos(theta / 2.0) * np.eye(4, dtype=complex)
+        - 1j * math.sin(theta / 2.0) * coupling
+    )
+    left = np.kron(dx_plus @ dz_minus, dz_minus)
+    right = np.kron(dz_plus @ dx_minus, dz_plus)
+    return left @ evolution @ right
+
+
+def test_evolution_route_matches_parent_formula():
+    quarter = math.cos(math.pi / 4.0) * PAULIS[0] + 1j * math.sin(math.pi / 4.0) * PAULIS[1]
+    corrector = np.kron(CNOT_PHASE_GATE, quarter)
+    rng = np.random.default_rng(1804)
+    phis = [0.0, -0.0, math.pi, -math.pi] + rng.uniform(-10.0, 10.0, 300).tolist()
+    thetas = [0.0, -0.0, math.pi / 2.0, -math.pi / 2.0] + rng.uniform(-7.0, 7.0, 300).tolist()
+    for phi, theta in zip(phis, thetas):
+        want = _parent_conjugate_to_zx(phi, theta)
+        assert _same_bits(conjugate_to_zx(phi, theta), want)
+        assert _same_bits(cnot_via_evolution(phi, theta), corrector @ want)
+        assert _same_bits(
+            cnot_via_evolution(phi), corrector @ _parent_conjugate_to_zx(phi, math.pi / 2.0)
+        )
+
+
+def test_transform_R_to_zx_matches_parent_formula():
+    quarter = (
+        math.cos(math.pi / 4.0) * np.eye(4, dtype=complex)
+        + 1j * math.sin(math.pi / 4.0) * np.kron(PAULIS[1], PAULIS[2])
+    )
+    half = math.pi / 2.0
+    left = np.kron(_parent_rotation(Y_AXIS, -half), _parent_rotation(Z_AXIS, -half))
+    right = np.kron(_parent_rotation(Y_AXIS, half), _parent_rotation(Z_AXIS, half))
+    assert _same_bits(transform_R_to_zx(), left @ quarter @ right)
+
+
 def test_conjugation_identities_match_uncached_rebuild():
     for phi in [0.0, -0.0] + np.linspace(-7.0, 7.0, 29).tolist():
         alpha1, alpha2 = axis_angle_pair(phi)
@@ -252,6 +306,20 @@ def test_cached_constants_are_read_only():
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+def test_rotation_returns_fresh_arrays_over_a_read_only_cache():
+    first = rotation(Z_AXIS, 0.4)
+    want = _parent_rotation(Z_AXIS, 0.4)
+    assert first.flags.writeable
+    first[...] = 7.0
+    assert _same_bits(rotation(Z_AXIS, 0.4), want)
+    for axis in (X_AXIS, Y_AXIS, Z_AXIS, (-0.0, 0.0, 1.0)):
+        rotation(axis, 0.1)
+        cached = gates._sigma_dot(struct.pack("3d", *axis))
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 0
 
 
 def test_import_builds_no_cache():

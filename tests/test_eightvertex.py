@@ -254,3 +254,45 @@ def test_rho_overflow_names_x():
         rho(1e200)
     with pytest.raises(OverflowError, match=r"x=5e\+199"):
         build_R_x_normalized_stack("+", 0.0, [0.0, 5e199, 1e200])
+
+
+def test_rho_reads_numpy_floats_as_python_floats():
+    xs = [-0.3987991964982853, 0.0, -0.0, 1.0, 2.5e-8, 3.7] + np.random.default_rng(
+        1805
+    ).uniform(-3.0, 3.0, 200).tolist()
+    for x in xs:
+        want = rho(x)
+        for v in (np.float64(x), np.float32(x)):
+            got = rho(v)
+            # A float32 is rounded once, on the way in, and squared as a double.
+            assert type(got) is float and got == rho(float(v))
+        assert rho(np.float64(x)) == want
+
+
+@pytest.mark.parametrize(
+    "x, shown",
+    [(np.float64(1e200), r"1e\+200"), (np.float64(-3e160), r"-3e\+160"), (10**400, r"1000")],
+    ids=["float64", "negative-float64", "huge-int"],
+)
+def test_rho_overflow_names_numpy_and_int_x(x, shown):
+    with pytest.raises(OverflowError, match=rf"overflows at x=.*{shown}"):
+        rho(x)
+    if isinstance(x, np.floating):
+        # Before, numpy's ** gave inf with a warning and this returned zeros.
+        with pytest.raises(OverflowError, match=shown):
+            build_R_x_normalized("+", 0.0, x)
+
+
+def _nested_b(sign, q):
+    s = sign_value(sign)
+    return np.array(
+        [[1, 0, 0, q], [0, 1, s, 0], [0, -s, 1, 0], [-1.0 / q, 0, 0, 1]], dtype=complex
+    )
+
+
+def test_build_b_bytes_match_nested_rows():
+    qs = [1, -1.0, 2.0, 1j, complex(0.3, -0.0), complex(-0.0, 1.0), np.complex64(1 + 2j)]
+    qs += np.exp(-1j * np.linspace(-7.0, 7.0, 57)).tolist()
+    for sign in "+-":
+        for q in qs:
+            assert build_b(sign, q).tobytes() == _nested_b(sign, q).tobytes()

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import subprocess
 import sys
 
@@ -106,6 +107,30 @@ def test_apply_gate_rejects_non_unitary():
 def test_basis_state_range():
     with pytest.raises(ValueError):
         basis_state(4)
+
+
+@pytest.mark.parametrize(
+    "index",
+    [True, False, np.True_, 1.0, 2.5, np.float64(0.0), "1", None, -1, np.int64(4)],
+    ids=["True", "False", "np.True_", "1.0", "2.5", "np.float64", "str", "None", "-1", "np.int64-4"],
+)
+def test_basis_index_must_be_an_integer_0_to_3(index):
+    # A bool would index as a mask: state[True] = 1.0 sets every entry.
+    with pytest.raises(ValueError, match=re.escape(repr(index))):
+        basis_state(index)
+    with pytest.raises(ValueError, match="basis index"):
+        bell_from_b("+", 0.3, index)
+    with pytest.raises(ValueError, match="basis index"):
+        r_theta_action("-", 0.3, 0.2, index)
+
+
+def test_basis_index_accepts_numpy_integers():
+    for index in range(4):
+        for as_numpy in (np.int64(index), np.uint8(index), np.intp(index)):
+            assert basis_state(as_numpy).tobytes() == basis_state(index).tobytes()
+            assert bell_from_b("+", 0.3, as_numpy).tobytes() == bell_from_b("+", 0.3, index).tobytes()
+            got = r_theta_action("-", 0.3, 0.2, as_numpy)
+            assert got.tobytes() == r_theta_action("-", 0.3, 0.2, index).tobytes()
 
 
 def test_bell_from_b_examples():

@@ -1,10 +1,12 @@
 """Local gates, rotations, and the two CNOT synthesis routes."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from ybgates import gates
 from ybgates.eightvertex import build_b_phi
 from ybgates.gates import (
     _EVOLUTION_CORRECTOR,
@@ -114,6 +116,57 @@ def test_rotation_rejects_non_unit_axis():
     for axis in ((1.0, 1.0, 0.0), (nan, 0.0, 0.0), (1.0, nan, 0.0), (math.inf, 0.0, 0.0)):
         with pytest.raises(NonUnitAxisError):
             rotation(axis, 0.5)
+
+
+def _rotation_oracle(axis, theta):
+    # The uncached formula: sigma . n built afresh from the axis as given.
+    nx, ny, nz = axis
+    direction = nx * SX + ny * SY + nz * SZ
+    return math.cos(theta / 2.0) * I2 - 1j * math.sin(theta / 2.0) * direction
+
+
+def _signed_zero_variants(axis):
+    # The axis with each zero component as +0.0 and as -0.0.
+    return list(itertools.product(*[(0.0, -0.0) if v == 0 else (v,) for v in axis]))
+
+
+def test_rotation_bit_identical_to_uncached_formula():
+    rng = np.random.default_rng(1802)
+    axes = [X_AXIS, Y_AXIS, Z_AXIS, (1, 0, 0), (0, -1, 0), (0, 0, 1)]
+    for unit in np.eye(3).tolist():
+        axes += _signed_zero_variants(unit) + _signed_zero_variants([-v for v in unit])
+    for _ in range(40):
+        v = rng.standard_normal(3)
+        v /= np.linalg.norm(v)
+        axes += [tuple(v.tolist()), tuple(v)]  # Python and numpy floats
+    axes.append((np.float32(0.6), np.float32(0.8), np.float32(-0.0)))
+    thetas = [0.0, -0.0, math.pi / 2, -math.pi / 2, 1.3, -2.9, 7.5, -7.5]
+    for axis in axes:
+        for theta in thetas:
+            got, want = rotation(axis, theta), _rotation_oracle(axis, theta)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (axis, theta)
+
+
+def test_rotation_axis_cache_is_bounded_and_keyed_by_bits():
+    gates._sigma_dot.cache_clear()
+    for axis in (Z_AXIS, (0, 0, 1), (-0.0, 0.0, 1.0), Z_AXIS):
+        rotation(axis, 0.3)
+    # An int axis shares its float twin's entry; a -0.0 component does not.
+    assert gates._sigma_dot.cache_info().currsize == 2
+    rng = np.random.default_rng(1803)
+    for _ in range(500):
+        v = rng.standard_normal(3)
+        rotation(tuple(v / np.linalg.norm(v)), 0.3)
+    info = gates._sigma_dot.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize <= 16
+
+
+def test_rotation_checks_the_axis_before_the_cache():
+    gates._sigma_dot.cache_clear()
+    for axis in ((1.0, 1.0, 0.0), (math.nan, 0.0, 1.0), (0.0, 0.0, -math.inf)):
+        with pytest.raises(NonUnitAxisError):
+            rotation(axis, 0.5)
+    assert gates._sigma_dot.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("phi", [0.0, math.pi / 2, 1.3])

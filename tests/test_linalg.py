@@ -101,6 +101,30 @@ def test_kron_matches_numpy_on_any_shapes(shape_a, shape_b):
     assert np.array_equal(got, expected)
 
 
+_SPECIAL_PARTS = np.array([0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, np.nan, -np.nan, 1e-310, 1e300])
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "shape_a, shape_b",
+    [((2, 2), (2, 2)), ((4, 4), (2, 2)), ((2, 2), (4, 4)), ((2, 3), (3, 1)), ((1, 1), (2, 2)),
+     ((0, 2), (2, 2))],
+    ids=["2x2-2x2", "4x4-2x2", "2x2-4x4", "2x3-3x1", "1x1-2x2", "0x2-2x2"],
+)
+def test_kron_of_two_matrices_bit_identical_to_numpy_on_special_values(shape_a, shape_b):
+    # Real and imaginary parts drawn from signed zeros, infinities, NaNs of
+    # both signs, a subnormal and a near-overflow value.
+    rng = np.random.default_rng(1801)
+    for _ in range(200):
+        a, b = (
+            rng.choice(_SPECIAL_PARTS, s) + 1j * rng.choice(_SPECIAL_PARTS, s)
+            for s in (shape_a, shape_b)
+        )
+        got, expected = kron(a, b), np.kron(a, b)
+        assert got.shape == expected.shape and got.dtype == complex
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_kron_bilinear_and_associative():
     rng = np.random.default_rng(11)
     a, b, c = (_random_matrix(rng) for _ in range(3))
