@@ -50,13 +50,15 @@ from .hamiltonian import (
 )
 from .linalg import expm, inverse, kron, read_only, residual, residuals, unitarity_residuals
 from .paulis import DEFAULT_SEED, SIGMA_X, SIGMA_Y
-from .yangbaxter import braid_residual, braid_residuals, lift, qybe_residuals, qybe_table_residuals
+from .yangbaxter import braid_residual, braid_residuals, lift, qybe_table_residuals
 
 _SYNTHESIZE_TOL = 1e-12
 
-# QYBE points are lifted to 8x8 and multiplied this many at a time, in rows
-# or tiles: enough to spread numpy's per-call cost thin, few enough that
-# the lifted stacks stay a few hundred kilobytes at any grid size.
+# QYBE points are lifted to 8x8 and multiplied this many at a time, in
+# blocks of phis x rows x c points, c = min(len(y), 8): 8 x 8 tiles on
+# verify's square, 64 x 1 rows on sweep's x axis, and 64 phis of 1 x 1 on
+# its phi axis. Enough to spread numpy's per-call cost thin, few enough
+# that the lifted stacks stay a few hundred kilobytes at any grid size.
 _QYBE_BLOCK = 64
 
 
@@ -212,27 +214,25 @@ def _unitarity(sign: str, phi, x) -> np.ndarray:
 
 
 def _qybe(sign: str, phi, x, y) -> np.ndarray:
-    """QYBE residual of R(x) over the open grid phi x x x y, each array
-    along its own axis, in the grid's broadcast shape. Per phi, the family
-    is built and all of y lifted once; rows of _QYBE_BLOCK // c x values,
-    c = min(len(y), 8), are lifted once and run in tiles of c y values
-    through qybe_table_residuals: 8 x 8 tiles, clipped at the edges, on
-    verify's square, and 64 x 1 rows on sweep's x axis."""
-    phi, x, y = (np.asarray(a, dtype=float) for a in (phi, x, y))
-    out, xs, ys = np.empty((phi.size, x.size, y.size)), x.ravel(), y.ravel()
-    cols = min(len(ys), math.isqrt(_QYBE_BLOCK))
-    rows = _QYBE_BLOCK // cols
-    for p, table in zip(phi.ravel(), out):
-        family = R_x_family(sign, np.exp(-1j * p))
-        r_y = lift(family(ys))
-        for i in range(0, len(xs), rows):
+    """QYBE residual of R(x) over the open grid phi x x x y, in its shape."""
+    shape = np.broadcast_shapes(np.shape(phi), np.shape(x), np.shape(y))
+    phi, x, y = (np.asarray(a, dtype=float).ravel() for a in (phi, x, y))
+    out = np.empty((len(phi), len(x), len(y)))
+    cols = min(len(y), math.isqrt(_QYBE_BLOCK))
+    rows = min(len(x), _QYBE_BLOCK // cols)
+    phis = _QYBE_BLOCK // (rows * cols)
+    for p in range(0, len(phi), phis):
+        block = slice(p, p + phis)
+        family = R_x_family(sign, np.exp(-1j * phi[block])[:, None, None])
+        r_y = lift(family(y)[:, 0])
+        for i in range(0, len(x), rows):
             row = slice(i, i + rows)
-            r_x = lift(family(xs[row]))
-            for j in range(0, len(ys), cols):
+            r_x = lift(family(x[row])[:, 0])
+            for j in range(0, len(y), cols):
                 col = slice(j, j + cols)
-                r_xy = family(xs[row, None] * ys[col])
-                table[row, col] = qybe_table_residuals(r_x, r_y[col], r_xy)
-    return out.reshape(np.broadcast_shapes(phi.shape, x.shape, y.shape))
+                r_xy = family(x[row, None] * y[col])
+                out[block, row, col] = qybe_table_residuals(r_x, r_y[:, col], r_xy)
+    return out.reshape(shape)
 
 
 # What each verify runner returns: residuals in grid order, and label(k).
@@ -288,13 +288,14 @@ def _schrodinger_states() -> np.ndarray:
     return read_only(np.array([v / np.linalg.norm(v) for v in draws]))
 
 
+def _schrodinger(sign: str, phi, x, state) -> np.ndarray:
+    """State-equation residual of verify's states, by index, phi and x broadcast."""
+    return schrodinger_residuals(sign, phi, _schrodinger_states()[state.ravel()], x)[..., 0, :]
+
+
 def _verify_schrodinger(sign: str | None) -> _Labelled:
-    # Points run sign, phi, x, then state; one kernel call per sign.
-    states, signs = _schrodinger_states(), _signs(sign)
-    phis = np.array(_SCHRODINGER_PHIS)[:, None]
-    results = np.ravel([schrodinger_residuals(s, phis, states, _SCHRODINGER_XS) for s in signs])
-    axes = ("sign", signs), ("phi", _SCHRODINGER_PHIS), ("x", _SCHRODINGER_XS)
-    return results, _grid_label(*axes, ("state", range(len(states))))
+    states = ("state", range(len(_schrodinger_states())))
+    return _over_grid(_schrodinger, sign, ("phi", _SCHRODINGER_PHIS), ("x", _SCHRODINGER_XS), states)
 
 
 def _verify_exponential(sign: str | None, phi_grid: int) -> _Labelled:
@@ -445,16 +446,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 # --- sweep ------------------------------------------------------------
 
-def _qybe_sweep_phi(sign: str, phi: np.ndarray, x: float, y: float) -> np.ndarray:
-    # No factor is shared: each block of phis builds its three stacks, one
-    # braid matrix and inverse per phi, and runs the point kernel.
-    spectral, out = np.array([[x], [y], [x * y]]), np.empty(len(phi))
-    for start in range(0, len(phi), _QYBE_BLOCK):
-        block = slice(start, start + _QYBE_BLOCK)
-        out[block] = qybe_residuals(*lift(R_x_family(sign, np.exp(-1j * phi[block]))(spectral)))
-    return out
-
-
 # Each sweep's optional flags with their defaults, and its kernel, called
 # with those flags and the swept parameter by name; verify runs _braid,
 # _unitarity and _qybe over its full grids. A relation's sweep has the
@@ -466,7 +457,7 @@ _SWEEPS = {
     ("unitarity", "phi"): ({"sign": "-", "x": 0.3}, _unitarity),
     ("braid", "phi"): ({"sign": "-"}, _braid),
     ("qybe", "x"): ({"sign": "-", "phi": 0.0, "y": 0.7}, _qybe),
-    ("qybe", "phi"): ({"sign": "-", "x": 0.3, "y": 0.7}, _qybe_sweep_phi),
+    ("qybe", "phi"): ({"sign": "-", "x": 0.3, "y": 0.7}, _qybe),
 }
 
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eightvertex import build_b_phi, build_b_phi_stack, build_R_theta
-from .linalg import inverse, kron, map_floats, read_only, unitarity_residual, unitarity_residuals
+from .linalg import DimensionMismatchError, inverse, kron, map_floats, read_only
+from .linalg import unitarity_residual, unitarity_residuals
 from .paulis import DEFAULT_SEED, SQRT2
 
 DEFAULT_THRESHOLD = 1e-9
@@ -54,6 +55,8 @@ def basis_state(index: int) -> np.ndarray:
 
 def _require_unitary(gate: np.ndarray) -> np.ndarray:
     gate = np.asarray(gate, dtype=complex)
+    if gate.shape != (4, 4):
+        raise DimensionMismatchError(f"expected a 4x4 gate, got shape {gate.shape}")
     defect = unitarity_residual(gate)
     # Written so that a NaN defect (from NaN or inf entries) fails too.
     if not defect < _UNITARY_TOL:
@@ -105,6 +108,8 @@ def r_theta_concurrences(sign: str, phi: np.ndarray, theta: np.ndarray) -> np.nd
 def concurrence(psi: np.ndarray) -> float:
     """Pure-state concurrence 2 |a00 a11 - a01 a10| of a unit vector."""
     psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (4,):
+        raise DimensionMismatchError(f"expected a two-qubit state of shape (4,), got {psi.shape}")
     return 2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2])
 
 

@@ -186,21 +186,21 @@ def _eye(n: int) -> np.ndarray:
 
 
 def unitarity_residual(u: np.ndarray) -> float:
-    """Residual of u @ dagger(u) against the identity.
+    """Residual of u @ dagger(u) against the identity, for a square u.
 
     The same arithmetic as residual(u @ dagger(u), eye), with the identity
     built once per size and without converting the operands a second time.
     """
     u = np.asarray(u, dtype=complex)
-    product = u @ u.conj().T
-    eye = _eye(u.shape[0])
-    if product.shape != eye.shape:
-        raise DimensionMismatchError(f"shape mismatch: {product.shape} vs {eye.shape}")
-    return float(np.abs(product - eye).max())
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {u.shape}")
+    return float(np.abs(u @ u.conj().T - _eye(u.shape[0])).max())
 
 
 def unitarity_residuals(u: np.ndarray) -> np.ndarray:
     """unitarity_residual of each matrix in a (..., n, n) stack; shape (...)."""
     u = np.asarray(u, dtype=complex)
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
+        raise DimensionMismatchError(f"expected (..., n, n) matrices, got shape {u.shape}")
     product = u @ u.conj().swapaxes(-1, -2)
     return np.max(np.abs(product - _eye(u.shape[-1])), axis=(-2, -1))

@@ -92,16 +92,16 @@ def qybe_residuals(r_x: np.ndarray, r_y: np.ndarray, r_xy: np.ndarray) -> np.nda
 
 
 def qybe_table_residuals(r_x: np.ndarray, r_y: np.ndarray, r_xy: np.ndarray) -> np.ndarray:
-    """qybe_residuals over a table of points: x from an axis of I matrices,
-    y from an axis of J matrices.
+    """qybe_residuals over P tables of points, each with x from an axis of
+    I matrices and y from an axis of J matrices.
 
-    ``r_x`` is an (I, 4, 4) stack, ``r_y`` a (J, 4, 4) stack and ``r_xy``
-    the (I, J, 4, 4) stack at their products; any of them may be given as
-    its lift(). The result has shape (I, J), and entry (i, j) is
-    qybe_residuals at the point (x_i, y_j), bit-identical on OpenBLAS's
-    SkylakeX kernel (its Haswell kernel sums in an order set by the shape
-    of the call, and differs in the last bits): each factor is multiplied
-    once across the points that share it, with every entry's 8-term sums
+    ``r_x`` is a (P, I, 4, 4) stack, ``r_y`` a (P, J, 4, 4) stack and
+    ``r_xy`` the (P, I, J, 4, 4) stack at their products; any of them may
+    be given as its lift(). The result has shape (P, I, J), and entry
+    (p, i, j) is qybe_residuals at (x_pi, y_pj), bit-identical on OpenBLAS's
+    SkylakeX kernel, and on every kernel when I = J = 1 (Haswell's sums
+    follow the shape of the call): each factor is multiplied once across
+    the points of its table that share it, with every entry's 8-term sums
     and the association order unchanged. On the left, R1(x_i) times
     R2(x_i y_j) for all j is one 8 x 8J product, and that times R1(y_j)
     for all i one 8I x 8 product; on the right, R2(y_j) times R1(x_i y_j)
@@ -110,20 +110,21 @@ def qybe_table_residuals(r_x: np.ndarray, r_y: np.ndarray, r_xy: np.ndarray) -> 
     """
     stacks = [np.asarray(r, dtype=complex) for r in (r_x, r_y, r_xy)]
     lifted = [r if r.shape[-3:] == (2, 8, 8) else lift(r) for r in stacks]
-    i, j = len(lifted[0]), len(lifted[1])
-    if lifted[0].ndim != 4 or lifted[1].ndim != 4 or lifted[2].shape != (i, j, 2, 8, 8):
+    shapes = [r.shape[:-3] for r in lifted]
+    if len(shapes[2]) != 3 or shapes[:2] != [shapes[2][:2], shapes[2][::2]]:
         raise DimensionMismatchError(
-            "expected (I, 4, 4), (J, 4, 4) and (I, J, 4, 4) stacks or their lifts, got "
-            + ", ".join(str(r.shape) for r in stacks)
+            "expected (P, I, 4, 4), (P, J, 4, 4) and (P, I, J, 4, 4) stacks or their lifts,"
+            " got " + ", ".join(str(r.shape) for r in stacks)
         )
+    p, i, j = shapes[2]
     (r1_x, r2_x), (r1_y, r2_y), (r1_xy, r2_xy) = (
         (r[..., 0, :, :], r[..., 1, :, :]) for r in lifted
     )
-    left = r1_x @ r2_xy.transpose(0, 2, 1, 3).reshape(i, 8, 8 * j)
-    left = left.reshape(i, 8, j, 8).transpose(2, 0, 1, 3).reshape(j, 8 * i, 8) @ r1_y
-    right = r2_y @ r1_xy.transpose(1, 2, 0, 3).reshape(j, 8, 8 * i)
-    right = right.reshape(j, 8, i, 8).transpose(2, 0, 1, 3).reshape(i, 8 * j, 8) @ r2_x
-    return residuals(left.reshape(j, i, 8, 8).swapaxes(0, 1), right.reshape(i, j, 8, 8))
+    left = r1_x @ r2_xy.transpose(0, 1, 3, 2, 4).reshape(p, i, 8, 8 * j)
+    left = left.reshape(p, i, 8, j, 8).transpose(0, 3, 1, 2, 4).reshape(p, j, 8 * i, 8) @ r1_y
+    right = r2_y @ r1_xy.transpose(0, 2, 3, 1, 4).reshape(p, j, 8, 8 * i)
+    right = right.reshape(p, j, 8, i, 8).transpose(0, 3, 1, 2, 4).reshape(p, i, 8 * j, 8) @ r2_x
+    return residuals(left.reshape(p, j, i, 8, 8).swapaxes(1, 2), right.reshape(p, i, j, 8, 8))
 
 
 def qybe_residual(family: Callable[[float], np.ndarray], x: float, y: float) -> float:

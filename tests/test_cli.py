@@ -579,10 +579,10 @@ def test_verify_nonfinite_matrix_file_fails(tmp_path, capsys):
 
 def _patch_qybe(monkeypatch, results):
     """Make the CLI's QYBE kernel return the 64 ``results``, x-major, for
-    the one 8 x 8 tile of a --grid 8 square."""
+    the one 8 x 8 tile of a --grid 8 square, on its one phi."""
     def fake(r_x, r_y, r_xy):
-        assert (len(r_x), len(r_y)) == (8, 8) and len(results) == 64
-        return np.array(results, dtype=float).reshape(8, 8)
+        assert (r_x.shape[:2], r_y.shape[:2]) == ((1, 8), (1, 8)) and len(results) == 64
+        return np.array(results, dtype=float).reshape(1, 8, 8)
 
     monkeypatch.setattr(ybgates.cli, "qybe_table_residuals", fake)
 
@@ -1150,23 +1150,36 @@ def test_sweep_qybe_4096_step_stdout_golden(param, fmt, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_QYBE_SHA256[param, fmt]
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["verify", "qybe", "--grid", "12", "--phi-grid", "2"],
-        ["sweep", "qybe", "--param", "x", "--from", "-3", "--to", "3", "--steps", "200"],
-        ["sweep", "qybe", "--param", "phi", "--from", "0", "--to", "6", "--steps", "200"],
-    ],
-)
-def test_qybe_commands_never_call_kron(args, monkeypatch, capsys):
-    def refuse(*_args):
-        raise AssertionError("kron called on the QYBE path")
+_QYBE_COMMANDS = [
+    ["verify", "qybe", "--grid", "12", "--phi-grid", "2"],
+    ["sweep", "qybe", "--param", "x", "--from", "-3", "--to", "3", "--steps", "200"],
+    ["sweep", "qybe", "--param", "phi", "--from", "0", "--to", "6", "--steps", "200"],
+]
 
-    real = ybgates.linalg.kron
+
+def _refuse_everywhere(monkeypatch, name, real):
+    """Make every loaded module's ``name`` that is ``real`` fail when called."""
+    def refuse(*_args):
+        raise AssertionError(f"{name} called on the QYBE path")
+
     for module in list(sys.modules.values()):
-        if getattr(module, "kron", None) is real:
-            monkeypatch.setattr(module, "kron", refuse)
-    monkeypatch.setattr(np, "kron", refuse)
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("args", _QYBE_COMMANDS)
+def test_qybe_commands_never_call_kron(args, monkeypatch, capsys):
+    _refuse_everywhere(monkeypatch, "kron", ybgates.linalg.kron)
+    _refuse_everywhere(monkeypatch, "kron", np.kron)
+    code, out, err = run_cli(args, capsys)
+    assert code == 0, err
+    assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("args", _QYBE_COMMANDS, ids=["verify", "sweep-x", "sweep-phi"])
+def test_qybe_commands_never_call_point_kernel(args, monkeypatch, capsys):
+    # verify qybe and both sweep parameters run one tiled table kernel.
+    _refuse_everywhere(monkeypatch, "qybe_residuals", ybgates.yangbaxter.qybe_residuals)
     code, out, err = run_cli(args, capsys)
     assert code == 0, err
     assert json.loads(out)["pass"] is True

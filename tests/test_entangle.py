@@ -31,7 +31,12 @@ from ybgates.entangle import (
     r_theta_concurrences,
 )
 from ybgates.gates import cnot
-from ybgates.linalg import kron
+from ybgates.linalg import (
+    DimensionMismatchError,
+    kron,
+    unitarity_residual,
+    unitarity_residuals,
+)
 
 I4 = np.eye(4, dtype=complex)
 SWAP = np.array(
@@ -215,6 +220,39 @@ def test_is_entangling_identity_point_of_family():
 def test_is_entangling_rejects_non_unitary():
     with pytest.raises(NonUnitaryGateError):
         is_entangling(1.5 * I4)
+
+
+@pytest.mark.parametrize(
+    "check, arg",
+    [
+        (unitarity_residual, np.eye(2, 4)),
+        (unitarity_residual, np.stack([I4, I4])),
+        (unitarity_residual, np.ones(4)),
+        (unitarity_residuals, np.ones((1, 2, 4))),
+        (unitarity_residuals, np.ones(4)),
+        (lambda gate: apply_gate(gate, basis_state(0)), np.eye(2, 4)),
+        (is_entangling, np.eye(2, 4)),
+        (is_entangling, np.eye(8)),
+        (concurrence, np.array([1, 0, 0, 0, 1.0])),
+        (concurrence, np.ones((4, 1))),
+    ],
+    ids=[
+        "unitarity_residual-2x4",
+        "unitarity_residual-stack",
+        "unitarity_residual-vector",
+        "unitarity_residuals-1x2x4",
+        "unitarity_residuals-vector",
+        "apply_gate-2x4",
+        "is_entangling-2x4",
+        "is_entangling-8x8",
+        "concurrence-5",
+        "concurrence-4x1",
+    ],
+)
+def test_misshapen_gates_and_states_are_refused(check, arg):
+    # Each once gave a number, or numpy's broadcast or unpacking message.
+    with pytest.raises(DimensionMismatchError):
+        check(arg)
 
 
 def test_is_entangling_theta_family_boundary():

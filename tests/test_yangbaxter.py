@@ -331,52 +331,74 @@ def test_residuals_nonfinite_exactly_where_kron_oracle_is(stacks):
 
 
 @st.composite
-def _tables(draw):
-    """An x axis of I matrices, a y axis of J, and the (I, J) stack at
-    their products, of seeded random parts, a third of them zero, with up
-    to 6 parts drawn from infinities, NaN and +-1e300."""
-    i, j = draw(st.integers(1, 70)), draw(st.integers(1, 12))
+def _tables(draw, tables=(1, 4), rows=(1, 70), cols=(1, 12)):
+    """P tables, each an x axis of I matrices, a y axis of J, and the
+    (I, J) stack at their products, as (P, I), (P, J) and (P, I, J) stacks
+    of seeded random parts, a third of them zero, with up to 6 parts drawn
+    from infinities, NaN and +-1e300. P, I and J are drawn from the
+    inclusive ranges ``tables``, ``rows`` and ``cols``."""
+    p, i, j = (draw(st.integers(*bounds)) for bounds in (tables, rows, cols))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    tables = []
-    for shape in ((i,), (j,), (i, j)):
+    stacks = []
+    for shape in ((p, i), (p, j), (p, i, j)):
         parts = rng.standard_normal(shape + (4, 4, 2)) * 10.0 ** rng.integers(-6, 7)
         parts[rng.random(parts.shape) < 1 / 3] = 0.0
-        tables.append(parts)
+        stacks.append(parts)
     specials = st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -1e300])
     for _ in range(draw(st.integers(0, 6))):
-        parts = tables[draw(st.integers(0, 2))]
+        parts = stacks[draw(st.integers(0, 2))]
         parts[tuple(draw(st.integers(0, d - 1)) for d in parts.shape)] = draw(specials)
-    return [parts.view(np.complex128)[..., 0] for parts in tables]
+    return [parts.view(np.complex128)[..., 0] for parts in stacks]
+
+
+def _assert_tables_match_point_kernel(tables):
+    r_x, r_y, r_xy = tables
+    p, i, j = r_xy.shape[:3]
+    with np.errstate(all="ignore"):
+        got = qybe_table_residuals(r_x, r_y, r_xy)
+        from_lifts = qybe_table_residuals(lift(r_x), r_y, lift(r_xy))
+        points = qybe_residuals(
+            np.repeat(r_x, j, axis=1).reshape(-1, 4, 4),
+            np.tile(r_y, (1, i, 1, 1)).reshape(-1, 4, 4),
+            r_xy.reshape(-1, 4, 4),
+        )
+    expected = points.reshape(p, i, j)
+    finite = np.isfinite(expected)
+    for result in (got, from_lifts):
+        assert result.shape == (p, i, j)
+        assert np.array_equal(np.isfinite(result), finite)
+        assert result[finite].tobytes() == expected[finite].tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
 @given(tables=_tables())
 def test_qybe_table_residuals_bit_identical_to_point_kernel(tables):
-    r_x, r_y, r_xy = tables
-    i, j = len(r_x), len(r_y)
-    with np.errstate(all="ignore"):
-        got = qybe_table_residuals(r_x, r_y, r_xy)
-        from_lifts = qybe_table_residuals(lift(r_x), r_y, lift(r_xy))
-        points = qybe_residuals(
-            np.repeat(r_x, j, axis=0), np.tile(r_y, (i, 1, 1)), r_xy.reshape(-1, 4, 4)
-        )
-    expected = points.reshape(i, j)
-    finite = np.isfinite(expected)
-    for result in (got, from_lifts):
-        assert result.shape == (i, j)
-        assert np.array_equal(np.isfinite(result), finite)
-        assert result[finite].tobytes() == expected[finite].tobytes()
+    _assert_tables_match_point_kernel(tables)
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+@given(tables=_tables(tables=(1, 130), rows=(1, 1), cols=(1, 1)))
+def test_qybe_table_residuals_single_point_tables_bit_identical_to_point_kernel(tables):
+    # Every product of a 1 x 1 table is 8 x 8, as in the point kernel, so
+    # this holds on every BLAS kernel, not only where the sums of larger
+    # products keep their order.
+    _assert_tables_match_point_kernel(tables)
 
 
 def test_qybe_table_residuals_shape_checks():
-    x, y = np.stack([I4] * 3), np.stack([I4, I4])
-    assert qybe_table_residuals(x, y, np.stack([y] * 3)).shape == (3, 2)
-    with pytest.raises(DimensionMismatchError):
-        qybe_table_residuals(x, y, np.stack([x] * 2))
-    with pytest.raises(DimensionMismatchError):
-        qybe_table_residuals(I4, y, y)
-    with pytest.raises(DimensionMismatchError):
-        qybe_table_residuals(x, y, x)
+    x, y = np.stack([I4] * 3)[None], np.stack([I4, I4])[None]
+    assert qybe_table_residuals(x, y, np.stack([y[0]] * 3)[None]).shape == (1, 3, 2)
+    refused = [
+        (x, y, np.stack([x[0]] * 2)[None]),  # r_xy is (J, I), not (I, J)
+        (I4, y, y),
+        (x, y, x),
+        (x[0], y[0], np.stack([y[0]] * 3)),  # no P axis
+        (np.concatenate([x, x]), y, np.stack([y[0]] * 3)[None]),  # P of 2, 1 and 1
+        (x, y, np.stack([np.stack([y[0]] * 3)] * 2)),  # P of 1, 1 and 2
+    ]
+    for args in refused:
+        with pytest.raises(DimensionMismatchError):
+            qybe_table_residuals(*args)
 
 
 def test_qybe_residuals_refuses_unequal_lifts():
