@@ -67,7 +67,10 @@ def _require_unitary(gate: np.ndarray) -> np.ndarray:
 def apply_gate(gate: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Apply a unitary 4x4 gate to a two-qubit state vector."""
     gate = _require_unitary(gate)
-    return gate @ np.asarray(psi, dtype=complex)
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (4,):
+        raise DimensionMismatchError(f"expected a two-qubit state of shape (4,), got {psi.shape}")
+    return gate @ psi
 
 
 def bell_from_b(sign: str, phi: float, basis_index: int) -> np.ndarray:

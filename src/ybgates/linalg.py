@@ -107,13 +107,12 @@ def expm(a: np.ndarray) -> np.ndarray:
     Accepts one matrix or a stack of shape (..., n, n); any other shape is
     a DimensionMismatchError. Each matrix gets its own squaring count and
     is divided by its own power of two. One series then runs over the
-    distinct scaled matrices, told apart by their bytes, and each distinct
-    matrix gets one squaring chain: a member with count c takes the chain's
-    value after c squarings. So every matrix goes through the same products
-    as it would alone, and gets the same bits. Raises NonConvergenceError
-    if any matrix's series fails its convergence check; the message names
-    the first failing matrix in stack order by its index over the leading
-    axes.
+    distinct scaled matrices, told apart by their bytes, and each matrix
+    takes its series' sum and squares it its own count of times. So every
+    matrix goes through the same products as it would alone, and gets the
+    same bits. Raises NonConvergenceError if any matrix's series fails its
+    convergence check; the message names the first failing matrix in stack
+    order by its index over the leading axes.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -148,15 +147,10 @@ def expm(a: np.ndarray) -> np.ndarray:
             f"series tail {tails[member[failed[0]]]:.3e} after {_SERIES_ORDER} terms"
             f" at index {index}"
         )
-    chains = np.zeros(len(distinct), dtype=int)
-    np.maximum.at(chains, member, counts)
-    out = np.empty_like(flat)
-    for r in range(int(chains.max()) + 1):
-        if r:
-            live = chains >= r
-            total[live] = total[live] @ total[live]
-        done = counts == r
-        out[done] = total[member[done]]
+    out = total[member]
+    for r in range(1, int(counts.max()) + 1):
+        live = counts >= r
+        out[live] = out[live] @ out[live]
     return out.reshape(a.shape)
 
 

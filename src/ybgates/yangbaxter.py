@@ -5,7 +5,9 @@ A 4x4 matrix acting on two adjacent qubits lifts to three qubits as either
 m (x) I or I (x) m; a stack of N such matrices lifts to N 8x8 matrices
 the same way. Both relations checked here are identities between
 products of such 8x8 lifts, and both checks return the max-entry residual
-of the two sides so the caller picks the tolerance.
+of the two sides so the caller picks the tolerance. qybe_table_residuals
+makes every product: the braid relation is the spectral one with b = R(0)
+in all three slots, and the other checks call it on one-point tables.
 """
 
 from __future__ import annotations
@@ -49,12 +51,13 @@ def lift(m: np.ndarray) -> np.ndarray:
 
 def braid_residuals(b: np.ndarray) -> np.ndarray:
     """Residuals of (b x I)(I x b)(b x I) = (I x b)(b x I)(I x b), one per
-    matrix of an (N, 4, 4) stack; the result has shape (N,)."""
+    matrix of an (N, 4, 4) stack, as qybe_table_residuals on N one-point
+    tables with b, lifted once, in all three slots; shape (N,)."""
     b = np.asarray(b, dtype=complex)
     if b.ndim != 3:
         raise DimensionMismatchError(f"expected an (N, 4, 4) stack, got {b.shape}")
-    left, right = np.moveaxis(lift(b), -3, 0)
-    return residuals(left @ right @ left, right @ left @ right)
+    lifted = lift(b)[:, None]
+    return qybe_table_residuals(lifted, lifted, lifted[:, None])[:, 0, 0]
 
 
 def braid_residual(b: np.ndarray) -> float:
@@ -78,35 +81,31 @@ def qybe_residuals(r_x: np.ndarray, r_y: np.ndarray, r_xy: np.ndarray) -> np.nda
     right-hand factor carries the argument y (the multiplicative
     convention): with x there instead, the derived families miss by
     residuals of order one, so the convention is fixed by computation and
-    pinned in the test suite.
+    pinned in the test suite. It is qybe_table_residuals on one-point tables.
     """
-    stacks = [np.asarray(r, dtype=complex) for r in (r_x, r_y, r_xy)]
-    lifted = [r if r.shape[-3:] == (2, 8, 8) else lift(r) for r in stacks]
-    if lifted[0].ndim != 4 or any(r.shape != lifted[0].shape for r in lifted):
-        raise DimensionMismatchError(
-            "expected three equal (N, 4, 4) stacks or their lifts, got "
-            + ", ".join(str(r.shape) for r in stacks)
-        )
-    (r1_x, r2_x), (r1_y, r2_y), (r1_xy, r2_xy) = (np.moveaxis(r, 1, 0) for r in lifted)
-    return residuals(r1_x @ r2_xy @ r1_y, r2_y @ r1_xy @ r2_x)
+    r_x, r_y, r_xy = (np.asarray(r, dtype=complex) for r in (r_x, r_y, r_xy))
+    if min(r_x.ndim, r_y.ndim, r_xy.ndim) < 3:
+        shapes = ", ".join(str(r.shape) for r in (r_x, r_y, r_xy))
+        raise DimensionMismatchError(f"expected (N, 4, 4) stacks or their lifts, got {shapes}")
+    return qybe_table_residuals(r_x[:, None], r_y[:, None], r_xy[:, None, None])[:, 0, 0]
 
 
 def qybe_table_residuals(r_x: np.ndarray, r_y: np.ndarray, r_xy: np.ndarray) -> np.ndarray:
-    """qybe_residuals over P tables of points, each with x from an axis of
-    I matrices and y from an axis of J matrices.
+    """Residuals of R1(x) R2(xy) R1(y) = R2(y) R1(xy) R2(x) over P tables of
+    points, each with x from an axis of I matrices and y from one of J.
 
     ``r_x`` is a (P, I, 4, 4) stack, ``r_y`` a (P, J, 4, 4) stack and
     ``r_xy`` the (P, I, J, 4, 4) stack at their products; any of them may
     be given as its lift(). The result has shape (P, I, J), and entry
-    (p, i, j) is qybe_residuals at (x_pi, y_pj), bit-identical on OpenBLAS's
-    SkylakeX kernel, and on every kernel when I = J = 1 (Haswell's sums
-    follow the shape of the call): each factor is multiplied once across
-    the points of its table that share it, with every entry's 8-term sums
-    and the association order unchanged. On the left, R1(x_i) times
-    R2(x_i y_j) for all j is one 8 x 8J product, and that times R1(y_j)
-    for all i one 8I x 8 product; on the right, R2(y_j) times R1(x_i y_j)
-    for all i is one 8 x 8I product, and that times R2(x_i) for all j one
-    8J x 8 product.
+    (p, i, j) is the residual at (x_pi, y_pj), bit-identical to its one-point
+    table (qybe_residuals) on OpenBLAS's SkylakeX kernel, and on every kernel
+    when I = J = 1 (Haswell's sums follow the shape of the call): each
+    factor is multiplied once across the points of its table that share
+    it, with every entry's 8-term sums and the association order
+    unchanged. On the left, R1(x_i) times R2(x_i y_j) for all j is one
+    8 x 8J product, and that times R1(y_j) for all i one 8I x 8 product;
+    on the right, R2(y_j) times R1(x_i y_j) for all i is one 8 x 8I
+    product, and that times R2(x_i) for all j one 8J x 8 product.
     """
     stacks = [np.asarray(r, dtype=complex) for r in (r_x, r_y, r_xy)]
     lifted = [r if r.shape[-3:] == (2, 8, 8) else lift(r) for r in stacks]

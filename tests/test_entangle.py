@@ -109,6 +109,18 @@ def test_apply_gate_rejects_non_unitary():
         apply_gate(2.0 * I4, basis_state(0))
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [(4, 4), (4, 2), (3,), (5,), (), (1, 4)],
+    ids=["4x4", "4x2", "3-vector", "5-vector", "scalar", "1x4"],
+)
+def test_apply_gate_refuses_non_state_shapes(shape):
+    # Only a (4,) vector is a two-qubit state: a matrix is not applied as
+    # if it were one, and other sizes do not reach numpy's own message.
+    with pytest.raises(DimensionMismatchError, match=re.escape(str(shape))):
+        apply_gate(I4, np.ones(shape))
+
+
 def test_basis_state_range():
     with pytest.raises(ValueError):
         basis_state(4)

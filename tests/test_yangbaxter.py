@@ -73,6 +73,15 @@ def test_braid_residual_matches_oracle():
 def test_braid_residual_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
         braid_residual(I2)
+    # A scalar, and an 8x8 matrix or stack, which is not its lift either.
+    for check, arg in [
+        (braid_residual, 1.0),
+        (braid_residuals, np.complex128(1.0)),
+        (braid_residual, np.eye(8)),
+        (braid_residuals, np.stack([np.eye(8)] * 2)),
+    ]:
+        with pytest.raises(DimensionMismatchError):
+            check(arg)
 
 
 def test_qybe_residual_on_derived_family():
@@ -214,6 +223,15 @@ def test_qybe_residuals_shape_checks():
     small = np.stack([I2, I2])
     with pytest.raises(DimensionMismatchError):
         qybe_residuals(small, small, small)
+    # A scalar or a vector in any slot, and unequal N in any slot, lifted
+    # or not.
+    odd_args = (np.complex128(1.0), np.ones(16), stack[:1], lift(stack[:1]), lift(stack[[0] * 3]))
+    for odd in odd_args:
+        for slot in range(3):
+            args = [stack, stack, stack]
+            args[slot] = odd
+            with pytest.raises(DimensionMismatchError):
+                qybe_residuals(*args)
 
 
 @given(
@@ -407,6 +425,30 @@ def test_qybe_residuals_refuses_unequal_lifts():
         qybe_residuals(lift(stack), stack, lift(stack[:1]))
     with pytest.raises(DimensionMismatchError):
         qybe_residuals(lift(I4), lift(I4), lift(I4))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: braid_residuals(np.stack([I4, 2.0 * I4])),
+        lambda: braid_residual(build_b_phi("-", 0.0)),
+        lambda: qybe_residuals(*[np.stack([I4, 2.0 * I4])] * 3),
+        lambda: qybe_residual(lambda t: build_R_x("+", 1.0, t), 0.3, 0.7),
+    ],
+    ids=["braid_residuals", "braid_residual", "qybe_residuals", "qybe_residual"],
+)
+def test_relation_views_are_one_call_of_the_table_kernel(monkeypatch, call):
+    # Every Yang-Baxter product is made by qybe_table_residuals; the other
+    # kernels are one call of it on one-point tables.
+    calls = []
+    real = ybgates.yangbaxter.qybe_table_residuals
+    monkeypatch.setattr(
+        ybgates.yangbaxter,
+        "qybe_table_residuals",
+        lambda *args: calls.append(args[2].shape[1:3]) or real(*args),
+    )
+    call()
+    assert calls == [(1, 1)]
 
 
 def test_R_x_family_inverts_once_and_matches_build_R_x(monkeypatch):
