@@ -3,6 +3,7 @@ and everything needed to verify them to machine precision."""
 
 from .eightvertex import (
     EIGENVALUES,
+    PHI_EIGENVALUES,
     EightVertexWeights,
     ZeroDeformationError,
     build_b,
@@ -68,6 +69,7 @@ from .linalg import (
 from .yangbaxter import (
     braid_residual,
     braid_residuals,
+    inverse_from_eigenvalues,
     qybe_residual,
     qybe_residuals,
     verify_two_eigenvalues,

@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .eightvertex import (
+    PHI_EIGENVALUES,
     build_b,
     build_b_phi,
     build_b_phi_stack,
@@ -48,17 +49,17 @@ from .hamiltonian import (
     interaction_operator,
     schrodinger_residuals,
 )
-from .linalg import expm, inverse, kron, read_only, residual, residuals, unitarity_residuals
+from .linalg import expm, kron, read_only, residual, residuals, unitarity_residuals
 from .paulis import DEFAULT_SEED, SIGMA_X, SIGMA_Y
-from .yangbaxter import braid_residual, braid_residuals, lift, qybe_table_residuals
+from .yangbaxter import braid_residual, braid_residuals, inverse_from_eigenvalues
+from .yangbaxter import qybe_table_residuals
 
 _SYNTHESIZE_TOL = 1e-12
 
-# QYBE points are lifted to 8x8 and multiplied this many at a time, in
-# blocks of phis x rows x c points, c = min(len(y), 8): 8 x 8 tiles on
-# verify's square, 64 x 1 rows on sweep's x axis, and 64 phis of 1 x 1 on
-# its phi axis. Enough to spread numpy's per-call cost thin, few enough
-# that the lifted stacks stay a few hundred kilobytes at any grid size.
+# QYBE points go through the path kernel in blocks of about this many: rows
+# of x values against the whole y axis, and as many phis as fit. Enough to
+# spread numpy's per-call cost thin; a block's matrices stay far smaller
+# than the result array of its grid.
 _QYBE_BLOCK = 64
 
 
@@ -218,20 +219,16 @@ def _qybe(sign: str, phi, x, y) -> np.ndarray:
     shape = np.broadcast_shapes(np.shape(phi), np.shape(x), np.shape(y))
     phi, x, y = (np.asarray(a, dtype=float).ravel() for a in (phi, x, y))
     out = np.empty((len(phi), len(x), len(y)))
-    cols = min(len(y), math.isqrt(_QYBE_BLOCK))
-    rows = min(len(x), _QYBE_BLOCK // cols)
-    phis = _QYBE_BLOCK // (rows * cols)
+    rows = max(1, min(len(x), _QYBE_BLOCK // len(y)))
+    phis = max(1, _QYBE_BLOCK // (rows * len(y)))
     for p in range(0, len(phi), phis):
         block = slice(p, p + phis)
         family = R_x_family(sign, np.exp(-1j * phi[block])[:, None, None])
-        r_y = lift(family(y)[:, 0])
+        r_y = family(y)[:, 0]
         for i in range(0, len(x), rows):
             row = slice(i, i + rows)
-            r_x = lift(family(x[row])[:, 0])
-            for j in range(0, len(y), cols):
-                col = slice(j, j + cols)
-                r_xy = family(x[row, None] * y[col])
-                out[block, row, col] = qybe_table_residuals(r_x, r_y[:, col], r_xy)
+            r_xy = family(x[row, None] * y)
+            out[block, row] = qybe_table_residuals(family(x[row])[:, 0], r_y, r_xy)
     return out.reshape(shape)
 
 
@@ -320,7 +317,8 @@ def _verify_exponential(sign: str | None, phi_grid: int) -> _Labelled:
     for s in signs:
         b = build_b_phi_stack(s, phis)[:, None]
         from_h = cos_u * eye + sin_u * (-0.5j * (b @ b))  # H as hamiltonian_const builds it
-        closed.append(residuals(from_h, cos_t * b + sin_t * inverse(b)))
+        b_inv = inverse_from_eigenvalues(b, PHI_EIGENVALUES)
+        closed.append(residuals(from_h, cos_t * b + sin_t * b_inv))
         op = np.stack([interaction_operator(s, phi) for phi in phis])[:, None]
         evolutions.append(cos_half * eye - sin_half * op)
         generators.append(exponents * op)

@@ -19,19 +19,25 @@ cos(theta) * b(phi) + sin(theta) * b(phi)^(-1).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .linalg import inverse, map_floats
+from .linalg import map_floats
 from .paulis import SQRT2
-from .yangbaxter import yang_baxterize
+from .yangbaxter import _baxterization, inverse_from_eigenvalues, yang_baxterize
 
 # The two eigenvalues shared by every member of the family; their product
 # is the Baxterization coefficient 2.
 EIGENVALUES = (1.0 - 1.0j, 1.0 + 1.0j)
+
+# The eigenvalues (1 -+ i) / sqrt(2) of the unitary b(phi) = b / sqrt(2),
+# written as exp(-+ i pi/4): in floats their sum is SQRT2 and their product
+# 1.0 exactly, so inverse_from_eigenvalues gives sqrt(2) I - b(phi).
+PHI_EIGENVALUES = (cmath.exp(-0.25j * math.pi), cmath.exp(0.25j * math.pi))
 
 
 class ZeroDeformationError(ValueError):
@@ -132,17 +138,19 @@ def build_b_phi_stack(sign: str, phi: np.ndarray) -> np.ndarray:
 
 
 def build_R_x(sign: str, q: complex, x: float) -> np.ndarray:
-    """Baxterized family b + 2x * b^(-1); entries follow 1+x and q(1-x)."""
+    """Baxterized family b + 2x * b^(-1) = (1 - x) b + 2x I, through
+    yang_baxterize; entries follow 1+x and q(1-x)."""
     return yang_baxterize(build_b(sign, q), EIGENVALUES)(x)
 
 
 def R_x_family(sign: str, q: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The map x -> build_R_x(sign, q, x) over arrays: q and x broadcast to a
     shape S, the result S + (4, 4), each matrix bit-identical to build_R_x at
-    the same numpy complex q and float x. One braid matrix and one inverse
-    are built per entry of q, once, however often the map is called."""
-    baxterized = yang_baxterize(build_b_stack(sign, q), EIGENVALUES)
-    return lambda x: baxterized(np.asarray(x, dtype=float)[..., None, None])
+    the same numpy complex q and float x. One braid matrix is built per
+    entry of q, once, however often the map is called. Every b_s(q) has the
+    eigenvalues 1 -+ i, so the premise that yang_baxterize checks holds by
+    construction and is not checked here."""
+    return _baxterization(build_b_stack(sign, q), EIGENVALUES)
 
 
 def rho(x: float) -> float:
@@ -181,7 +189,8 @@ def build_R_x_normalized_stack(sign: str, phi: np.ndarray, x: np.ndarray) -> np.
 def build_R_theta(sign: str, phi: float, theta: float) -> np.ndarray:
     """Angle form cos(theta) b(phi) + sin(theta) b(phi)^(-1); unitary."""
     b = build_b_phi(sign, phi)
-    return math.cos(theta) * b + math.sin(theta) * inverse(b)
+    b_inv = inverse_from_eigenvalues(b, PHI_EIGENVALUES)
+    return math.cos(theta) * b + math.sin(theta) * b_inv
 
 
 def theta_from_x(x: float) -> float:

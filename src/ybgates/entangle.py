@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eightvertex import build_b_phi, build_b_phi_stack, build_R_theta
-from .linalg import DimensionMismatchError, inverse, kron, map_floats, read_only
+from .eightvertex import PHI_EIGENVALUES, build_b_phi, build_b_phi_stack, build_R_theta
+from .linalg import DimensionMismatchError, kron, map_floats, read_only
 from .linalg import unitarity_residual, unitarity_residuals
 from .paulis import DEFAULT_SEED, SQRT2
+from .yangbaxter import inverse_from_eigenvalues
 
 DEFAULT_THRESHOLD = 1e-9
 _UNITARY_TOL = 1e-10
@@ -100,7 +101,8 @@ def r_theta_concurrences(sign: str, phi: np.ndarray, theta: np.ndarray) -> np.nd
     |00>. Raises NonUnitaryGateError for the first non-unitary gate."""
     cos, sin = (map_floats(f, theta)[..., None, None] for f in (math.cos, math.sin))
     b = build_b_phi_stack(sign, phi)
-    gates = (cos * b + sin * inverse(b)).reshape(-1, 4, 4)
+    b_inv = inverse_from_eigenvalues(b, PHI_EIGENVALUES)
+    gates = (cos * b + sin * b_inv).reshape(-1, 4, 4)
     defects = unitarity_residuals(gates)
     failed = np.flatnonzero(~(defects < _UNITARY_TOL))
     if len(failed):

@@ -2,21 +2,39 @@
 generalization, plus the two-eigenvalue Baxterization connecting them.
 
 A 4x4 matrix acting on two adjacent qubits lifts to three qubits as either
-m (x) I or I (x) m; a stack of N such matrices lifts to N 8x8 matrices
-the same way. Both relations checked here are identities between
-products of such 8x8 lifts, and both checks return the max-entry residual
-of the two sides so the caller picks the tolerance. qybe_table_residuals
-makes every product: the braid relation is the spectral one with b = R(0)
-in all three slots, and the other checks call it on one-point tables.
+m (x) I or I (x) m. Both relations checked here are identities between
+products of three such 8x8 lifts, and both checks return the max-entry
+residual of the two sides so the caller picks the tolerance.
+qybe_table_residuals makes every product: the braid relation is the
+spectral one with b = R(0) in all three slots, and the other checks call
+it on one-point tables.
+
+It builds no lift and calls no BLAS. Entry (i, j) of a product A B C of
+lifts is the sum over the paths (k, l) of A[i, k] B[k, l] C[l, j], and a
+lift has at most four non-zero entries in a row. So the paths whose three
+factors are all structurally non-zero are fixed, and are tabled once, on
+first use, as indices into the 16 entries of m. Every matrix of the
+eight-vertex family has the zero pattern of b, whose lifts preserve
+three-qubit parity: each side then has 32 non-zero entries, each a sum
+of 2 paths. Points with a non-zero entry (NaN and infinity included)
+outside that pattern take the dense tables, 8 paths on each of the 64
+entries; those add only paths through structural zeros, so finite
+eight-vertex input gives the same bits on either. Each path is the
+product of its three factors, left to right, and each entry adds its
+paths one at a time in (k, l) order, so an entry's bits depend on
+neither the size of the table nor the BLAS kernel. numpy's complex
+multiply is the one step whose bits could depend on the CPU; they were
+the same under numpy's X86_V3 (AVX2 and FMA) and AVX-512 targets.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, inverse, residuals
+from .linalg import DimensionMismatchError, read_only
 
 # Entry (k, r, c) is the index, in a 4x4 matrix m flattened row-major, of
 # entry (r, c) of its k-th lift: m (x) I holds m[r // 2, c // 2] where r
@@ -31,6 +49,23 @@ _LIFT_INDEX = np.array(
         [[4 * (r % 4) + c % 4 if r // 4 == c // 4 else 16 for c in range(8)] for r in range(8)],
     ]
 )
+
+# Flat indices of the entries that are zero in every eight-vertex matrix
+# (b has non-zeros on its diagonal and anti-diagonal only), and their rows
+# among a point's 48 entries: those of x, y and xy, 16 each.
+_OFF_PATTERN = [1, 2, 4, 7, 8, 11, 13, 14]
+_OFF_ROWS = np.array([row + offset for offset in (0, 16, 32) for row in _OFF_PATTERN])
+
+# Points whose paths qybe_table_residuals multiplies at a time: enough to
+# spread numpy's per-call cost thin, few enough that the gathered factors
+# stay a few hundred kilobytes (eight times that on the dense tables).
+_CHUNK = 64
+
+# Rounding level of an identity between products of a few small matrices,
+# relative to the products of their absolute values: 2 gamma_16, with
+# gamma_n = n u / (1 - n u) and u = 2^-53 (Higham, "Accuracy and Stability
+# of Numerical Algorithms", 2nd ed., 2002, sections 3.1 and 3.5).
+_ROUNDING = 32 * 2.0**-53 / (1 - 16 * 2.0**-53)
 
 
 def lift(m: np.ndarray) -> np.ndarray:
@@ -49,15 +84,39 @@ def lift(m: np.ndarray) -> np.ndarray:
     return padded[..., _LIFT_INDEX]
 
 
+@functools.cache
+def _path_tables(dense: bool) -> np.ndarray:
+    """Every path of both sides, as a (6, T, E) array of rows of a point's
+    48 entries: those of x, y and xy, 16 each in that order. Slots 0 to 2
+    hold the first, middle and last factor of R1(x) R2(xy) R1(y), slots 3
+    to 5 those of R2(y) R1(xy) R2(x). Both sides list the same E entries
+    (i, j) in row-major order, each with its T paths (k, l) in row-major
+    order. Built on first use, read-only, from _LIFT_INDEX and the
+    eight-vertex zero pattern, or the dense one."""
+    pattern = np.ones(17, dtype=bool)
+    pattern[16] = False
+    if not dense:
+        pattern[_OFF_PATTERN] = False
+    nonzero = pattern[_LIFT_INDEX]
+    slots = []
+    for lifts, rows in (((0, 1, 0), (0, 32, 16)), ((1, 0, 1), (16, 32, 0))):
+        first, middle, last = (nonzero[k] for k in lifts)
+        paths = first[:, None, :, None] & middle[None, None] & last.T[None, :, None]
+        i, j, k, l = np.nonzero(paths)  # paths[i, j, k, l]: entry (i, j), path (k, l)
+        for lift_k, row, (r, c) in zip(lifts, rows, ((i, k), (k, l), (l, j))):
+            slots.append(row + _LIFT_INDEX[lift_k][r, c])
+    entries = len(set(zip(i.tolist(), j.tolist())))
+    return read_only(np.stack(slots).reshape(6, entries, -1).swapaxes(1, 2).copy())
+
+
 def braid_residuals(b: np.ndarray) -> np.ndarray:
     """Residuals of (b x I)(I x b)(b x I) = (I x b)(b x I)(I x b), one per
     matrix of an (N, 4, 4) stack, as qybe_table_residuals on N one-point
-    tables with b, lifted once, in all three slots; shape (N,)."""
+    tables with b in all three slots; shape (N,)."""
     b = np.asarray(b, dtype=complex)
     if b.ndim != 3:
         raise DimensionMismatchError(f"expected an (N, 4, 4) stack, got {b.shape}")
-    lifted = lift(b)[:, None]
-    return qybe_table_residuals(lifted, lifted, lifted[:, None])[:, 0, 0]
+    return qybe_table_residuals(b[:, None], b[:, None], b[:, None, None])[:, 0, 0]
 
 
 def braid_residual(b: np.ndarray) -> float:
@@ -76,17 +135,16 @@ def qybe_residuals(r_x: np.ndarray, r_y: np.ndarray, r_xy: np.ndarray) -> np.nda
 
     The three arguments are equal-shaped (N, 4, 4) stacks holding the
     family at x, at y and at x*y for each of N points; the result has shape
-    (N,). Any of them may be given as its lift(), an (N, 2, 8, 8) stack,
-    so that a matrix shared by many points is lifted once. The first
-    right-hand factor carries the argument y (the multiplicative
-    convention): with x there instead, the derived families miss by
-    residuals of order one, so the convention is fixed by computation and
-    pinned in the test suite. It is qybe_table_residuals on one-point tables.
+    (N,). The first right-hand factor carries the argument y (the
+    multiplicative convention): with x there instead, the derived families
+    miss by residuals of order one, so the convention is fixed by
+    computation and pinned in the test suite. It is qybe_table_residuals
+    on one-point tables.
     """
     r_x, r_y, r_xy = (np.asarray(r, dtype=complex) for r in (r_x, r_y, r_xy))
     if min(r_x.ndim, r_y.ndim, r_xy.ndim) < 3:
         shapes = ", ".join(str(r.shape) for r in (r_x, r_y, r_xy))
-        raise DimensionMismatchError(f"expected (N, 4, 4) stacks or their lifts, got {shapes}")
+        raise DimensionMismatchError(f"expected (N, 4, 4) stacks, got {shapes}")
     return qybe_table_residuals(r_x[:, None], r_y[:, None], r_xy[:, None, None])[:, 0, 0]
 
 
@@ -95,35 +153,40 @@ def qybe_table_residuals(r_x: np.ndarray, r_y: np.ndarray, r_xy: np.ndarray) -> 
     points, each with x from an axis of I matrices and y from one of J.
 
     ``r_x`` is a (P, I, 4, 4) stack, ``r_y`` a (P, J, 4, 4) stack and
-    ``r_xy`` the (P, I, J, 4, 4) stack at their products; any of them may
-    be given as its lift(). The result has shape (P, I, J), and entry
-    (p, i, j) is the residual at (x_pi, y_pj), bit-identical to its one-point
-    table (qybe_residuals) on OpenBLAS's SkylakeX kernel, and on every kernel
-    when I = J = 1 (Haswell's sums follow the shape of the call): each
-    factor is multiplied once across the points of its table that share
-    it, with every entry's 8-term sums and the association order
-    unchanged. On the left, R1(x_i) times R2(x_i y_j) for all j is one
-    8 x 8J product, and that times R1(y_j) for all i one 8I x 8 product;
-    on the right, R2(y_j) times R1(x_i y_j) for all i is one 8 x 8I
-    product, and that times R2(x_i) for all j one 8J x 8 product.
+    ``r_xy`` the (P, I, J, 4, 4) stack at their products. The result has
+    shape (P, I, J), and entry (p, i, j) is the residual at (x_pi, y_pj),
+    bit-identical to its one-point table (qybe_residuals). Every entry of
+    both sides is summed over the path tables (see the module docstring),
+    in chunks of _CHUNK points: the eight-vertex tables, or the dense ones
+    for a chunk in which any matrix has a non-zero entry, NaN and infinity
+    included, outside b's pattern.
     """
     stacks = [np.asarray(r, dtype=complex) for r in (r_x, r_y, r_xy)]
-    lifted = [r if r.shape[-3:] == (2, 8, 8) else lift(r) for r in stacks]
-    shapes = [r.shape[:-3] for r in lifted]
-    if len(shapes[2]) != 3 or shapes[:2] != [shapes[2][:2], shapes[2][::2]]:
+    shapes = [r.shape[:-2] for r in stacks]
+    if (
+        any(r.shape[-2:] != (4, 4) for r in stacks)
+        or len(shapes[2]) != 3
+        or shapes[:2] != [shapes[2][:2], shapes[2][::2]]
+    ):
         raise DimensionMismatchError(
-            "expected (P, I, 4, 4), (P, J, 4, 4) and (P, I, J, 4, 4) stacks or their lifts,"
-            " got " + ", ".join(str(r.shape) for r in stacks)
+            "expected (P, I, 4, 4), (P, J, 4, 4) and (P, I, J, 4, 4) stacks, got "
+            + ", ".join(str(r.shape) for r in stacks)
         )
     p, i, j = shapes[2]
-    (r1_x, r2_x), (r1_y, r2_y), (r1_xy, r2_xy) = (
-        (r[..., 0, :, :], r[..., 1, :, :]) for r in lifted
-    )
-    left = r1_x @ r2_xy.transpose(0, 1, 3, 2, 4).reshape(p, i, 8, 8 * j)
-    left = left.reshape(p, i, 8, j, 8).transpose(0, 3, 1, 2, 4).reshape(p, j, 8 * i, 8) @ r1_y
-    right = r2_y @ r1_xy.transpose(0, 2, 3, 1, 4).reshape(p, j, 8, 8 * i)
-    right = right.reshape(p, j, 8, i, 8).transpose(0, 3, 1, 2, 4).reshape(p, i, 8 * j, 8) @ r2_x
-    return residuals(left.reshape(p, j, i, 8, 8).swapaxes(1, 2), right.reshape(p, i, j, 8, 8))
+    # Each point's x, y and xy, one row of 16 entries per point.
+    x = np.repeat(stacks[0].reshape(p * i, 16), j, axis=0)
+    y = np.repeat(stacks[1].reshape(p, 1, j * 16), i, axis=1).reshape(-1, 16)
+    xy = stacks[2].reshape(-1, 16)
+    out = np.empty(len(xy))
+    for start in range(0, len(xy), _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        # The same, one column per point.
+        rows = np.concatenate([x[chunk].T, y[chunk].T, xy[chunk].T])
+        terms = rows.take(_path_tables(bool(rows.take(_OFF_ROWS, axis=0).any())), axis=0)
+        # Each entry adds its paths' terms one at a time, in order.
+        left, right = (functools.reduce(np.add, a * b * c) for a, b, c in (terms[:3], terms[3:]))
+        out[chunk] = np.abs(left - right).max(axis=0)
+    return out.reshape(p, i, j)
 
 
 def qybe_residual(family: Callable[[float], np.ndarray], x: float, y: float) -> float:
@@ -136,20 +199,71 @@ def qybe_residual(family: Callable[[float], np.ndarray], x: float, y: float) -> 
     return float(qybe_residuals(r_x, r_y, r_xy)[0])
 
 
+def inverse_from_eigenvalues(b: np.ndarray, eigenvalues: tuple[complex, complex]) -> np.ndarray:
+    """b^(-1) = ((lam1 + lam2) I - b) / (lam1 lam2) for a b with exactly the
+    two eigenvalues (lam1, lam2), that is (b - lam1 I)(b - lam2 I) = 0.
+
+    b may be a stack (..., n, n). The premise is the caller's: yang_baxterize
+    checks it. The sum and the reciprocal of the product are taken once, in
+    Python complex arithmetic, so a product that is a power of two scales
+    exactly. Raises ValueError if lam1 lam2 = 0, when b is singular.
+    """
+    lam1, lam2 = eigenvalues
+    if lam1 * lam2 == 0:
+        raise ValueError("an eigenvalue is zero, so b is singular and has no inverse")
+    b = np.asarray(b, dtype=complex)
+    return ((lam1 + lam2) * np.eye(b.shape[-1]) - b) * (1 / (lam1 * lam2))
+
+
+def _baxterization(
+    b: np.ndarray, eigenvalues: tuple[complex, complex]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The map x -> (1 - x) b + x (lam1 + lam2) I, with real x that
+    broadcasts against b's leading axes, premise unchecked.
+
+    (1 - x) scales the real and imaginary parts of b as floats, so x = 0
+    returns b bit for bit, and every entry is rounded the same way on
+    every CPU.
+    """
+    total = complex(sum(eigenvalues))
+    # (..., n, 2n): the real and imaginary parts of b, interleaved.
+    parts = np.ascontiguousarray(b).view(float)
+    n = b.shape[-1]
+
+    def at(x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)[..., None, None]
+        r = ((1.0 - x) * parts).view(complex)
+        r.reshape(r.shape[:-2] + (n * n,))[..., :: n + 1] += x[..., 0] * total
+        return r
+
+    return at
+
+
 def yang_baxterize(
     b: np.ndarray, eigenvalues: tuple[complex, complex]
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The Baxterization map x -> b + x * lam1 * lam2 * b^(-1).
+    """The Baxterization map x -> b + x * lam1 * lam2 * b^(-1), in the closed
+    form (1 - x) b + x (lam1 + lam2) I that inverse_from_eigenvalues gives.
 
     Valid for braid matrices with exactly two distinct eigenvalues
-    (lam1, lam2); at x = 0 the map returns b unchanged. b may be a stack
-    (..., 4, 4) and x an array that broadcasts against it. b is inverted
-    once, when the map is built, however often the map is called.
+    (lam1, lam2); at x = 0 the map returns b bit for bit. b may be a stack
+    (..., n, n) and x a real array that broadcasts against its leading axes.
+    The premise is checked once, when the map is built: ValueError if
+    lam1 lam2 = 0, or if b b^(-1) - I, with the closed-form inverse, is not
+    at rounding level relative to |b| |b^(-1)| for some finite matrix of b.
+    A non-finite b is let through, and gives a non-finite map.
     """
-    lam1, lam2 = eigenvalues
     b = np.asarray(b, dtype=complex)
-    b_inv = inverse(b)
-    return lambda x: b + x * lam1 * lam2 * b_inv
+    inverse = inverse_from_eigenvalues(b, eigenvalues)
+    defect = np.abs(b @ inverse - np.eye(b.shape[-1])).max(axis=(-2, -1))
+    scale = (np.abs(b) @ np.abs(inverse)).max(axis=(-2, -1))
+    finite = np.isfinite(b).all(axis=(-2, -1))
+    if np.any(finite & ~(defect <= _ROUNDING * scale)):
+        raise ValueError(
+            f"b does not have exactly the two eigenvalues {eigenvalues}:"
+            " (b - lam1 I)(b - lam2 I) is not zero"
+        )
+    return _baxterization(b, eigenvalues)
 
 
 def verify_two_eigenvalues(

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ybgates import cli, gates, hamiltonian, linalg
+from ybgates import cli, gates, hamiltonian, linalg, yangbaxter
 from ybgates.eightvertex import build_b_phi, build_R_x_normalized_stack
 from ybgates.entangle import r_theta_concurrences
 from ybgates.gates import (
@@ -59,6 +59,7 @@ CACHES = [
     (gates, "_x_quarter_turns"),
     (hamiltonian, "_pauli_gather"),
     (linalg, "_eye"),
+    (yangbaxter, "_path_tables"),
 ]
 
 
@@ -302,6 +303,7 @@ def test_cached_constants_are_read_only():
     arrays = [gates._cnot(), gates._theorem1(), *gates._x_quarter_turns()]
     arrays += [*hamiltonian._pauli_gather(), linalg._eye(4), linalg._eye(2)]
     arrays += [cli._schrodinger_states()]
+    arrays += [yangbaxter._path_tables(False), yangbaxter._path_tables(True)]
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):

@@ -2,7 +2,6 @@
 
 import argparse
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -25,7 +24,13 @@ from hypothesis import strategies as st
 import ybgates.cli
 import ybgates.linalg
 from ybgates.cli import MatrixDocument, main
-from ybgates.eightvertex import build_b_phi, build_R_theta, build_R_x, build_R_x_normalized
+from ybgates.eightvertex import (
+    PHI_EIGENVALUES,
+    build_b_phi,
+    build_R_theta,
+    build_R_x,
+    build_R_x_normalized,
+)
 from ybgates.entangle import concurrence, r_theta_action
 from ybgates.gates import cnot
 from ybgates.hamiltonian import (
@@ -36,41 +41,41 @@ from ybgates.hamiltonian import (
     schrodinger_residual,
     schrodinger_residuals,
 )
-from ybgates.linalg import expm, inverse, kron, residual, residuals, unitarity_residual
+from ybgates.linalg import expm, kron, residual, residuals, unitarity_residual
 from ybgates.paulis import DEFAULT_SEED, SIGMA_X, SIGMA_Y
-from ybgates.yangbaxter import braid_residual
+from ybgates.yangbaxter import braid_residual, inverse_from_eigenvalues, qybe_residual
 
-I2 = np.eye(2, dtype=complex)
-
-# `ybg verify qybe` stdout at the per-point implementation the batched
-# kernel replaced; the kernel must reproduce it byte for byte.
+# `ybg verify qybe` stdout, pinned at the path kernel, whose sums do not
+# depend on the BLAS kernel (the BLAS products before it reported the same
+# residual at phi=5.497787143782138 on SkylakeX).
 VERIFY_QYBE_GOLDEN = (
     '{"command": "verify", "max_residual": 7.105427357601002e-15, "pass": true, '
     '"points": 4096, "relation": "qybe", "tol": 1e-10, '
-    '"worst": "sign=+ phi=5.497787143782138 x=2.0 y=2.0"}\n'
+    '"worst": "sign=+ phi=3.9269908169872414 x=2.0 y=2.0"}\n'
 )
 
-# Stdout of the four other relations at their per-point implementation,
-# at the defaults and at a failing --tol with other flags, so a pick off
-# the default grid is pinned too.
+# Stdout of the four other relations at the defaults and at a failing
+# --tol with other flags, so a pick off the default grid is pinned too;
+# braid, unitarity and schrodinger pinned at the path kernel and the
+# closed-form Baxterization.
 RELATION_GOLDEN = {
     ("verify", "braid"): (
         0,
-        '{"command": "verify", "max_residual": 1.1443916996305594e-16, "pass": true, '
+        '{"command": "verify", "max_residual": 1.1762074600683514e-16, "pass": true, '
         '"points": 64, "relation": "braid", "tol": 1e-12, '
-        '"worst": "sign=+ phi=1.9634954084936207"}\n',
+        '"worst": "sign=+ phi=2.1598449493429825"}\n',
     ),
     ("verify", "unitarity"): (
         0,
-        '{"command": "verify", "max_residual": 6.661338147750939e-16, "pass": true, '
+        '{"command": "verify", "max_residual": 5.551115123125783e-16, "pass": true, '
         '"points": 976, "relation": "unitarity", "tol": 1e-12, '
-        '"worst": "sign=+ phi=2.356194490192345 x=-1.9"}\n',
+        '"worst": "sign=+ phi=0.0 x=-1.9"}\n',
     ),
     ("verify", "schrodinger"): (
         0,
-        '{"command": "verify", "max_residual": 4.787642814084265e-11, "pass": true, '
+        '{"command": "verify", "max_residual": 5.3445750471666324e-11, "pass": true, '
         '"points": 96, "relation": "schrodinger", "tol": 1e-06, '
-        '"worst": "sign=- phi=0.0 x=0.4 state=3"}\n',
+        '"worst": "sign=- phi=1.0471975511965976 x=0.4 state=3"}\n',
     ),
     ("verify", "exponential"): (
         0,
@@ -80,9 +85,9 @@ RELATION_GOLDEN = {
     ),
     ("verify", "braid", "--sign", "+", "--phi-grid", "7", "--tol", "1e-17"): (
         1,
-        '{"command": "verify", "max_residual": 1.1443916996305594e-16, "pass": false, '
+        '{"command": "verify", "max_residual": 1.1475193641674615e-16, "pass": false, '
         '"points": 7, "relation": "braid", "tol": 1e-17, '
-        '"worst": "sign=+ phi=0.8975979010256552"}\n',
+        '"worst": "sign=+ phi=3.5903916041026207"}\n',
     ),
     ("verify", "unitarity", "--sign", "-", "--grid", "7", "--phi-grid", "3", "--tol", "1e-17"): (
         1,
@@ -398,15 +403,6 @@ def test_seed_env_var_is_ignored():
         )
 
 
-def _qybe_oracle(family, x, y):
-    # One point at a time with np.kron, independent of the batched kernel.
-    r1 = lambda m: np.kron(m, I2)
-    r2 = lambda m: np.kron(I2, m)
-    lhs = r1(family(x)) @ r2(family(x * y)) @ r1(family(y))
-    rhs = r2(family(y)) @ r1(family(x * y)) @ r2(family(x))
-    return np.max(np.abs(lhs - rhs))
-
-
 def _strict_json(text):
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
@@ -432,29 +428,23 @@ def test_sweep_qybe_x_row_bit_identical_to_oracle(capsys):
     report = json.loads(out)
     q = np.exp(-1j * 1.3)
     family = lambda t: build_R_x("-", q, t)
-    expected = [_qybe_oracle(family, v, 0.7) for v in report["values"]]
+    expected = [qybe_residual(family, v, 0.7) for v in report["values"]]
     assert len(expected) == 4096
     assert np.array_equal(report["results"], expected)
 
 
 def _verify_qybe_oracle(sign, grid, phi_grid):
     """verify qybe's residuals in its order (sign, phi, then x-major), one
-    point at a time with np.kron; each value's two lifts are built once."""
+    point at a time, each as a one-point table (qybe_residual): a point's
+    bits must not depend on the block it runs in. tests/test_yangbaxter.py
+    checks the kernel itself against np.kron oracles."""
     values = [2.0 * k / grid for k in range(1, grid + 1)]
     results = []
     for s in [sign] if sign else ["+", "-"]:
         for phi in [2.0 * math.pi * k / phi_grid for k in range(phi_grid)]:
             q = np.exp(-1j * phi)
-
-            @functools.lru_cache(maxsize=None)
-            def lifts(t, s=s, q=q):
-                m = build_R_x(s, q, t)
-                return np.kron(m, I2), np.kron(I2, m)
-
-            for x in values:
-                for y in values:
-                    (x1, x2), (y1, y2), (xy1, xy2) = lifts(x), lifts(y), lifts(x * y)
-                    results.append(np.max(np.abs(x1 @ xy2 @ y1 - y2 @ xy1 @ x2)))
+            family = lambda t, s=s, q=q: build_R_x(s, q, t)
+            results.extend(qybe_residual(family, x, y) for x in values for y in values)
     return np.array(results)
 
 
@@ -515,7 +505,7 @@ def test_sweep_qybe_x_partial_block_bit_identical_to_oracle(steps, capsys):
     assert code == 0
     report = json.loads(out)
     family = lambda t: build_R_x("+", np.exp(-1j * 0.4), t)
-    expected = np.array([_qybe_oracle(family, v, -1.3) for v in report["values"]])
+    expected = np.array([qybe_residual(family, v, -1.3) for v in report["values"]])
     assert len(expected) == steps
     assert np.array(report["results"]).tobytes() == expected.tobytes()
 
@@ -531,7 +521,7 @@ def test_sweep_qybe_phi_row_bit_identical_to_oracle(capsys):
     assert code == 0
     report = json.loads(out)
     expected = [
-        _qybe_oracle(lambda t: build_R_x("+", np.exp(-1j * v), t), -2.9, 2.1)
+        qybe_residual(lambda t: build_R_x("+", np.exp(-1j * v), t), -2.9, 2.1)
         for v in report["values"]
     ]
     assert len(expected) == 4096
@@ -562,6 +552,24 @@ def test_sweep_finite_report_has_no_nonfinite_key(capsys):
     )
     assert code == 0
     assert "nonfinite" not in json.loads(out)
+
+
+def test_verify_braid_matrix_file_matches_kron_oracle_within_bound(tmp_path, capsys):
+    # A dense matrix takes the dense path tables. Two evaluations of the
+    # residual differ by at most 2 gamma_16 times the largest entry of
+    # |A||B||C| of each side, summed (Higham, 2002, section 3.1).
+    m = np.random.default_rng(1).standard_normal((4, 4, 2)).view(complex)[..., 0]
+    path = tmp_path / "dense.json"
+    path.write_text(MatrixDocument.from_matrix(m).to_json())
+    code, out, _ = run_cli(["verify", "braid", "--matrix-file", str(path)], capsys)
+    assert code == 1
+    i2 = np.eye(2)
+    left, right = np.kron(m, i2), np.kron(i2, m)
+    kron = np.max(np.abs(left @ right @ left - right @ left @ right))
+    left, right = np.abs(left), np.abs(right)
+    gamma_16 = 16 * 2.0**-53 / (1 - 16 * 2.0**-53)
+    bound = 2 * gamma_16 * ((left @ right @ left).max() + (right @ left @ right).max())
+    assert abs(json.loads(out)["max_residual"] - kron) <= bound
 
 
 def test_verify_nonfinite_matrix_file_fails(tmp_path, capsys):
@@ -988,7 +996,7 @@ def _relation_oracle(relation):
     if relation == "qybe":
         values = [2.0 * k / 16 for k in range(1, 17)]
         return [
-            _qybe_oracle(lambda t: build_R_x(sign, np.exp(-1j * phi), t), x, y)
+            qybe_residual(lambda t: build_R_x(sign, np.exp(-1j * phi), t), x, y)
             for sign in "+-"
             for phi in phis
             for x in values
@@ -1067,7 +1075,8 @@ def _exponential_loop(sign, phi_grid):
         for phi in 2.0 * math.pi * np.arange(phi_grid) / phi_grid:
             b = build_b_phi(s, phi)
             from_h = cos_u * eye + sin_u * hamiltonian_const(s, phi)
-            closed.append(residuals(from_h, cos_t * b + sin_t * inverse(b)))
+            b_inv = inverse_from_eigenvalues(b, PHI_EIGENVALUES)
+            closed.append(residuals(from_h, cos_t * b + sin_t * b_inv))
             op = interaction_operator(s, phi)
             exponentials = np.array([expm(g) for g in exponents * op])
             direct.append(residuals(cos_half * eye - sin_half * op, exponentials))
@@ -1125,13 +1134,13 @@ def test_negative_infinity_is_refused_as_a_value(capsys):
     assert "argument --tol: must be finite" in err
 
 
-# sha256 of the stdout of 4096-step QYBE sweeps, captured at the kron-lift
-# kernel that the gather lift replaced.
+# sha256 of the stdout of 4096-step QYBE sweeps, pinned at the path kernel
+# and the closed-form Baxterization; the same under every BLAS kernel.
 SWEEP_QYBE_SHA256 = {
-    ("x", "json"): "4275700fef580d3618074ad895c0ea7bfa95bb302a78c15a333bf683e7bcf3e4",
-    ("phi", "json"): "a1ca7dceb5bbc729de3dc897e4189ed98844521540e5e6e701292fba72b1a6fb",
-    ("x", "csv"): "2e2c2a24212a05cd0299de772211c6c25a5be67e8ed88d2dcbed2085b9d909c9",
-    ("phi", "csv"): "3c973e0ab07c23db9042c6c49ed68a46cce19d88f8a72b05f4132e9bb40b9831",
+    ("x", "json"): "ab9c9cbc2e14219594db2181b9a225837e1c0867a27e74555ef7828da09a575d",
+    ("phi", "json"): "643dd54e32b871b667360f310a38896e23ca2c0367cd79516c5f061e0e5e090f",
+    ("x", "csv"): "c065f71b0934ab8758000e8247bf25942b73188a8828b11b46565f3345632aec",
+    ("phi", "csv"): "c0085fbe3f9d4663ea14fc9cb511595719f91cb448906792e2fbcc7562606716",
 }
 _SWEEP_QYBE_ARGS = {
     "x": ["--from", "-3", "--to", "3", "--sign", "-", "--phi", "1.3", "--y", "0.7"],
@@ -1171,6 +1180,17 @@ def _refuse_everywhere(monkeypatch, name, real):
 def test_qybe_commands_never_call_kron(args, monkeypatch, capsys):
     _refuse_everywhere(monkeypatch, "kron", ybgates.linalg.kron)
     _refuse_everywhere(monkeypatch, "kron", np.kron)
+    code, out, err = run_cli(args, capsys)
+    assert code == 0, err
+    assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("args", _QYBE_COMMANDS, ids=["verify", "sweep-x", "sweep-phi"])
+def test_qybe_commands_never_call_lift_or_inverse(args, monkeypatch, capsys):
+    # The path kernel gathers from 4x4 stacks, and R(x) is a closed form.
+    _refuse_everywhere(monkeypatch, "lift", ybgates.yangbaxter.lift)
+    _refuse_everywhere(monkeypatch, "inverse", ybgates.linalg.inverse)
+    _refuse_everywhere(monkeypatch, "inv", np.linalg.inv)
     code, out, err = run_cli(args, capsys)
     assert code == 0, err
     assert json.loads(out)["pass"] is True

@@ -11,16 +11,20 @@ import ybgates.yangbaxter
 
 from ybgates.eightvertex import (
     EIGENVALUES,
+    PHI_EIGENVALUES,
     build_b,
     build_b_phi,
     build_b_phi_stack,
+    build_b_stack,
     build_R_x,
     R_x_family,
 )
-from ybgates.linalg import DimensionMismatchError, SingularMatrixError
+from ybgates.linalg import DimensionMismatchError, inverse
+from ybgates.paulis import SQRT2
 from ybgates.yangbaxter import (
     braid_residual,
     braid_residuals,
+    inverse_from_eigenvalues,
     lift,
     qybe_residual,
     qybe_residuals,
@@ -46,6 +50,69 @@ def _qybe_oracle(family, x, y):
     lhs = r1(family(x)) @ r2(family(x * y)) @ r1(family(y))
     rhs = r2(family(y)) @ r1(family(x * y)) @ r2(family(x))
     return np.max(np.abs(lhs - rhs))
+
+
+# The zero pattern of every eight-vertex matrix, read off one b.
+_EIGHT_VERTEX = build_b("+", 0.5 + 0.5j) != 0
+
+
+def _path_oracle(r_x, r_y, r_xy):
+    """QYBE residual of each point of three (N, 4, 4) stacks: every entry
+    of both sides is the sum over the paths (k, l) on which all three
+    np.kron lifts are structurally non-zero, in row-major order, of
+    A[i, k] B[k, l] C[l, j] multiplied left to right, added one at a time.
+    The lifts' structure is the eight-vertex pattern's, or the dense one if
+    any matrix has a non-zero entry outside it. Arithmetic runs on numpy
+    arrays over the points, as numpy's scalar complex multiply rounds
+    differently."""
+    stacks = [np.asarray(r, dtype=complex) for r in (r_x, r_y, r_xy)]
+    dense = any(np.any(m[:, ~_EIGHT_VERTEX] != 0) for m in stacks)
+    pattern = np.ones((4, 4)) if dense else _EIGHT_VERTEX.astype(float)
+    r1 = lambda m: np.kron(m, I2)
+    r2 = lambda m: np.kron(I2, m)
+    x, y, xy = stacks
+    sides = []
+    for lifts, matrices in (((r1, r2, r1), (x, xy, y)), ((r2, r1, r2), (y, xy, x))):
+        a, b, c = (f(m) for f, m in zip(lifts, matrices))
+        sa, sb, sc = (f(pattern) != 0 for f in lifts)
+        side = np.zeros((len(x), 8, 8), dtype=complex)
+        for i in range(8):
+            for j in range(8):
+                terms = [
+                    a[:, i, k] * b[:, k, l] * c[:, l, j]
+                    for k in range(8)
+                    for l in range(8)
+                    if sa[i, k] and sb[k, l] and sc[l, j]
+                ]
+                for n, term in enumerate(terms):
+                    side[:, i, j] = term if n == 0 else side[:, i, j] + term
+        sides.append(side)
+    return np.abs(sides[0] - sides[1]).max(axis=(1, 2))
+
+
+# u = 2^-53 and gamma_16 = 16 u / (1 - 16 u) (Higham, "Accuracy and Stability
+# of Numerical Algorithms", 2nd ed., 2002, section 3.1).
+_GAMMA_16 = 16 * 2.0**-53 / (1 - 16 * 2.0**-53)
+
+
+def _kron_bound(r_x, r_y, r_xy):
+    """How far two evaluations of each point's residual, by any summation
+    order, may differ: 2 gamma_16 times the largest entry of |A||B||C| of
+    each side, summed over the sides."""
+    r1 = lambda m: np.kron(np.abs(m), I2)
+    r2 = lambda m: np.kron(I2, np.abs(m))
+    x, y, xy = (np.asarray(r, dtype=complex) for r in (r_x, r_y, r_xy))
+    left = r1(x) @ r2(xy) @ r1(y)
+    right = r2(y) @ r1(xy) @ r2(x)
+    return 2 * _GAMMA_16 * (left.max(axis=(1, 2)) + right.max(axis=(1, 2)))
+
+
+def _assert_path_and_kron_oracles(got, r_x, r_y, r_xy):
+    """Residuals ``got`` of three stacks: bit-identical to the path oracle,
+    and within _kron_bound of the np.kron matmul oracle."""
+    assert got.tobytes() == _path_oracle(r_x, r_y, r_xy).tobytes()
+    kron = np.array(_qybe_stack_oracle(r_x, r_y, r_xy))
+    assert np.all(np.abs(got - kron) <= _kron_bound(r_x, r_y, r_xy))
 
 
 def test_braid_residual_on_unitary_family():
@@ -158,9 +225,49 @@ def test_yang_baxterize_entry_pattern():
             assert np.max(np.abs(got - expected)) < 1e-12
 
 
-def test_yang_baxterize_singular_input():
-    with pytest.raises(SingularMatrixError):
-        yang_baxterize(np.zeros((4, 4), dtype=complex), EIGENVALUES)
+def test_yang_baxterize_refuses_b_outside_its_premise():
+    # The zero matrix, a b with a third eigenvalue, and a zero eigenvalue.
+    for b, eigenvalues in [
+        (np.zeros((4, 4), dtype=complex), EIGENVALUES),
+        (np.diag([1 - 1j, 1 + 1j, 3.0, 1 + 1j]), EIGENVALUES),
+        (np.diag([0.0, 0.0, 1.0, 1.0]), (0.0, 1.0)),
+    ]:
+        with pytest.raises(ValueError):
+            yang_baxterize(b, eigenvalues)
+    # One matrix outside the premise refuses a whole stack.
+    with pytest.raises(ValueError):
+        yang_baxterize(np.stack([build_b("+", 0.3j), np.eye(4)]), EIGENVALUES)
+
+
+def test_yang_baxterize_lets_nonfinite_b_through():
+    # Its map is non-finite too; callers report that, not the premise.
+    b = build_b("+", 1.0)
+    b[0, 3] = np.inf
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(yang_baxterize(b, EIGENVALUES)(1.0)).all()
+
+
+@pytest.mark.parametrize("q", [1.0, 0.3j, 1e-150, 1e150, np.exp(-2.1j)])
+def test_yang_baxterize_accepts_the_family_at_any_scale(q):
+    for sign in "+-":
+        b = build_b(sign, q)
+        expected = b + 0.7 * 2.0 * inverse(b)  # the paper's form, by LAPACK
+        got = yang_baxterize(b, EIGENVALUES)(0.7)
+        assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+def test_inverse_from_eigenvalues_of_the_unitary_family_is_exact():
+    # exp(-+ i pi/4) sum to SQRT2 and multiply to 1.0 in floats, so the
+    # inverse is sqrt(2) I - b(phi) bit for bit.
+    assert sum(PHI_EIGENVALUES) == SQRT2 and PHI_EIGENVALUES[0] * PHI_EIGENVALUES[1] == 1.0
+    b = build_b_phi_stack("-", np.linspace(0.0, 6.3, 97))
+    got = inverse_from_eigenvalues(b, PHI_EIGENVALUES)
+    assert got.tobytes() == (SQRT2 * I4 - b).tobytes()
+    assert np.max(np.abs(got - inverse(b))) < 1e-15
+    halved = inverse_from_eigenvalues(build_b_stack("+", np.exp(-0.4j)), EIGENVALUES)
+    assert halved.tobytes() == ((2.0 * I4 - build_b_stack("+", np.exp(-0.4j))) / 2).tobytes()
+    with pytest.raises(ValueError):
+        inverse_from_eigenvalues(I4, (0.0, 1.0))
 
 
 def test_two_eigenvalue_check():
@@ -191,9 +298,8 @@ def test_qybe_residuals_bit_identical_to_oracle_on_verify_grids(sign, n):
     for phi in [2.0 * math.pi * k / 8 for k in range(8)]:
         q = np.exp(-1j * phi)
         got = qybe_residuals(*R_x_family(sign, q)(np.stack([xs, ys, xs * ys])))
-        family = lambda t: build_R_x(sign, q, t)
-        expected = [_qybe_oracle(family, x, y) for x in values for y in values]
-        assert np.array_equal(got, expected)
+        stacks = [np.array([build_R_x(sign, q, t) for t in ts]) for ts in (xs, ys, xs * ys)]
+        _assert_path_and_kron_oracles(got, *stacks)
 
 
 @given(
@@ -208,7 +314,8 @@ def test_qybe_residuals_property(sign, phi, x, y):
     got = qybe_residuals(*stacks)
     family = lambda t: build_R_x(sign, q, t)
     assert got.shape == (1,)
-    assert got[0] == _qybe_oracle(family, x, y) == qybe_residual(family, x, y)
+    assert got[0] == qybe_residual(family, x, y)
+    _assert_path_and_kron_oracles(got, *stacks)
     # Rounding grows with the entries of the three factors on each side.
     scale = (1.0 + abs(x)) * (1.0 + abs(y)) * (1.0 + abs(x * y))
     assert got[0] <= 1e-14 * scale
@@ -240,9 +347,9 @@ def test_qybe_residuals_shape_checks():
 )
 def test_braid_residuals_property(sign, phis):
     got = braid_residuals(build_b_phi_stack(sign, phis))
-    expected = [_braid_oracle(build_b_phi(sign, phi)) for phi in phis]
+    b = np.array([build_b_phi(sign, phi) for phi in phis])
     assert got.shape == (len(phis),)
-    assert np.array_equal(got, expected)
+    _assert_path_and_kron_oracles(got, b, b, b)
     assert np.array_equal(got, [braid_residual(build_b_phi(sign, phi)) for phi in phis])
     assert np.all(got < 1e-12)
 
@@ -251,7 +358,7 @@ def test_braid_residuals_property(sign, phis):
 def test_braid_residuals_bit_identical_on_random_matrices(seed, count):
     rng = np.random.default_rng(seed)
     stack = rng.standard_normal((count, 4, 4)) + 1j * rng.standard_normal((count, 4, 4))
-    assert np.array_equal(braid_residuals(stack), [_braid_oracle(m) for m in stack])
+    _assert_path_and_kron_oracles(braid_residuals(stack), stack, stack, stack)
 
 
 def test_braid_residuals_shape_checks():
@@ -318,19 +425,16 @@ def test_lift_keeps_leading_axes_and_checks_shape():
         lift(np.zeros((3, 2, 2)))
 
 
-@given(stacks=_stacks(3, _EDGES))
-def test_residuals_bit_identical_to_kron_oracle_on_finite_stacks(stacks):
-    r_x, r_y, r_xy = stacks
-    expected = _qybe_stack_oracle(r_x, r_y, r_xy)
-    assert np.array_equal(qybe_residuals(r_x, r_y, r_xy), expected)
-    # Lifted arguments, and a lift broadcast over the points, run the same
-    # kernel.
-    lifted_x = lift(r_x)
-    assert np.array_equal(
-        qybe_residuals(lifted_x, np.broadcast_to(lift(r_y[0]), lifted_x.shape), r_xy),
-        _qybe_stack_oracle(r_x, np.broadcast_to(r_y[0], r_y.shape), r_xy),
-    )
-    assert np.array_equal(braid_residuals(r_x), [_braid_oracle(m) for m in r_x])
+@given(stacks=_stacks(3, _EDGES), eight_vertex=st.booleans())
+def test_residuals_bit_identical_to_kron_oracle_on_finite_stacks(stacks, eight_vertex):
+    # The path oracle sums the paths of the np.kron lifts; the np.kron
+    # matmul oracle sums in BLAS's order, so it agrees within a bound.
+    r_x, r_y, r_xy = (m * _EIGHT_VERTEX if eight_vertex else m for m in stacks)
+    _assert_path_and_kron_oracles(qybe_residuals(r_x, r_y, r_xy), r_x, r_y, r_xy)
+    # A matrix broadcast over the points runs the same kernel.
+    r_y0 = np.broadcast_to(r_y[0], r_y.shape)
+    _assert_path_and_kron_oracles(qybe_residuals(r_x, r_y0, r_xy), r_x, r_y0, r_xy)
+    _assert_path_and_kron_oracles(braid_residuals(r_x), r_x, r_x, r_x)
 
 
 @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
@@ -342,10 +446,12 @@ def test_residuals_nonfinite_exactly_where_kron_oracle_is(stacks):
         expected = np.array(_qybe_stack_oracle(r_x, r_y, r_xy))
         braids = braid_residuals(r_x)
         braid_expected = np.array([_braid_oracle(m) for m in r_x])
+        paths = _path_oracle(r_x, r_y, r_xy)
+        braid_paths = _path_oracle(r_x, r_x, r_x)
     assert np.array_equal(np.isfinite(got), np.isfinite(expected))
-    assert np.array_equal(got[np.isfinite(got)], expected[np.isfinite(expected)])
+    assert np.array_equal(got[np.isfinite(got)], paths[np.isfinite(expected)])
     assert np.array_equal(np.isfinite(braids), np.isfinite(braid_expected))
-    assert np.array_equal(braids[np.isfinite(braids)], braid_expected[np.isfinite(braid_expected)])
+    assert np.array_equal(braids[np.isfinite(braids)], braid_paths[np.isfinite(braid_expected)])
 
 
 @st.composite
@@ -374,7 +480,6 @@ def _assert_tables_match_point_kernel(tables):
     p, i, j = r_xy.shape[:3]
     with np.errstate(all="ignore"):
         got = qybe_table_residuals(r_x, r_y, r_xy)
-        from_lifts = qybe_table_residuals(lift(r_x), r_y, lift(r_xy))
         points = qybe_residuals(
             np.repeat(r_x, j, axis=1).reshape(-1, 4, 4),
             np.tile(r_y, (1, i, 1, 1)).reshape(-1, 4, 4),
@@ -382,10 +487,9 @@ def _assert_tables_match_point_kernel(tables):
         )
     expected = points.reshape(p, i, j)
     finite = np.isfinite(expected)
-    for result in (got, from_lifts):
-        assert result.shape == (p, i, j)
-        assert np.array_equal(np.isfinite(result), finite)
-        assert result[finite].tobytes() == expected[finite].tobytes()
+    assert got.shape == (p, i, j)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert got[finite].tobytes() == expected[finite].tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
@@ -394,13 +498,43 @@ def test_qybe_table_residuals_bit_identical_to_point_kernel(tables):
     _assert_tables_match_point_kernel(tables)
 
 
-@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
-@given(tables=_tables(tables=(1, 130), rows=(1, 1), cols=(1, 1)))
-def test_qybe_table_residuals_single_point_tables_bit_identical_to_point_kernel(tables):
-    # Every product of a 1 x 1 table is 8 x 8, as in the point kernel, so
-    # this holds on every BLAS kernel, not only where the sums of larger
-    # products keep their order.
-    _assert_tables_match_point_kernel(tables)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(*[st.integers(1, n) for n in (3, 20, 9)]),
+    eight_vertex=st.booleans(),
+)
+def test_qybe_table_residuals_bit_identical_to_path_oracle(seed, shape, eight_vertex):
+    # Random finite tables, in the eight-vertex pattern or dense, each
+    # point against the path oracle and the np.kron matmul oracle.
+    p, i, j = shape
+    rng = np.random.default_rng(seed)
+    r_x, r_y, r_xy = (
+        (rng.standard_normal(s + (4, 4)) + 1j * rng.standard_normal(s + (4, 4)))
+        * (_EIGHT_VERTEX if eight_vertex else 1.0)
+        for s in ((p, i), (p, j), (p, i, j))
+    )
+    got = qybe_table_residuals(r_x, r_y, r_xy)
+    assert got.shape == (p, i, j)
+    _assert_path_and_kron_oracles(
+        got.ravel(),
+        np.repeat(r_x, j, axis=1).reshape(-1, 4, 4),
+        np.tile(r_y, (1, i, 1, 1)).reshape(-1, 4, 4),
+        r_xy.reshape(-1, 4, 4),
+    )
+
+
+def test_dense_tables_give_the_eight_vertex_residuals_on_the_family(monkeypatch):
+    # The dense tables only add paths through structural zeros, whose
+    # terms are exact zeros, so on finite eight-vertex input they give the
+    # same residual bits; a chunk of points may take either.
+    rng = np.random.default_rng(5)
+    family = R_x_family("-", np.exp(-1j * rng.uniform(0.0, 6.3, (3, 1, 1))))
+    xs, ys = rng.uniform(-3.0, 3.0, 9), rng.uniform(-3.0, 3.0, 7)
+    tables = family(xs)[:, 0], family(ys)[:, 0], family(xs[:, None] * ys)
+    expected = qybe_table_residuals(*tables)
+    dense = ybgates.yangbaxter._path_tables(True)
+    monkeypatch.setattr(ybgates.yangbaxter, "_path_tables", lambda _: dense)
+    assert qybe_table_residuals(*tables).tobytes() == expected.tobytes()
 
 
 def test_qybe_table_residuals_shape_checks():
@@ -451,17 +585,15 @@ def test_relation_views_are_one_call_of_the_table_kernel(monkeypatch, call):
     assert calls == [(1, 1)]
 
 
-def test_R_x_family_inverts_once_and_matches_build_R_x(monkeypatch):
-    calls = []
-    real = ybgates.yangbaxter.inverse
-    monkeypatch.setattr(
-        ybgates.yangbaxter, "inverse", lambda b: calls.append(b.shape) or real(b)
-    )
-    q = np.exp(-0.8j)
-    family = R_x_family("+", q)
-    xs = np.array([0.25, -1.5, 3.0])
-    first, second = family(xs), family(xs * 0.7)
-    assert calls == [(4, 4)]
-    for x, got in zip(np.concatenate([xs, xs * 0.7]), np.concatenate([first, second])):
-        assert np.array_equal(got, build_R_x("+", q, float(x)))
-    assert np.array_equal(R_x_family("+", q)(xs), first)
+def test_R_x_family_bit_identical_to_build_R_x():
+    qs = np.exp(-1j * np.array([0.0, 0.8, 2.9]))[:, None]
+    xs = np.array([0.0, -0.0, 0.25, -1.5, 1.0, 3.0, 1e-300, -7e15])
+    for sign in "+-":
+        family = R_x_family(sign, qs)
+        first, second = family(xs), family(xs * 0.7)
+        assert first.shape == (3, len(xs), 4, 4)
+        for q, row, row_07 in zip(qs[:, 0], first, second):
+            for x, got, got_07 in zip(xs, row, row_07):
+                assert got.tobytes() == build_R_x(sign, q, float(x)).tobytes()
+                assert got_07.tobytes() == build_R_x(sign, q, float(x * 0.7)).tobytes()
+        assert np.array_equal(R_x_family(sign, qs)(xs), first)
