@@ -56,10 +56,8 @@ from .hamiltonian import (
 from .linalg import (
     DimensionMismatchError,
     NonConvergenceError,
-    SingularMatrixError,
     dagger,
     expm,
-    inverse,
     kron,
     residual,
     residuals,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eightvertex import PHI_EIGENVALUES, build_b_phi, build_b_phi_stack, build_R_theta
-from .linalg import DimensionMismatchError, kron, map_floats, read_only
+from .linalg import DimensionMismatchError, map_floats, read_only
 from .linalg import unitarity_residual, unitarity_residuals
 from .paulis import DEFAULT_SEED, SQRT2
 from .yangbaxter import inverse_from_eigenvalues
@@ -122,22 +122,18 @@ def concurrence(psi: np.ndarray) -> float:
 def _probe_stack() -> np.ndarray:
     """The fixed probe set as one read-only (100, 4) array: all 36 pairs of
     the Pauli eigenstates |0>, |1>, |+>, |->, |+i>, |-i>, then 64
-    pseudorandom product states drawn from DEFAULT_SEED."""
-    factors = (
-        np.array([1.0, 0.0], dtype=complex),
-        np.array([0.0, 1.0], dtype=complex),
-        np.array([1.0, 1.0], dtype=complex) / SQRT2,
-        np.array([1.0, -1.0], dtype=complex) / SQRT2,
-        np.array([1.0, 1.0j], dtype=complex) / SQRT2,
-        np.array([1.0, -1.0j], dtype=complex) / SQRT2,
-    )
-    states = [kron(u, v) for u in factors for v in factors]
+    pseudorandom product states drawn from DEFAULT_SEED, each the outer
+    product u (x) v of its factors. The random factors, drawn u then v, are
+    normalised by a sum of squares, not np.linalg.norm's BLAS dot, so the
+    bytes are the same on every OpenBLAS kernel."""
+    factors = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j]], dtype=complex)
+    factors[2:] /= SQRT2
     rng = np.random.default_rng(DEFAULT_SEED)
-    for _ in range(64):
-        u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        states.append(kron(u / np.linalg.norm(u), v / np.linalg.norm(v)))
-    return read_only(np.array(states))
+    d = np.array([rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(128)])
+    d /= np.sqrt((d.real**2).sum(axis=1) + (d.imag**2).sum(axis=1))[:, None]
+    u = np.concatenate([np.repeat(factors, 6, axis=0), d[0::2]])
+    v = np.concatenate([np.tile(factors, (6, 1)), d[1::2]])
+    return read_only((u[:, :, None] * v[:, None, :]).reshape(-1, 4))
 
 
 def _concurrences(states: np.ndarray) -> np.ndarray:

@@ -12,8 +12,6 @@ import functools
 
 import numpy as np
 
-SINGULARITY_THRESHOLD = 1e-12
-
 # At scaled 1-norm <= 0.5 the order-16 Taylor remainder is below 1e-15,
 # comfortably under the convergence check.
 _SERIES_ORDER = 16
@@ -23,10 +21,6 @@ _SERIES_TOL = 1e-13
 # the per-block cost is spread thin, small enough that the list stays tens
 # of kilobytes whatever the array size.
 _FLOAT_BLOCK = 1024
-
-
-class SingularMatrixError(ValueError):
-    """Matrix is singular to working precision (|det| <= 1e-12)."""
 
 
 class DimensionMismatchError(ValueError):
@@ -44,26 +38,15 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product: entry ((i*n+k), (j*n+l)) is a[i,j] * b[k,l].
-
-    Same contract and bits as np.kron, including its leading-axis padding
-    (an (N, 4, 4) stack times a 2x2 matrix is an (N, 8, 8) stack), but
-    one broadcast multiply of interleaved reshapes with none of np.kron's
-    per-call axis bookkeeping. Two matrices (both operands 2-D) take that
-    multiply directly, without the padding.
-    """
+    """Kronecker product of two matrices, with np.kron's bits: entry
+    ((i*p+k), (j*q+l)) is a[i,j] * b[k,l], from one broadcast multiply of
+    interleaved reshapes. Any other operand is a DimensionMismatchError."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.ndim == b.ndim == 2:
-        (m, n), (p, q) = a.shape, b.shape
-        return (a.reshape(m, 1, n, 1) * b.reshape(1, p, 1, q)).reshape(m * p, n * q)
-    nd = max(a.ndim, b.ndim)
-    sa = (1,) * (nd - a.ndim) + a.shape
-    sb = (1,) * (nd - b.ndim) + b.shape
-    product = a.reshape([d for s in sa for d in (s, 1)]) * b.reshape(
-        [d for s in sb for d in (1, s)]
-    )
-    return product.reshape([x * y for x, y in zip(sa, sb)])
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionMismatchError(f"kron needs two matrices, got {a.shape} and {b.shape}")
+    (m, n), (p, q) = a.shape, b.shape
+    return (a.reshape(m, 1, n, 1) * b.reshape(1, p, 1, q)).reshape(m * p, n * q)
 
 
 def map_floats(f, x: np.ndarray) -> np.ndarray:
@@ -84,21 +67,6 @@ def map_floats(f, x: np.ndarray) -> np.ndarray:
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a, dtype=complex).conj().T
-
-
-def inverse(a: np.ndarray) -> np.ndarray:
-    """Matrix inverse, rejecting inputs with |det| at or below 1e-12.
-
-    Accepts one matrix or a stack of shape (..., n, n); every matrix in a
-    stack is checked and inverted.
-    """
-    a = np.asarray(a, dtype=complex)
-    small = abs(np.linalg.det(a)) <= SINGULARITY_THRESHOLD
-    # One matrix gives a numpy bool: test it directly, as .any() on it
-    # costs about half as much as the determinant.
-    if small.any() if a.ndim > 2 else small:
-        raise SingularMatrixError("matrix is singular to working precision")
-    return np.linalg.inv(a)
 
 
 def expm(a: np.ndarray) -> np.ndarray:

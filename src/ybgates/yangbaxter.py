@@ -68,22 +68,6 @@ _CHUNK = 64
 _ROUNDING = 32 * 2.0**-53 / (1 - 16 * 2.0**-53)
 
 
-def lift(m: np.ndarray) -> np.ndarray:
-    """Both 8x8 lifts, m (x) I and I (x) m, of a (..., 4, 4) stack, as one
-    (..., 2, 8, 8) stack.
-
-    Entries are gathered, not multiplied by 1 and 0 as in a Kronecker
-    product, so the lifts equal np.kron's in value wherever m is finite.
-    (np.kron multiplies an infinite entry by 0 into NaN.)
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape[-2:] != (4, 4):
-        raise DimensionMismatchError(f"expected a 4x4 matrix, got {m.shape}")
-    flat = m.reshape(m.shape[:-2] + (16,))
-    padded = np.concatenate([flat, np.zeros(flat.shape[:-1] + (1,), dtype=complex)], axis=-1)
-    return padded[..., _LIFT_INDEX]
-
-
 @functools.cache
 def _path_tables(dense: bool) -> np.ndarray:
     """Every path of both sides, as a (6, T, E) array of rows of a point's
@@ -247,16 +231,19 @@ def yang_baxterize(
 
     Valid for braid matrices with exactly two distinct eigenvalues
     (lam1, lam2); at x = 0 the map returns b bit for bit. b may be a stack
-    (..., n, n) and x a real array that broadcasts against its leading axes.
-    The premise is checked once, when the map is built: ValueError if
-    lam1 lam2 = 0, or if b b^(-1) - I, with the closed-form inverse, is not
-    at rounding level relative to |b| |b^(-1)| for some finite matrix of b.
-    A non-finite b is let through, and gives a non-finite map.
+    (..., n, n) and x a real array that broadcasts against its leading axes;
+    any other shape of b is a DimensionMismatchError. The premise is checked
+    once, when the map is built: ValueError if lam1 lam2 = 0, or if
+    b b^(-1) - I, with the closed-form inverse, is not at rounding level
+    relative to |b| |b^(-1)| for some finite matrix of b. A non-finite b is
+    let through, and gives a non-finite map.
     """
     b = np.asarray(b, dtype=complex)
-    inverse = inverse_from_eigenvalues(b, eigenvalues)
-    defect = np.abs(b @ inverse - np.eye(b.shape[-1])).max(axis=(-2, -1))
-    scale = (np.abs(b) @ np.abs(inverse)).max(axis=(-2, -1))
+    if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
+        raise DimensionMismatchError(f"yang_baxterize needs (..., n, n) matrices, got {b.shape}")
+    b_inv = inverse_from_eigenvalues(b, eigenvalues)
+    defect = np.abs(b @ b_inv - np.eye(b.shape[-1])).max(axis=(-2, -1))
+    scale = (np.abs(b) @ np.abs(b_inv)).max(axis=(-2, -1))
     finite = np.isfinite(b).all(axis=(-2, -1))
     if np.any(finite & ~(defect <= _ROUNDING * scale)):
         raise ValueError(
@@ -269,9 +256,11 @@ def yang_baxterize(
 def verify_two_eigenvalues(
     b: np.ndarray, eigenvalues: tuple[complex, complex]
 ) -> float:
-    """Minimal-polynomial residual |(b - lam1 I)(b - lam2 I)|."""
+    """Minimal-polynomial residual |(b - lam1 I)(b - lam2 I)| of one square b."""
     lam1, lam2 = eigenvalues
     b = np.asarray(b, dtype=complex)
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        raise DimensionMismatchError(f"expected one square matrix, got shape {b.shape}")
     eye = np.eye(b.shape[0], dtype=complex)
     product = (b - lam1 * eye) @ (b - lam2 * eye)
     return float(np.max(np.abs(product)))

@@ -329,7 +329,7 @@ def test_probe_stack_bytes_are_pinned():
     # The one fixed probe set, byte for byte: the 36 Pauli-eigenstate pairs
     # and the 64 states drawn from DEFAULT_SEED.
     digest = hashlib.sha256(_probe_stack().tobytes()).hexdigest()
-    assert digest == "71aed9210356fd5aedd165b8ecbb6a58ff67eb52bd3bdb9dd26b932c38adc44d"
+    assert digest == "6537b095972de352d46bb7f2b297ccad78bd636ac97d7534b162f0ec4be57201"
 
 
 def test_import_does_not_build_probe_stack():

@@ -1,6 +1,7 @@
 """Braid and spectral-relation residual checks against brute-force oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,13 +20,12 @@ from ybgates.eightvertex import (
     build_R_x,
     R_x_family,
 )
-from ybgates.linalg import DimensionMismatchError, inverse
+from ybgates.linalg import DimensionMismatchError
 from ybgates.paulis import SQRT2
 from ybgates.yangbaxter import (
     braid_residual,
     braid_residuals,
     inverse_from_eigenvalues,
-    lift,
     qybe_residual,
     qybe_residuals,
     qybe_table_residuals,
@@ -35,6 +35,14 @@ from ybgates.yangbaxter import (
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
+
+
+def _kron_lifts(m):
+    """Both 8x8 lifts, m (x) I and I (x) m, of a (..., 4, 4) stack, as one
+    (..., 2, 8, 8) stack built with np.kron."""
+    m = np.asarray(m, dtype=complex)
+    lifts = [np.stack([np.kron(a, I2), np.kron(I2, a)]) for a in m.reshape(-1, 4, 4)]
+    return np.array(lifts).reshape(m.shape[:-2] + (2, 8, 8))
 
 
 def _braid_oracle(b):
@@ -237,6 +245,10 @@ def test_yang_baxterize_refuses_b_outside_its_premise():
     # One matrix outside the premise refuses a whole stack.
     with pytest.raises(ValueError):
         yang_baxterize(np.stack([build_b("+", 0.3j), np.eye(4)]), EIGENVALUES)
+    # A b that is not (..., n, n) is refused by its shape.
+    for b in (np.complex128(1.0), np.ones(4), np.ones((4, 3)), np.ones((2, 3, 4))):
+        with pytest.raises(DimensionMismatchError, match=re.escape(str(b.shape))):
+            yang_baxterize(b, EIGENVALUES)
 
 
 def test_yang_baxterize_lets_nonfinite_b_through():
@@ -251,7 +263,7 @@ def test_yang_baxterize_lets_nonfinite_b_through():
 def test_yang_baxterize_accepts_the_family_at_any_scale(q):
     for sign in "+-":
         b = build_b(sign, q)
-        expected = b + 0.7 * 2.0 * inverse(b)  # the paper's form, by LAPACK
+        expected = b + 0.7 * 2.0 * np.linalg.inv(b)  # the paper's form, by LAPACK
         got = yang_baxterize(b, EIGENVALUES)(0.7)
         assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 
@@ -263,7 +275,7 @@ def test_inverse_from_eigenvalues_of_the_unitary_family_is_exact():
     b = build_b_phi_stack("-", np.linspace(0.0, 6.3, 97))
     got = inverse_from_eigenvalues(b, PHI_EIGENVALUES)
     assert got.tobytes() == (SQRT2 * I4 - b).tobytes()
-    assert np.max(np.abs(got - inverse(b))) < 1e-15
+    assert np.max(np.abs(got - np.linalg.inv(b))) < 1e-15
     halved = inverse_from_eigenvalues(build_b_stack("+", np.exp(-0.4j)), EIGENVALUES)
     assert halved.tobytes() == ((2.0 * I4 - build_b_stack("+", np.exp(-0.4j))) / 2).tobytes()
     with pytest.raises(ValueError):
@@ -277,6 +289,12 @@ def test_two_eigenvalue_check():
     value = verify_two_eigenvalues(np.kron(sx, I2), EIGENVALUES)
     assert value > 1.0
     assert abs(value - 3.0) < 1e-12
+    # Anything but one square matrix is refused by its shape: stacks of 3
+    # and of 4 matrices, a non-square matrix, a vector and a scalar.
+    b = build_b("-", 1.0)
+    for odd in (np.stack([b] * 3), np.stack([b] * 4), b[:, :3], b[0], np.complex128(1.0)):
+        with pytest.raises(DimensionMismatchError, match=re.escape(str(odd.shape))):
+            verify_two_eigenvalues(odd, EIGENVALUES)
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
@@ -332,7 +350,10 @@ def test_qybe_residuals_shape_checks():
         qybe_residuals(small, small, small)
     # A scalar or a vector in any slot, and unequal N in any slot, lifted
     # or not.
-    odd_args = (np.complex128(1.0), np.ones(16), stack[:1], lift(stack[:1]), lift(stack[[0] * 3]))
+    odd_args = (
+        np.complex128(1.0), np.ones(16), stack[:1], _kron_lifts(stack[:1]),
+        _kron_lifts(stack[[0] * 3]),
+    )
     for odd in odd_args:
         for slot in range(3):
             args = [stack, stack, stack]
@@ -402,27 +423,6 @@ def _qybe_stack_oracle(r_x, r_y, r_xy):
         np.max(np.abs(r1(a) @ r2(c) @ r1(b) - r2(b) @ r1(c) @ r2(a)))
         for a, b, c in zip(r_x, r_y, r_xy)
     ]
-
-
-@given(stacks=_stacks(1, st.floats(allow_nan=False, allow_infinity=False) | _EDGES))
-def test_lift_equals_kron_in_value_and_copies_entries(stacks):
-    stack = stacks[0]
-    lifted = lift(stack)
-    assert lifted.shape == stack.shape[:1] + (2, 8, 8)
-    for m, (left, right) in zip(stack, lifted):
-        assert np.array_equal(left, np.kron(m, I2))
-        assert np.array_equal(right, np.kron(I2, m))
-    # The source entries arrive bit for bit, signed zeros included.
-    assert lifted[:, 0, ::2, ::2].tobytes() == stack.tobytes()
-    assert lifted[:, 1, 4:, :4].tobytes() == np.zeros_like(stack).tobytes()
-
-
-def test_lift_keeps_leading_axes_and_checks_shape():
-    stack = np.arange(2 * 3 * 16).reshape(2, 3, 4, 4)
-    assert lift(stack).shape == (2, 3, 2, 8, 8)
-    assert np.array_equal(lift(stack)[1, 2, 1], np.kron(I2, stack[1, 2]))
-    with pytest.raises(DimensionMismatchError):
-        lift(np.zeros((3, 2, 2)))
 
 
 @given(stacks=_stacks(3, _EDGES), eight_vertex=st.booleans())
@@ -556,9 +556,9 @@ def test_qybe_table_residuals_shape_checks():
 def test_qybe_residuals_refuses_unequal_lifts():
     stack = np.stack([I4, I4])
     with pytest.raises(DimensionMismatchError):
-        qybe_residuals(lift(stack), stack, lift(stack[:1]))
+        qybe_residuals(_kron_lifts(stack), stack, _kron_lifts(stack[:1]))
     with pytest.raises(DimensionMismatchError):
-        qybe_residuals(lift(I4), lift(I4), lift(I4))
+        qybe_residuals(_kron_lifts(I4), _kron_lifts(I4), _kron_lifts(I4))
 
 
 @pytest.mark.parametrize(
