@@ -51,15 +51,13 @@ from .hamiltonian import (
 )
 from .linalg import expm, kron, read_only, residual, residuals, unitarity_residuals
 from .paulis import DEFAULT_SEED, SIGMA_X, SIGMA_Y
-from .yangbaxter import braid_residual, braid_residuals, inverse_from_eigenvalues
-from .yangbaxter import qybe_table_residuals
+from .yangbaxter import braid_residual, braid_residuals, inverse_from_eigenvalues, qybe_residuals
 
 _SYNTHESIZE_TOL = 1e-12
 
-# QYBE points go through the path kernel in blocks of about this many: rows
-# of x values against the whole y axis, and as many phis as fit. Enough to
-# spread numpy's per-call cost thin; a block's matrices stay far smaller
-# than the result array of its grid.
+# _qybe expands QYBE points for the path kernel in blocks of about this many:
+# rows of x values against the whole y axis, and as many phis as fit. A
+# block's matrices stay far smaller than the result array of its grid.
 _QYBE_BLOCK = 64
 
 
@@ -82,8 +80,7 @@ class MatrixDocument:
         return cls(dim=int(m.shape[0]), data=data, meta=dict(meta or {}))
 
     def to_matrix(self) -> np.ndarray:
-        flat = np.array([complex(re, im) for re, im in self.data])
-        return flat.reshape(self.dim, self.dim)
+        return np.array([complex(re, im) for re, im in self.data]).reshape(self.dim, self.dim)
 
     def to_json(self) -> str:
         payload = {"dim": self.dim, "data": self.data, "meta": self.meta}
@@ -129,15 +126,13 @@ class MatrixDocument:
 
 
 def _parse_q(text: str) -> complex:
-    parts = text.split(",")
     try:
-        if len(parts) in (1, 2):
-            q = complex(*map(float, parts))
-            if np.isfinite(q):
-                return q
-    except ValueError:
-        pass
-    raise CliError(f"--q expects finite 're' or 're,im', got {text!r}")
+        q = complex(*map(float, text.split(",")))  # TypeError for three parts or more
+    except (TypeError, ValueError):
+        q = math.nan
+    if not np.isfinite(q):
+        raise CliError(f"--q expects finite 're' or 're,im', got {text!r}")
+    return q
 
 
 def _signs(sign: str | None) -> list[str]:
@@ -157,7 +152,7 @@ def _read_flags(args: argparse.Namespace, flags: dict, command: str) -> dict:
     """The value of each key of ``flags``: the one given, else its value
     there, the default. Refuse every optional flag given that is not a key
     of ``flags``, and require each key whose value there is _REQUIRED."""
-    for name in ("sign", "q", "grid", "phi_grid", "matrix_file", "phi", "theta", "x", "y"):
+    for name in ("sign", "q", "grid", "phi_grid", "matrix_file", "phi", "theta", "x", "y", "tol"):
         if getattr(args, name, None) is None:
             if flags.get(name) is _REQUIRED:
                 raise CliError(f"{command} requires --{name}")
@@ -222,13 +217,14 @@ def _qybe(sign: str, phi, x, y) -> np.ndarray:
     rows = max(1, min(len(x), _QYBE_BLOCK // len(y)))
     phis = max(1, _QYBE_BLOCK // (rows * len(y)))
     for p in range(0, len(phi), phis):
-        block = slice(p, p + phis)
-        family = R_x_family(sign, np.exp(-1j * phi[block])[:, None, None])
-        r_y = family(y)[:, 0]
+        family = R_x_family(sign, np.exp(-1j * phi[p : p + phis])[:, None, None])
+        r_y = np.repeat(family(y), rows, axis=1)  # points run phi, x, then y fastest
         for i in range(0, len(x), rows):
-            row = slice(i, i + rows)
-            r_xy = family(x[row, None] * y)
-            out[block, row] = qybe_table_residuals(family(x[row])[:, 0], r_y, r_xy)
+            xs = x[i : i + rows]
+            r_x = np.repeat(family(xs).reshape(-1, 4, 4), len(y), axis=0)
+            r_xy = family(xs[:, None] * y).reshape(-1, 4, 4)
+            r_ys = r_y[:, : len(xs)].reshape(-1, 4, 4)
+            out[p : p + phis, i : i + rows].flat = qybe_residuals(r_x, r_ys, r_xy)
     return out.reshape(shape)
 
 
@@ -353,8 +349,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise CliError("only braid accepts --matrix-file")
         flags, command = {"matrix_file": None}, command + " --matrix-file"
         run = _verify_matrix_file
-    values = _read_flags(args, flags, command)
-    tol = args.tol if args.tol is not None else default_tol
+    values = _read_flags(args, {**flags, "tol": default_tol}, command)
+    tol = values.pop("tol")
     results, label = run(**values)
     worst_label, worst_value, nonfinite = _picks(results, label)
     passed = not nonfinite and worst_value < tol
@@ -415,8 +411,8 @@ _ROUTES = {
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
     flags, build = _ROUTES[args.route]
-    values = _read_flags(args, flags, f"synthesize {args.route}")
-    tol = args.tol if args.tol is not None else _SYNTHESIZE_TOL
+    values = _read_flags(args, {**flags, "tol": _SYNTHESIZE_TOL}, f"synthesize {args.route}")
+    tol = values.pop("tol")
     candidate = build(**values)
     target = cnot()
     value = residual(candidate, target)
@@ -447,7 +443,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 # Each sweep's optional flags with their defaults, and its kernel, called
 # with those flags and the swept parameter by name; verify runs _braid,
 # _unitarity and _qybe over its full grids. A relation's sweep has the
-# relation's default tolerance, and concurrence has none.
+# relation's default tolerance; concurrence has none, and refuses --tol.
 _SWEEPS = {
     ("concurrence", "theta"): ({"sign": "-", "phi": 0.0}, r_theta_concurrences),
     ("concurrence", "phi"): ({"sign": "-", "theta": 0.0}, r_theta_concurrences),
@@ -466,7 +462,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if key not in _SWEEPS:
         raise CliError("quantity {!r} cannot sweep parameter {!r}".format(*key))
     flags, kernel = _SWEEPS[key]
-    values = _read_flags(args, flags, "sweep {} --param {}".format(*key))
+    tols = {"tol": _RELATIONS[args.quantity][1]} if args.quantity in _RELATIONS else {}
+    values = _read_flags(args, {**flags, **tols}, "sweep {} --param {}".format(*key))
+    tol = values.pop("tol", None)
     # The same float operations, in the same order, as a Python loop over k.
     grid = args.start + (args.stop - args.start) * np.arange(args.steps) / (args.steps - 1)
     if not np.isfinite(grid).all():
@@ -481,8 +479,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # A non-finite result fails, and is the peak, whatever the tolerance.
     _, peak, nonfinite = _picks(results, str)
     values, results = grid.tolist(), results.tolist()
-    default_tol = _RELATIONS[args.quantity][1] if args.quantity in _RELATIONS else None
-    tol = args.tol if args.tol is not None else default_tol
     passed = False if nonfinite else None if tol is None else peak < tol
     if args.format == "csv":
         rows = (f"{args.param},{value!r},{result!r}\n" for value, result in zip(values, results))
@@ -522,6 +518,12 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
+
+
+def _positive_float(text: str) -> float:
+    if (value := _finite_float(text)) > 0:  # a --tol: no residual is below 0
+        return value
+    raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
 
 
 def _positive_int(text: str) -> int:
@@ -571,9 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a relation check over its grid")
     verify.add_argument("relation", choices=list(_RELATIONS))
     verify.add_argument("--sign", choices=["+", "-"], help="restrict to one sign")
-    verify.add_argument(
-        "--tol", type=_finite_float, help="pass tolerance (per-relation default)"
-    )
+    verify.add_argument("--tol", type=_positive_float, help="pass tolerance (relation's default)")
     verify.add_argument("--grid", type=_positive_int, help="points per spectral axis")
     verify.add_argument("--phi-grid", type=_positive_int, help="deformation grid points")
     verify.add_argument("--matrix-file", help="check one matrix document (braid only)")
@@ -591,7 +591,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--phi", type=_finite_float, help="deformation angle (evolution route)"
     )
     synthesize.add_argument("--theta", type=_finite_float, help="evolution angle, default pi/2")
-    synthesize.add_argument("--tol", type=_finite_float, help="pass tolerance, default 1e-12")
+    synthesize.add_argument("--tol", type=_positive_float, help="pass tolerance, default 1e-12")
     synthesize.set_defaults(func=_cmd_synthesize)
 
     sweep = sub.add_parser("sweep", help="tabulate a quantity over a range")
@@ -604,7 +604,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--steps", type=int, required=True)
     _add_common_params(sweep)
     sweep.add_argument("--y", type=_finite_float, help="second spectral value (qybe)")
-    sweep.add_argument("--tol", type=_finite_float, help="pass tolerance for residual sweeps")
+    sweep.add_argument("--tol", type=_positive_float, help="pass tolerance for residual sweeps")
     sweep.add_argument("--format", choices=["json", "csv"], default="json")
     sweep.add_argument("--out", help="write the report to a file instead of stdout")
     sweep.set_defaults(func=_cmd_sweep)

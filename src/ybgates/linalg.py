@@ -148,19 +148,17 @@ def _eye(n: int) -> np.ndarray:
 
 
 def unitarity_residual(u: np.ndarray) -> float:
-    """Residual of u @ dagger(u) against the identity, for a square u.
-
-    The same arithmetic as residual(u @ dagger(u), eye), with the identity
-    built once per size and without converting the operands a second time.
-    """
+    """Residual of u @ dagger(u) against the identity, for a square u:
+    unitarity_residuals on one matrix."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {u.shape}")
-    return float(np.abs(u @ u.conj().T - _eye(u.shape[0])).max())
+    return float(unitarity_residuals(u))
 
 
 def unitarity_residuals(u: np.ndarray) -> np.ndarray:
-    """unitarity_residual of each matrix in a (..., n, n) stack; shape (...)."""
+    """Residual of u @ dagger(u) against the identity, with the identity
+    built once per size, for each matrix of a (..., n, n) stack; shape (...)."""
     u = np.asarray(u, dtype=complex)
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise DimensionMismatchError(f"expected (..., n, n) matrices, got shape {u.shape}")

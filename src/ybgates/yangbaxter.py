@@ -5,9 +5,10 @@ A 4x4 matrix acting on two adjacent qubits lifts to three qubits as either
 m (x) I or I (x) m. Both relations checked here are identities between
 products of three such 8x8 lifts, and both checks return the max-entry
 residual of the two sides so the caller picks the tolerance.
-qybe_table_residuals makes every product: the braid relation is the
-spectral one with b = R(0) in all three slots, and the other checks call
-it on one-point tables.
+qybe_residuals, over N points given as three (N, 4, 4) stacks, makes
+every product: the braid relation is the spectral one with b = R(0) in
+all three slots, and the one-matrix and one-point checks are calls of it
+on stacks of one. Callers that check a grid expand it to points first.
 
 It builds no lift and calls no BLAS. Entry (i, j) of a product A B C of
 lifts is the sum over the paths (k, l) of A[i, k] B[k, l] C[l, j], and a
@@ -22,7 +23,7 @@ entries; those add only paths through structural zeros, so finite
 eight-vertex input gives the same bits on either. Each path is the
 product of its three factors, left to right, and each entry adds its
 paths one at a time in (k, l) order, so an entry's bits depend on
-neither the size of the table nor the BLAS kernel. numpy's complex
+neither the size of the call nor the BLAS kernel. numpy's complex
 multiply is the one step whose bits could depend on the CPU; they were
 the same under numpy's X86_V3 (AVX2 and FMA) and AVX-512 targets.
 """
@@ -56,7 +57,7 @@ _LIFT_INDEX = np.array(
 _OFF_PATTERN = [1, 2, 4, 7, 8, 11, 13, 14]
 _OFF_ROWS = np.array([row + offset for offset in (0, 16, 32) for row in _OFF_PATTERN])
 
-# Points whose paths qybe_table_residuals multiplies at a time: enough to
+# Points whose paths qybe_residuals multiplies at a time: enough to
 # spread numpy's per-call cost thin, few enough that the gathered factors
 # stay a few hundred kilobytes (eight times that on the dense tables).
 _CHUNK = 64
@@ -95,12 +96,9 @@ def _path_tables(dense: bool) -> np.ndarray:
 
 def braid_residuals(b: np.ndarray) -> np.ndarray:
     """Residuals of (b x I)(I x b)(b x I) = (I x b)(b x I)(I x b), one per
-    matrix of an (N, 4, 4) stack, as qybe_table_residuals on N one-point
-    tables with b in all three slots; shape (N,)."""
-    b = np.asarray(b, dtype=complex)
-    if b.ndim != 3:
-        raise DimensionMismatchError(f"expected an (N, 4, 4) stack, got {b.shape}")
-    return qybe_table_residuals(b[:, None], b[:, None], b[:, None, None])[:, 0, 0]
+    matrix of an (N, 4, 4) stack, as qybe_residuals with b in all three
+    slots; shape (N,)."""
+    return qybe_residuals(b, b, b)
 
 
 def braid_residual(b: np.ndarray) -> float:
@@ -122,45 +120,22 @@ def qybe_residuals(r_x: np.ndarray, r_y: np.ndarray, r_xy: np.ndarray) -> np.nda
     (N,). The first right-hand factor carries the argument y (the
     multiplicative convention): with x there instead, the derived families
     miss by residuals of order one, so the convention is fixed by
-    computation and pinned in the test suite. It is qybe_table_residuals
-    on one-point tables.
+    computation and pinned in the test suite.
+
+    Every entry of both sides is summed over the path tables (see the
+    module docstring), in chunks of _CHUNK points: the eight-vertex
+    tables, or the dense ones for a chunk in which any matrix has a
+    non-zero entry, NaN and infinity included, outside b's pattern. A
+    point's residual is the same, bit for bit, in a call of any size.
     """
     r_x, r_y, r_xy = (np.asarray(r, dtype=complex) for r in (r_x, r_y, r_xy))
-    if min(r_x.ndim, r_y.ndim, r_xy.ndim) < 3:
-        shapes = ", ".join(str(r.shape) for r in (r_x, r_y, r_xy))
-        raise DimensionMismatchError(f"expected (N, 4, 4) stacks, got {shapes}")
-    return qybe_table_residuals(r_x[:, None], r_y[:, None], r_xy[:, None, None])[:, 0, 0]
-
-
-def qybe_table_residuals(r_x: np.ndarray, r_y: np.ndarray, r_xy: np.ndarray) -> np.ndarray:
-    """Residuals of R1(x) R2(xy) R1(y) = R2(y) R1(xy) R2(x) over P tables of
-    points, each with x from an axis of I matrices and y from one of J.
-
-    ``r_x`` is a (P, I, 4, 4) stack, ``r_y`` a (P, J, 4, 4) stack and
-    ``r_xy`` the (P, I, J, 4, 4) stack at their products. The result has
-    shape (P, I, J), and entry (p, i, j) is the residual at (x_pi, y_pj),
-    bit-identical to its one-point table (qybe_residuals). Every entry of
-    both sides is summed over the path tables (see the module docstring),
-    in chunks of _CHUNK points: the eight-vertex tables, or the dense ones
-    for a chunk in which any matrix has a non-zero entry, NaN and infinity
-    included, outside b's pattern.
-    """
-    stacks = [np.asarray(r, dtype=complex) for r in (r_x, r_y, r_xy)]
-    shapes = [r.shape[:-2] for r in stacks]
-    if (
-        any(r.shape[-2:] != (4, 4) for r in stacks)
-        or len(shapes[2]) != 3
-        or shapes[:2] != [shapes[2][:2], shapes[2][::2]]
-    ):
+    # shape[1:] is () for a scalar and a vector, so they are refused too.
+    if r_x.shape[1:] != (4, 4) or not r_x.shape == r_y.shape == r_xy.shape:
         raise DimensionMismatchError(
-            "expected (P, I, 4, 4), (P, J, 4, 4) and (P, I, J, 4, 4) stacks, got "
-            + ", ".join(str(r.shape) for r in stacks)
+            f"expected three equal (N, 4, 4) stacks, got {r_x.shape}, {r_y.shape}, {r_xy.shape}"
         )
-    p, i, j = shapes[2]
     # Each point's x, y and xy, one row of 16 entries per point.
-    x = np.repeat(stacks[0].reshape(p * i, 16), j, axis=0)
-    y = np.repeat(stacks[1].reshape(p, 1, j * 16), i, axis=1).reshape(-1, 16)
-    xy = stacks[2].reshape(-1, 16)
+    x, y, xy = (r.reshape(-1, 16) for r in (r_x, r_y, r_xy))
     out = np.empty(len(xy))
     for start in range(0, len(xy), _CHUNK):
         chunk = slice(start, start + _CHUNK)
@@ -170,7 +145,7 @@ def qybe_table_residuals(r_x: np.ndarray, r_y: np.ndarray, r_xy: np.ndarray) -> 
         # Each entry adds its paths' terms one at a time, in order.
         left, right = (functools.reduce(np.add, a * b * c) for a, b, c in (terms[:3], terms[3:]))
         out[chunk] = np.abs(left - right).max(axis=0)
-    return out.reshape(p, i, j)
+    return out
 
 
 def qybe_residual(family: Callable[[float], np.ndarray], x: float, y: float) -> float:

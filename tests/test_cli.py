@@ -435,7 +435,7 @@ def test_sweep_qybe_x_row_bit_identical_to_oracle(capsys):
 
 def _verify_qybe_oracle(sign, grid, phi_grid):
     """verify qybe's residuals in its order (sign, phi, then x-major), one
-    point at a time, each as a one-point table (qybe_residual): a point's
+    point at a time, each in a one-point call (qybe_residual): a point's
     bits must not depend on the block it runs in. tests/test_yangbaxter.py
     checks the kernel itself against np.kron oracles."""
     values = [2.0 * k / grid for k in range(1, grid + 1)]
@@ -587,12 +587,12 @@ def test_verify_nonfinite_matrix_file_fails(tmp_path, capsys):
 
 def _patch_qybe(monkeypatch, results):
     """Make the CLI's QYBE kernel return the 64 ``results``, x-major, for
-    the one 8 x 8 tile of a --grid 8 square, on its one phi."""
+    the one 64-point block of a --grid 8 square, on its one phi."""
     def fake(r_x, r_y, r_xy):
-        assert (r_x.shape[:2], r_y.shape[:2]) == ((1, 8), (1, 8)) and len(results) == 64
-        return np.array(results, dtype=float).reshape(1, 8, 8)
+        assert r_x.shape == r_y.shape == r_xy.shape == (64, 4, 4) and len(results) == 64
+        return np.array(results, dtype=float)
 
-    monkeypatch.setattr(ybgates.cli, "qybe_table_residuals", fake)
+    monkeypatch.setattr(ybgates.cli, "qybe_residuals", fake)
 
 
 def _verify_one_grid(capsys):
@@ -679,6 +679,16 @@ def test_verify_qybe_all_zero_worst_is_first_point(monkeypatch, capsys):
         ["sweep", "qybe", "--param", "x", "--from", "0", "--to", "1", "--steps", "3",
          "--y", "nan"],
         ["sweep", "braid", "--param", "phi", "--from", "0", "--to", "inf", "--steps", "3"],
+        # No residual is below a tolerance of zero or less.
+        ["verify", "braid", "--tol", "-1"],
+        ["verify", "braid", "--tol", "0"],
+        ["verify", "qybe", "--tol", "-0.0"],
+        ["synthesize", "theorem1", "--tol", "0"],
+        ["synthesize", "evolution", "--tol", "-1e-300"],
+        ["sweep", "braid", "--param", "phi", "--from", "0", "--to", "1", "--steps", "3",
+         "--tol", "0"],
+        ["sweep", "unitarity", "--param", "x", "--from", "0", "--to", "1", "--steps", "3",
+         "--tol", "-5e-324"],
     ],
 )
 def test_bad_arguments_rejected_before_computing(args, capsys):
@@ -689,18 +699,21 @@ def test_bad_arguments_rejected_before_computing(args, capsys):
     for flag, value in zip(args, args[1:]):
         if {"nan", "inf", "-inf"} & set(value.split(",")):
             assert flag in err and repr(value) in err, err
+        elif flag == "--tol":
+            assert f"argument --tol: must be positive, got {value!r}" in err, err
 
 
 def test_no_option_parses_a_bare_float():
     # float() takes 'nan' and 'inf'; every number flag goes through
-    # _finite_float instead, so that the parser refuses them.
+    # _finite_float instead (--tol through _positive_float, which calls
+    # it), so that the parser refuses them.
     parser = ybgates.cli._build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     numbers = 0
     for name, command in commands.choices.items():
         for action in command._actions:
             assert action.type is not float, (name, action.option_strings)
-            numbers += action.type is ybgates.cli._finite_float
+            numbers += action.type in (ybgates.cli._finite_float, ybgates.cli._positive_float)
     # The walk found every number flag: --tol of verify; --phi, --theta and
     # --x of matrix; --phi, --theta and --tol of synthesize; and --from,
     # --to, --phi, --theta, --x, --y and --tol of sweep.
@@ -1197,11 +1210,26 @@ def test_qybe_commands_never_call_lift_or_inverse(args, monkeypatch, capsys):
 
 @pytest.mark.parametrize("args", _QYBE_COMMANDS, ids=["verify", "sweep-x", "sweep-phi"])
 def test_qybe_commands_never_call_point_kernel(args, monkeypatch, capsys):
-    # verify qybe and both sweep parameters run one tiled table kernel.
-    _refuse_everywhere(monkeypatch, "qybe_residuals", ybgates.yangbaxter.qybe_residuals)
+    # verify qybe and both sweep parameters hand each point of their grid,
+    # as its (x, y, xy) matrices, to the path kernel exactly once, in calls
+    # of at most max(_QYBE_BLOCK, len(y)) points, and never to qybe_residual.
+    _refuse_everywhere(monkeypatch, "qybe_residual", qybe_residual)
+    points, sizes = [], []
+    real = ybgates.cli.qybe_residuals
+
+    def spy(r_x, r_y, r_xy):
+        sizes.append(len(r_x))
+        points.extend(point.tobytes() for point in np.stack([r_x, r_y, r_xy], axis=1))
+        return real(r_x, r_y, r_xy)
+
+    monkeypatch.setattr(ybgates.cli, "qybe_residuals", spy)
     code, out, err = run_cli(args, capsys)
     assert code == 0, err
-    assert json.loads(out)["pass"] is True
+    report = json.loads(out)
+    assert report["pass"] is True
+    assert len(set(points)) == len(points) == report.get("points", len(report.get("values", [])))
+    len_y = int(args[args.index("--grid") + 1]) if "--grid" in args else 1
+    assert 0 < max(sizes) <= max(ybgates.cli._QYBE_BLOCK, len_y)
 
 
 def test_verify_qybe_memory_does_not_grow_with_grid_squared(capsys):
@@ -1320,6 +1348,11 @@ def test_sweep_default_tol_is_the_verify_tol(quantity, param, capsys):
         (["matrix", "H", "--sign", "+", "--phi", "1", "--x", "2"], "--x is not used by matrix H"),
         (["matrix", "b", "--sign", "+", "--q", "1", "--theta", "2"],
          "--theta is not used by matrix b"),
+        # A concurrence is not a residual, and has no tolerance.
+        (["sweep", "concurrence", "--param", "theta", "--from", "0", "--to", "1", "--steps", "3",
+          "--tol", "1"], "--tol is not used by sweep concurrence --param theta"),
+        (["sweep", "concurrence", "--param", "phi", "--from", "0", "--to", "1", "--steps", "3",
+          "--tol", "1"], "--tol is not used by sweep concurrence --param phi"),
     ],
 )
 def test_ignored_flags_are_usage_errors(args, message, capsys):

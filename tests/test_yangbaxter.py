@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from ybgates.yangbaxter import (
     inverse_from_eigenvalues,
     qybe_residual,
     qybe_residuals,
-    qybe_table_residuals,
     verify_two_eigenvalues,
     yang_baxterize,
 )
@@ -348,11 +348,12 @@ def test_qybe_residuals_shape_checks():
     small = np.stack([I2, I2])
     with pytest.raises(DimensionMismatchError):
         qybe_residuals(small, small, small)
-    # A scalar or a vector in any slot, and unequal N in any slot, lifted
-    # or not.
+    # A scalar or a vector in any slot, one point against N, unequal N, a
+    # table of points (1, N, 4, 4), and lifts (N, 2, 8, 8), of equal N or
+    # not.
     odd_args = (
-        np.complex128(1.0), np.ones(16), stack[:1], _kron_lifts(stack[:1]),
-        _kron_lifts(stack[[0] * 3]),
+        np.complex128(1.0), np.ones(16), stack[:1], stack[[0] * 3], stack[None],
+        _kron_lifts(stack), _kron_lifts(stack[:1]), _kron_lifts(stack[[0] * 3]),
     )
     for odd in odd_args:
         for slot in range(3):
@@ -454,73 +455,40 @@ def test_residuals_nonfinite_exactly_where_kron_oracle_is(stacks):
     assert np.array_equal(braids[np.isfinite(braids)], braid_paths[np.isfinite(braid_expected)])
 
 
-@st.composite
-def _tables(draw, tables=(1, 4), rows=(1, 70), cols=(1, 12)):
-    """P tables, each an x axis of I matrices, a y axis of J, and the
-    (I, J) stack at their products, as (P, I), (P, J) and (P, I, J) stacks
-    of seeded random parts, a third of them zero, with up to 6 parts drawn
-    from infinities, NaN and +-1e300. P, I and J are drawn from the
-    inclusive ranges ``tables``, ``rows`` and ``cols``."""
-    p, i, j = (draw(st.integers(*bounds)) for bounds in (tables, rows, cols))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    stacks = []
-    for shape in ((p, i), (p, j), (p, i, j)):
-        parts = rng.standard_normal(shape + (4, 4, 2)) * 10.0 ** rng.integers(-6, 7)
-        parts[rng.random(parts.shape) < 1 / 3] = 0.0
-        stacks.append(parts)
-    specials = st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -1e300])
-    for _ in range(draw(st.integers(0, 6))):
-        parts = stacks[draw(st.integers(0, 2))]
-        parts[tuple(draw(st.integers(0, d - 1)) for d in parts.shape)] = draw(specials)
-    return [parts.view(np.complex128)[..., 0] for parts in stacks]
-
-
-def _assert_tables_match_point_kernel(tables):
-    r_x, r_y, r_xy = tables
-    p, i, j = r_xy.shape[:3]
-    with np.errstate(all="ignore"):
-        got = qybe_table_residuals(r_x, r_y, r_xy)
-        points = qybe_residuals(
-            np.repeat(r_x, j, axis=1).reshape(-1, 4, 4),
-            np.tile(r_y, (1, i, 1, 1)).reshape(-1, 4, 4),
-            r_xy.reshape(-1, 4, 4),
-        )
-    expected = points.reshape(p, i, j)
-    finite = np.isfinite(expected)
-    assert got.shape == (p, i, j)
-    assert np.array_equal(np.isfinite(got), finite)
-    assert got[finite].tobytes() == expected[finite].tobytes()
-
-
 @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
-@given(tables=_tables())
-def test_qybe_table_residuals_bit_identical_to_point_kernel(tables):
-    _assert_tables_match_point_kernel(tables)
-
-
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    shape=st.tuples(*[st.integers(1, n) for n in (3, 20, 9)]),
-    eight_vertex=st.booleans(),
-)
-def test_qybe_table_residuals_bit_identical_to_path_oracle(seed, shape, eight_vertex):
-    # Random finite tables, in the eight-vertex pattern or dense, each
-    # point against the path oracle and the np.kron matmul oracle.
-    p, i, j = shape
-    rng = np.random.default_rng(seed)
-    r_x, r_y, r_xy = (
-        (rng.standard_normal(s + (4, 4)) + 1j * rng.standard_normal(s + (4, 4)))
-        * (_EIGHT_VERTEX if eight_vertex else 1.0)
-        for s in ((p, i), (p, j), (p, i, j))
+def test_qybe_residuals_point_bit_identical_in_a_call_of_any_size(monkeypatch):
+    # 279 points: four 64-point chunks and a partial one of 23. Chunks 0
+    # and 4 hold eight-vertex points only; chunk 1 is dense; chunk 2 has
+    # one dense point among eight-vertex ones; chunk 3 holds infinities,
+    # NaN and +-1e300, NaN also outside the pattern. Each point's residual
+    # equals its one-point call bit for bit, or both are non-finite.
+    rng = np.random.default_rng(11)
+    n = 4 * 64 + 23
+    parts = rng.standard_normal((3, n, 4, 4, 2)) * 10.0 ** rng.integers(-6, 7, (3, n, 1, 1, 1))
+    parts[rng.random(parts.shape) < 1 / 3] = 0.0
+    stacks = parts.view(np.complex128)[..., 0]  # a view keeps every part bit for bit
+    stacks[:, :64] *= _EIGHT_VERTEX
+    stacks[:, 128:] *= _EIGHT_VERTEX
+    stacks[1, 150, 0, 1] = 0.5
+    stacks[0, 200, 0, 0] = math.inf
+    stacks[2, 210, 0, 1] = math.nan
+    stacks[1, 220, 3, 3] = -math.inf
+    stacks[0, 230, 0, 3] = math.nan
+    stacks[2, 240, 2, 2] = 1e300
+    dense = []
+    tables = ybgates.yangbaxter._path_tables
+    monkeypatch.setattr(
+        ybgates.yangbaxter, "_path_tables", lambda flag: dense.append(flag) or tables(flag)
     )
-    got = qybe_table_residuals(r_x, r_y, r_xy)
-    assert got.shape == (p, i, j)
-    _assert_path_and_kron_oracles(
-        got.ravel(),
-        np.repeat(r_x, j, axis=1).reshape(-1, 4, 4),
-        np.tile(r_y, (1, i, 1, 1)).reshape(-1, 4, 4),
-        r_xy.reshape(-1, 4, 4),
-    )
+    with np.errstate(all="ignore"):
+        got = qybe_residuals(*stacks)
+        assert dense == [False, True, True, True, False]
+        single = np.concatenate([qybe_residuals(*stacks[:, k : k + 1]) for k in range(n)])
+    finite = np.isfinite(single)
+    assert 0 < np.count_nonzero(~finite) < 10
+    assert np.array_equal(np.isfinite(got), finite)
+    assert got[finite].tobytes() == single[finite].tobytes()
+    _assert_path_and_kron_oracles(got[:192], *stacks[:, :192])
 
 
 def test_dense_tables_give_the_eight_vertex_residuals_on_the_family(monkeypatch):
@@ -528,29 +496,13 @@ def test_dense_tables_give_the_eight_vertex_residuals_on_the_family(monkeypatch)
     # terms are exact zeros, so on finite eight-vertex input they give the
     # same residual bits; a chunk of points may take either.
     rng = np.random.default_rng(5)
-    family = R_x_family("-", np.exp(-1j * rng.uniform(0.0, 6.3, (3, 1, 1))))
-    xs, ys = rng.uniform(-3.0, 3.0, 9), rng.uniform(-3.0, 3.0, 7)
-    tables = family(xs)[:, 0], family(ys)[:, 0], family(xs[:, None] * ys)
-    expected = qybe_table_residuals(*tables)
+    family = R_x_family("-", np.exp(-1j * rng.uniform(0.0, 6.3, 189)))
+    x, y = rng.uniform(-3.0, 3.0, (2, 189))
+    points = family(x), family(y), family(x * y)
+    expected = qybe_residuals(*points)
     dense = ybgates.yangbaxter._path_tables(True)
     monkeypatch.setattr(ybgates.yangbaxter, "_path_tables", lambda _: dense)
-    assert qybe_table_residuals(*tables).tobytes() == expected.tobytes()
-
-
-def test_qybe_table_residuals_shape_checks():
-    x, y = np.stack([I4] * 3)[None], np.stack([I4, I4])[None]
-    assert qybe_table_residuals(x, y, np.stack([y[0]] * 3)[None]).shape == (1, 3, 2)
-    refused = [
-        (x, y, np.stack([x[0]] * 2)[None]),  # r_xy is (J, I), not (I, J)
-        (I4, y, y),
-        (x, y, x),
-        (x[0], y[0], np.stack([y[0]] * 3)),  # no P axis
-        (np.concatenate([x, x]), y, np.stack([y[0]] * 3)[None]),  # P of 2, 1 and 1
-        (x, y, np.stack([np.stack([y[0]] * 3)] * 2)),  # P of 1, 1 and 2
-    ]
-    for args in refused:
-        with pytest.raises(DimensionMismatchError):
-            qybe_table_residuals(*args)
+    assert qybe_residuals(*points).tobytes() == expected.tobytes()
 
 
 def test_qybe_residuals_refuses_unequal_lifts():
@@ -572,17 +524,19 @@ def test_qybe_residuals_refuses_unequal_lifts():
     ids=["braid_residuals", "braid_residual", "qybe_residuals", "qybe_residual"],
 )
 def test_relation_views_are_one_call_of_the_table_kernel(monkeypatch, call):
-    # Every Yang-Baxter product is made by qybe_table_residuals; the other
-    # kernels are one call of it on one-point tables.
-    calls = []
-    real = ybgates.yangbaxter.qybe_table_residuals
-    monkeypatch.setattr(
-        ybgates.yangbaxter,
-        "qybe_table_residuals",
-        lambda *args: calls.append(args[2].shape[1:3]) or real(*args),
-    )
+    # Every Yang-Baxter product is summed over the path tables, and only
+    # qybe_residuals gathers them: each check, on one chunk of points, is
+    # one call of it.
+    callers = []
+    tables = ybgates.yangbaxter._path_tables
+
+    def spy(dense):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return tables(dense)
+
+    monkeypatch.setattr(ybgates.yangbaxter, "_path_tables", spy)
     call()
-    assert calls == [(1, 1)]
+    assert callers == ["qybe_residuals"]
 
 
 def test_R_x_family_bit_identical_to_build_R_x():
