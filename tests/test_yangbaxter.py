@@ -505,6 +505,96 @@ def test_dense_tables_give_the_eight_vertex_residuals_on_the_family(monkeypatch)
     assert qybe_residuals(*points).tobytes() == expected.tobytes()
 
 
+@st.composite
+def _tables(draw, tables=(1, 4), rows=(1, 70), cols=(1, 12)):
+    """P tables, each an x axis of I matrices, a y axis of J, and the
+    (I, J) stack at their products, as (P, I), (P, J) and (P, I, J) stacks
+    of seeded random parts, a third of them zero, with up to 6 parts drawn
+    from infinities, NaN and +-1e300. P, I and J are drawn from the
+    inclusive ranges ``tables``, ``rows`` and ``cols``."""
+    p, i, j = (draw(st.integers(*bounds)) for bounds in (tables, rows, cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stacks = []
+    for shape in ((p, i), (p, j), (p, i, j)):
+        parts = rng.standard_normal(shape + (4, 4, 2)) * 10.0 ** rng.integers(-6, 7)
+        parts[rng.random(parts.shape) < 1 / 3] = 0.0
+        stacks.append(parts)
+    specials = st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -1e300])
+    for _ in range(draw(st.integers(0, 6))):
+        parts = stacks[draw(st.integers(0, 2))]
+        parts[tuple(draw(st.integers(0, d - 1)) for d in parts.shape)] = draw(specials)
+    return [parts.view(np.complex128)[..., 0] for parts in stacks]
+
+
+def _table_points(r_x, r_y, r_xy):
+    """The (P, I, J) points of a table as three (P*I*J, 4, 4) stacks, in
+    the order the verify grid uses: P, then I, then J fastest."""
+    i, j = r_xy.shape[1:3]
+    return (
+        np.repeat(r_x, j, axis=1).reshape(-1, 4, 4),
+        np.tile(r_y, (1, i, 1, 1)).reshape(-1, 4, 4),
+        r_xy.reshape(-1, 4, 4),
+    )
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+@given(tables=_tables())
+def test_qybe_table_residuals_bit_identical_to_point_kernel(tables):
+    # A whole table of points in one call gives each point's one-point
+    # residual bit for bit, or both are non-finite.
+    points = _table_points(*tables)
+    with np.errstate(all="ignore"):
+        got = qybe_residuals(*points)
+        single = np.concatenate(
+            [qybe_residuals(*(m[k : k + 1] for m in points)) for k in range(len(got))]
+        )
+    finite = np.isfinite(single)
+    assert got.shape == (tables[2][..., 0, 0].size,)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert got[finite].tobytes() == single[finite].tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(*[st.integers(1, n) for n in (3, 20, 9)]),
+    eight_vertex=st.booleans(),
+)
+def test_qybe_table_residuals_bit_identical_to_path_oracle(seed, shape, eight_vertex):
+    # Random finite tables, in the eight-vertex pattern or dense, each
+    # point against the path oracle and the np.kron matmul oracle.
+    p, i, j = shape
+    rng = np.random.default_rng(seed)
+    points = _table_points(
+        *(
+            (rng.standard_normal(s + (4, 4)) + 1j * rng.standard_normal(s + (4, 4)))
+            * (_EIGHT_VERTEX if eight_vertex else 1.0)
+            for s in ((p, i), (p, j), (p, i, j))
+        )
+    )
+    got = qybe_residuals(*points)
+    assert got.shape == (p * i * j,)
+    _assert_path_and_kron_oracles(got, *points)
+
+
+def test_qybe_table_residuals_shape_checks():
+    # A table reaches the kernel only as points; the kernel refuses the
+    # table stacks themselves, whatever their P, I and J.
+    x, y = np.stack([I4] * 3)[None], np.stack([I4, I4])[None]
+    assert qybe_residuals(*_table_points(x, y, np.stack([y[0]] * 3)[None])).shape == (6,)
+    refused = [
+        (x, y, np.stack([y[0]] * 3)[None]),  # the (P, I), (P, J), (P, I, J) table
+        (x, y, np.stack([x[0]] * 2)[None]),  # r_xy is (J, I), not (I, J)
+        (I4, y, y),
+        (x, y, x),
+        (x[0], y[0], np.stack([y[0]] * 3)),  # no P axis
+        (np.concatenate([x, x]), y, np.stack([y[0]] * 3)[None]),  # P of 2, 1 and 1
+        (x, y, np.stack([np.stack([y[0]] * 3)] * 2)),  # P of 1, 1 and 2
+    ]
+    for args in refused:
+        with pytest.raises(DimensionMismatchError):
+            qybe_residuals(*args)
+
+
 def test_qybe_residuals_refuses_unequal_lifts():
     stack = np.stack([I4, I4])
     with pytest.raises(DimensionMismatchError):
