@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .eightvertex import (
-    PHI_EIGENVALUES,
+    angle_form,
     build_b,
     build_b_phi,
     build_b_phi_stack,
@@ -49,9 +49,10 @@ from .hamiltonian import (
     interaction_operator,
     schrodinger_residuals,
 )
-from .linalg import expm, kron, read_only, residual, residuals, unitarity_residuals
+from .linalg import _eye, expm, kron, map_floats, read_only, residual, residuals
+from .linalg import unitarity_residuals
 from .paulis import DEFAULT_SEED, SIGMA_X, SIGMA_Y
-from .yangbaxter import braid_residual, braid_residuals, inverse_from_eigenvalues, qybe_residuals
+from .yangbaxter import braid_residual, braid_residuals, qybe_residuals
 
 _SYNTHESIZE_TOL = 1e-12
 
@@ -144,19 +145,12 @@ def _phi_grid(n: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(n) / n
 
 
-# A flag table's default for a flag that must be given.
-_REQUIRED = object()
-
-
 def _read_flags(args: argparse.Namespace, flags: dict, command: str) -> dict:
     """The value of each key of ``flags``: the one given, else its value
     there, the default. Refuse every optional flag given that is not a key
-    of ``flags``, and require each key whose value there is _REQUIRED."""
+    of ``flags``."""
     for name in ("sign", "q", "grid", "phi_grid", "matrix_file", "phi", "theta", "x", "y", "tol"):
-        if getattr(args, name, None) is None:
-            if flags.get(name) is _REQUIRED:
-                raise CliError(f"{command} requires --{name}")
-        elif name not in flags:
+        if getattr(args, name, None) is not None and name not in flags:
             raise CliError(f"--{name.replace('_', '-')} is not used by {command}")
     return {
         name: default if getattr(args, name) is None else getattr(args, name)
@@ -294,36 +288,29 @@ def _verify_schrodinger(sign: str | None) -> _Labelled:
 def _verify_exponential(sign: str | None, phi_grid: int) -> _Labelled:
     # Points run sign, phi, theta, then the closed form R before the
     # exponential U, as in the per-point closed forms of hamiltonian and
-    # eightvertex. Each coefficient is the Python float or complex those
-    # functions compute from math.cos/math.sin, one row per theta.
+    # eightvertex. Each coefficient is the Python float those functions
+    # compute with math.cos/math.sin, times the same factor, one row per theta.
     signs, phis = _signs(sign), _phi_grid(phi_grid)
-    thetas = [float(t) for t in np.linspace(0.0, 2.0 * math.pi, 9)]
-
-    def column(coefficient) -> np.ndarray:
-        return np.array([coefficient(t) for t in thetas])[:, None, None]
-
-    eye = np.eye(4, dtype=complex)
-    cos_u = column(lambda t: math.cos(math.pi / 4.0 - t))
-    sin_u = column(lambda t: 2j * math.sin(math.pi / 4.0 - t))
-    cos_t, sin_t = column(math.cos), column(math.sin)
-    cos_half = column(lambda t: math.cos(t / 2.0))
-    sin_half = column(lambda t: 1j * math.sin(t / 2.0))
-    exponents = column(lambda t: -0.5j * t)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 9)
+    cos_u, sin_u, cos_t, sin_t, cos_half, sin_half = (
+        map_floats(f, angles)[:, None, None]
+        for angles in (math.pi / 4.0 - thetas, thetas, thetas / 2.0)
+        for f in (math.cos, math.sin)
+    )
     closed, evolutions, generators = [], [], []
     for s in signs:
         b = build_b_phi_stack(s, phis)[:, None]
-        from_h = cos_u * eye + sin_u * (-0.5j * (b @ b))  # H as hamiltonian_const builds it
-        b_inv = inverse_from_eigenvalues(b, PHI_EIGENVALUES)
-        closed.append(residuals(from_h, cos_t * b + sin_t * b_inv))
+        from_h = cos_u * _eye(4) + 2j * sin_u * (-0.5j * (b @ b))  # H as hamiltonian_const has it
+        closed.append(residuals(from_h, angle_form(b, cos_t, sin_t)))
         op = np.stack([interaction_operator(s, phi) for phi in phis])[:, None]
-        evolutions.append(cos_half * eye - sin_half * op)
-        generators.append(exponents * op)
+        evolutions.append(cos_half * _eye(4) - 1j * sin_half * op)
+        generators.append(-0.5j * thetas[:, None, None] * op)
     xy = 0.25j * math.pi * kron(SIGMA_X, SIGMA_Y)  # rides last; its expm is bphi(-,0)
     exponentials = expm(np.concatenate([np.reshape(generators, (-1, 4, 4)), [xy]]))
     direct = residuals(np.reshape(evolutions, (-1, 4, 4)), exponentials[:-1])
     fixed = residual(build_b_phi("-", 0.0), exponentials[-1])
     results = np.append(np.stack([np.ravel(closed), direct], axis=-1), fixed)
-    grid = _grid_label(("sign", signs), ("phi", phis), ("theta", thetas))
+    grid = _grid_label(("sign", signs), ("phi", phis), ("theta", thetas.tolist()))
     fixed_label, last = "bphi(-,0) vs expm(i pi/4 x.y)", len(results) - 1
     return results, lambda k: fixed_label if k == last else f"{'RU'[k % 2]} {grid(k // 2)}"
 
@@ -371,27 +358,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 # --- matrix -----------------------------------------------------------
 
-# Each family's flags, _REQUIRED for those it must be given, and its
-# matrix, called with them by keyword; the flags given become the
-# document's meta.
+# Each family's flags, all of which it must be given, and its matrix,
+# called with them by keyword; the flags become the document's meta.
 _FAMILIES = {
-    "b": ({"sign": _REQUIRED, "q": _REQUIRED}, lambda sign, q: build_b(sign, _parse_q(q))),
-    "bphi": ({"sign": _REQUIRED, "phi": _REQUIRED}, build_b_phi),
-    "Rx": (
-        {"sign": _REQUIRED, "q": _REQUIRED, "x": _REQUIRED},
-        lambda sign, q, x: build_R_x(sign, _parse_q(q), x),
-    ),
-    "Rtheta": ({"sign": _REQUIRED, "phi": _REQUIRED, "theta": _REQUIRED}, build_R_theta),
-    "H": ({"sign": _REQUIRED, "phi": _REQUIRED}, hamiltonian_const),
-    "Hx": ({"sign": _REQUIRED, "phi": _REQUIRED, "x": _REQUIRED}, hamiltonian_x),
-    "U": ({"sign": _REQUIRED, "phi": _REQUIRED, "theta": _REQUIRED}, evolution_U),
-    "cnot": ({}, cnot),
+    "b": (("sign", "q"), lambda sign, q: build_b(sign, _parse_q(q))),
+    "bphi": (("sign", "phi"), build_b_phi),
+    "Rx": (("sign", "q", "x"), lambda sign, q, x: build_R_x(sign, _parse_q(q), x)),
+    "Rtheta": (("sign", "phi", "theta"), build_R_theta),
+    "H": (("sign", "phi"), hamiltonian_const),
+    "Hx": (("sign", "phi", "x"), hamiltonian_x),
+    "U": (("sign", "phi", "theta"), evolution_U),
+    "cnot": ((), cnot),
 }
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    flags, build = _FAMILIES[args.family]
-    values = _read_flags(args, flags, f"matrix {args.family}")
+    names, build = _FAMILIES[args.family]
+    command = f"matrix {args.family}"
+    values = _read_flags(args, dict.fromkeys(names), command)
+    for name in names:
+        if values[name] is None:
+            raise CliError(f"{command} requires --{name}")
     matrix = build(**values)
     if not np.isfinite(matrix).all():  # finite flags that overflow: b --q 1e-320
         raise CliError(f"the {args.family} matrix at these parameters has non-finite entries")
@@ -420,7 +407,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         verdict, phase_angle = "exact", 0.0
     else:
         phase = global_phase_between(candidate, target)
-        if phase is None:
+        if phase is None or residual(phase * candidate, target) >= tol:
             verdict, phase_angle = "mismatch", None
         else:
             verdict, phase_angle = "phase-only", math.atan2(phase.imag, phase.real)

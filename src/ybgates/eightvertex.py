@@ -186,11 +186,16 @@ def build_R_x_normalized_stack(sign: str, phi: np.ndarray, x: np.ndarray) -> np.
     return R_x_family(sign, q)(x) / norms[..., None, None]
 
 
+def angle_form(b: np.ndarray, cos, sin) -> np.ndarray:
+    """cos b + sin b^(-1) for the unitary b(phi): one matrix with float
+    coefficients, or a stack (..., 4, 4) with coefficient arrays that
+    broadcast against it. The one place the angle form is written."""
+    return cos * b + sin * inverse_from_eigenvalues(b, PHI_EIGENVALUES)
+
+
 def build_R_theta(sign: str, phi: float, theta: float) -> np.ndarray:
     """Angle form cos(theta) b(phi) + sin(theta) b(phi)^(-1); unitary."""
-    b = build_b_phi(sign, phi)
-    b_inv = inverse_from_eigenvalues(b, PHI_EIGENVALUES)
-    return math.cos(theta) * b + math.sin(theta) * b_inv
+    return angle_form(build_b_phi(sign, phi), math.cos(theta), math.sin(theta))
 
 
 def theta_from_x(x: float) -> float:

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eightvertex import PHI_EIGENVALUES, build_b_phi, build_b_phi_stack, build_R_theta
+from .eightvertex import angle_form, build_b_phi, build_b_phi_stack, build_R_theta
 from .linalg import DimensionMismatchError, map_floats, read_only
 from .linalg import unitarity_residual, unitarity_residuals
 from .paulis import DEFAULT_SEED, SQRT2
-from .yangbaxter import inverse_from_eigenvalues
 
 DEFAULT_THRESHOLD = 1e-9
 _UNITARY_TOL = 1e-10
@@ -100,9 +99,7 @@ def r_theta_concurrences(sign: str, phi: np.ndarray, theta: np.ndarray) -> np.nd
     math, as in build_R_theta, and a gate's first column is its action on
     |00>. Raises NonUnitaryGateError for the first non-unitary gate."""
     cos, sin = (map_floats(f, theta)[..., None, None] for f in (math.cos, math.sin))
-    b = build_b_phi_stack(sign, phi)
-    b_inv = inverse_from_eigenvalues(b, PHI_EIGENVALUES)
-    gates = (cos * b + sin * b_inv).reshape(-1, 4, 4)
+    gates = angle_form(build_b_phi_stack(sign, phi), cos, sin).reshape(-1, 4, 4)
     defects = unitarity_residuals(gates)
     failed = np.flatnonzero(~(defects < _UNITARY_TOL))
     if len(failed):

@@ -107,7 +107,7 @@ def braid_residual(b: np.ndarray) -> float:
     This is braid_residuals on a stack of one matrix.
     """
     b = np.asarray(b, dtype=complex)
-    if b.ndim != 2:
+    if b.shape != (4, 4):
         raise DimensionMismatchError(f"expected a 4x4 matrix, got {b.shape}")
     return float(braid_residuals(b[None])[0])
 

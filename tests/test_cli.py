@@ -225,6 +225,39 @@ def test_verify_matrix_file_integer_entries_are_numbers(tmp_path, capsys):
     assert json.loads(out)["pass"] is True
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([1, 2], "matrix document must be a JSON object"),
+        ({"dim": 4}, "matrix document missing dim/data: 'data'"),
+        ({"dim": 0, "data": []}, "matrix dim must be positive, got 0"),
+        ({"dim": 4, "data": [[0, 0]] * 15}, "matrix data must hold 16 [re, im] pairs"),
+        ({"dim": 1, "data": [[1, 0, 0]]}, "matrix entries must be [re, im] pairs"),
+        ({"dim": 1, "data": [[1, 0]], "meta": [1]}, "matrix meta must be an object"),
+    ],
+    ids=["not-object", "no-data", "dim-0", "short-data", "three-numbers", "meta-list"],
+)
+def test_matrix_document_refusals_exit_2(payload, message, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["verify", "braid", "--matrix-file", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_matrix_document_unreadable_path_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(["verify", "braid", "--matrix-file", str(tmp_path)], capsys)
+    message = f"error: cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
+    assert (code, out, err) == (2, "", message)
+
+
+def test_verify_3x3_matrix_file_names_its_shape(tmp_path, capsys):
+    # braid_residual refuses it by its own shape, not the stack kernel's.
+    path = tmp_path / "three.json"
+    path.write_text(MatrixDocument.from_matrix(np.eye(3)).to_json())
+    code, out, err = run_cli(["verify", "braid", "--matrix-file", str(path)], capsys)
+    assert (code, out, err) == (2, "", "error: expected a 4x4 matrix, got (3, 3)\n")
+
+
 def test_matrix_zero_deformation_is_usage_error(capsys):
     code, _, err = run_cli(["matrix", "b", "--sign", "+", "--q", "0"], capsys)
     assert code == 2
@@ -272,6 +305,32 @@ def test_matrix_theta_and_x_conflict(capsys):
     assert err == "error: --x is not used by matrix Rtheta\n"
 
 
+def test_matrix_unused_flag_is_named_before_a_missing_one(capsys):
+    code, out, err = run_cli(["matrix", "bphi", "--sign", "+", "--theta", "1"], capsys)
+    assert (code, out, err) == (2, "", "error: --theta is not used by matrix bphi\n")
+
+
+@pytest.mark.parametrize("q", ["1,2,3", "abc"])
+def test_matrix_unparsable_q_exits_2(q, capsys):
+    code, out, err = run_cli(["matrix", "b", "--sign", "+", "--q", q], capsys)
+    assert (code, out, err) == (2, "", f"error: --q expects finite 're' or 're,im', got {q!r}\n")
+
+
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (["verify", "qybe", "--grid", "abc"],
+         "ybg verify: error: argument --grid: expected an integer, got 'abc'"),
+        (["matrix", "bphi", "--sign", "+", "--phi", "abc"],
+         "ybg matrix: error: argument --phi: expected a number, got 'abc'"),
+    ],
+    ids=["verify-grid", "matrix-phi"],
+)
+def test_non_numeric_flag_value_exits_2(args, line, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert (code, out, err.splitlines()[-1]) == (2, "", line)
+
+
 def test_document_round_trip_bit_exact():
     matrix = build_b_phi("+", 0.37) @ build_b_phi("-", 1.91)
     doc = MatrixDocument.from_matrix(matrix, {"family": "product"})
@@ -301,6 +360,18 @@ def test_synthesize_evolution_wrong_theta_fails(capsys):
     assert code == 1
     report = json.loads(out)
     assert report["residual"] > 1e-3
+
+
+@pytest.mark.parametrize(
+    "route", [["theorem1"], ["evolution", "--phi", "1.1"]], ids=["theorem1", "evolution"]
+)
+def test_synthesize_below_rounding_tol_is_mismatch_not_phase_only(route, capsys):
+    # The phase-corrected residual is at rounding level, above --tol 1e-20,
+    # so no phase makes the candidate pass.
+    code, out, _ = run_cli(["synthesize", *route, "--tol", "1e-20"], capsys)
+    report = json.loads(out)
+    assert (code, report["verdict"], report["phase_angle"]) == (1, "mismatch", None)
+    assert 0 < report["residual"] < 1e-15
 
 
 def test_sweep_concurrence_matches_closed_form(capsys):
@@ -360,6 +431,21 @@ def test_sweep_writes_file(tmp_path, capsys):
     lines = out_path.read_text().strip().splitlines()
     assert lines[0] == "param,value,quantity"
     assert len(lines) == 10
+
+
+def test_sweep_out_into_missing_directory_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    args = ["sweep", "braid", "--param", "phi", "--from", "0", "--to", "1", "--steps", "3"]
+    code, out, err = run_cli([*args, "--out", str(path)], capsys)
+    message = f"error: cannot write {path}: [Errno 2] No such file or directory: '{path}'\n"
+    assert (code, out, err) == (2, "", message)
+
+
+def test_sweep_concurrence_refuses_param_x(capsys):
+    args = ["sweep", "concurrence", "--param", "x", "--from", "0", "--to", "1", "--steps", "3"]
+    code, out, err = run_cli(args, capsys)
+    message = "error: quantity 'concurrence' cannot sweep parameter 'x'\n"
+    assert (code, out, err) == (2, "", message)
 
 
 def test_usage_error_exit_code(capsys):
