@@ -56,10 +56,10 @@ from .yangbaxter import braid_residual, braid_residuals, qybe_residuals
 
 _SYNTHESIZE_TOL = 1e-12
 
-# _qybe expands QYBE points for the path kernel in blocks of about this many:
-# rows of x values against the whole y axis, and as many phis as fit. A
-# block's matrices stay far smaller than the result array of its grid.
-_QYBE_BLOCK = 64
+# _qybe expands QYBE points in blocks of about this many: rows of x values by
+# the y axis, and as many phis as fit. Each block pays its numpy set-up once;
+# the kernel reuses one workspace over the block's 64-point chunks (yangbaxter._CHUNK).
+_QYBE_BLOCK = 256
 
 
 class CliError(Exception):

@@ -1,5 +1,5 @@
-"""Dense complex linear algebra on the small fixed-size matrices (2x2, 4x4,
-8x8) used throughout the package.
+"""Dense complex linear algebra on the small fixed-size matrices (2x2 and
+4x4) used throughout the package.
 
 Everything takes and returns numpy complex128 arrays. Closeness is always
 measured with the max-entry absolute residual, never a spectral norm, so a

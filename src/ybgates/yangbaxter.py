@@ -60,6 +60,10 @@ _OFF_ROWS = np.array([row + offset for offset in (0, 16, 32) for row in _OFF_PAT
 # Points whose paths qybe_residuals multiplies at a time: enough to
 # spread numpy's per-call cost thin, few enough that the gathered factors
 # stay a few hundred kilobytes (eight times that on the dense tables).
+# They live in a workspace allocated once per call and reused by every
+# chunk. Allocated per chunk instead, they made glibc trim the heap top
+# and fault it back in on each chunk of a longer call, so 128- and
+# 256-point calls ran 1.5 to 2.9 times slower than 64-point ones.
 _CHUNK = 64
 
 # Rounding level of an identity between products of a few small matrices,
@@ -127,6 +131,13 @@ def qybe_residuals(r_x: np.ndarray, r_y: np.ndarray, r_xy: np.ndarray) -> np.nda
     tables, or the dense ones for a chunk in which any matrix has a
     non-zero entry, NaN and infinity included, outside b's pattern. A
     point's residual is the same, bit for bit, in a call of any size.
+
+    Each call allocates one chunk workspace, min(N, _CHUNK) columns wide,
+    and every chunk writes each step into it with out= arguments, the
+    same ufuncs on the same operands in the same order as temporaries
+    would take, so a large call costs no more per point than a small one.
+    A partial last chunk zeroes the columns it does not use before it
+    picks its tables, so stale points of an earlier chunk never steer it.
     """
     r_x, r_y, r_xy = (np.asarray(r, dtype=complex) for r in (r_x, r_y, r_xy))
     # shape[1:] is () for a scalar and a vector, so they are refused too.
@@ -137,14 +148,27 @@ def qybe_residuals(r_x: np.ndarray, r_y: np.ndarray, r_xy: np.ndarray) -> np.nda
     # Each point's x, y and xy, one row of 16 entries per point.
     x, y, xy = (r.reshape(-1, 16) for r in (r_x, r_y, r_xy))
     out = np.empty(len(xy))
+    # The chunk workspace, one column per point: the 48 entry rows, and
+    # per table shape the gathered factors and the two sides' path terms.
+    rows = np.empty((48, min(len(xy), _CHUNK)), dtype=complex)
+    spaces = {}
     for start in range(0, len(xy), _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        # The same, one column per point.
-        rows = np.concatenate([x[chunk].T, y[chunk].T, xy[chunk].T])
-        terms = rows.take(_path_tables(bool(rows.take(_OFF_ROWS, axis=0).any())), axis=0)
+        width = min(_CHUNK, len(xy) - start)
+        for offset, r in zip((0, 16, 32), (x, y, xy)):
+            rows[offset : offset + 16, :width] = r[start : start + width].T
+        rows[:, width:] = 0  # stale columns of a partial chunk
+        tables = _path_tables(bool(rows.take(_OFF_ROWS, axis=0).any()))
+        if tables.shape not in spaces:
+            terms = np.empty(tables.shape + rows.shape[1:], dtype=complex)
+            spaces[tables.shape] = terms, np.empty_like(terms[:2])
+        terms, prod = spaces[tables.shape]
+        rows.take(tables, axis=0, out=terms, mode="clip")  # "raise" buffers out
+        np.multiply(terms[0::3], terms[1::3], out=prod)
+        np.multiply(prod, terms[2::3], out=prod)
         # Each entry adds its paths' terms one at a time, in order.
-        left, right = (functools.reduce(np.add, a * b * c) for a, b, c in (terms[:3], terms[3:]))
-        out[chunk] = np.abs(left - right).max(axis=0)
+        for path in range(1, len(tables[0])):
+            np.add(prod[:, 0], prod[:, path], out=prod[:, 0])
+        out[start : start + width] = np.abs(prod[0, 0] - prod[1, 0]).max(axis=0)[:width]
     return out
 
 

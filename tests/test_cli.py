@@ -578,8 +578,9 @@ def test_verify_labels_every_point_in_nested_loop_order(relation, flags, axes):
     assert [label(k) for k in range(len(results))] == expected
 
 
-# Step counts that end in a partial 64-point block.
-@pytest.mark.parametrize("steps", [2, 65, 131], ids=lambda n: f"steps{n}")
+# Step counts that end in a partial kernel chunk (2, 65 and 131) or in a
+# second block of one point (257).
+@pytest.mark.parametrize("steps", [2, 65, 131, 257], ids=lambda n: f"steps{n}")
 def test_sweep_qybe_x_partial_block_bit_identical_to_oracle(steps, capsys):
     code, out, _ = run_cli(
         [
@@ -1316,6 +1317,31 @@ def test_qybe_commands_never_call_point_kernel(args, monkeypatch, capsys):
     assert len(set(points)) == len(points) == report.get("points", len(report.get("values", [])))
     len_y = int(args[args.index("--grid") + 1]) if "--grid" in args else 1
     assert 0 < max(sizes) <= max(ybgates.cli._QYBE_BLOCK, len_y)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "qybe"],
+        ["sweep", "qybe", "--param", "x", "--from", "-3", "--to", "3", "--steps", "4096"],
+        ["sweep", "qybe", "--param", "phi", "--from", "0", "--to", "6", "--steps", "4096"],
+    ],
+    ids=["verify", "sweep-x", "sweep-phi"],
+)
+def test_qybe_4096_point_commands_make_16_kernel_calls_of_256_points(args, monkeypatch, capsys):
+    # verify qybe at its defaults runs one block per (sign, phi), and a
+    # 4096-step sweep 16 blocks, so the per-block set-up is paid 16 times.
+    sizes = []
+    real = ybgates.cli.qybe_residuals
+
+    def spy(r_x, r_y, r_xy):
+        sizes.append(len(r_x))
+        return real(r_x, r_y, r_xy)
+
+    monkeypatch.setattr(ybgates.cli, "qybe_residuals", spy)
+    code, _, err = run_cli(args, capsys)
+    assert code == 0, err
+    assert sizes == [256] * 16
 
 
 def test_verify_qybe_memory_does_not_grow_with_grid_squared(capsys):

@@ -491,6 +491,30 @@ def test_qybe_residuals_point_bit_identical_in_a_call_of_any_size(monkeypatch):
     _assert_path_and_kron_oracles(got[:192], *stacks[:, :192])
 
 
+def test_qybe_residuals_partial_chunk_clears_the_columns_it_does_not_use(monkeypatch):
+    # 65 eight-vertex points: a full chunk and a one-point chunk. Point 40
+    # has a NaN outside b's pattern, so the first chunk takes the dense
+    # tables. The one-point chunk reuses the workspace, whose column 40
+    # still holds that NaN unless the chunk clears it, and must take the
+    # eight-vertex tables; point 64 keeps its one-point bits.
+    rng = np.random.default_rng(13)
+    family = R_x_family("+", np.exp(-1j * rng.uniform(0.0, 6.3, 65)))
+    x, y = rng.uniform(-3.0, 3.0, (2, 65))
+    stacks = np.stack([family(x), family(y), family(x * y)])
+    stacks[0, 40, 0, 1] = math.nan
+    single = qybe_residuals(*stacks[:, 64:])
+    dense = []
+    tables = ybgates.yangbaxter._path_tables
+    monkeypatch.setattr(
+        ybgates.yangbaxter, "_path_tables", lambda flag: dense.append(flag) or tables(flag)
+    )
+    with np.errstate(all="ignore"):
+        got = qybe_residuals(*stacks)
+    assert dense == [True, False]
+    assert np.isnan(got[40]) and np.isfinite(np.delete(got, 40)).all()
+    assert got[64:].tobytes() == single.tobytes()
+
+
 def test_dense_tables_give_the_eight_vertex_residuals_on_the_family(monkeypatch):
     # The dense tables only add paths through structural zeros, whose
     # terms are exact zeros, so on finite eight-vertex input they give the
