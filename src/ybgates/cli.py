@@ -45,6 +45,7 @@ from .gates import cnot, cnot_via_evolution, cnot_via_theorem1, global_phase_bet
 from .hamiltonian import (
     evolution_U,
     hamiltonian_const,
+    hamiltonian_form,
     hamiltonian_x,
     interaction_operator,
     schrodinger_residuals,
@@ -300,7 +301,7 @@ def _verify_exponential(sign: str | None, phi_grid: int) -> _Labelled:
     closed, evolutions, generators = [], [], []
     for s in signs:
         b = build_b_phi_stack(s, phis)[:, None]
-        from_h = cos_u * _eye(4) + 2j * sin_u * (-0.5j * (b @ b))  # H as hamiltonian_const has it
+        from_h = cos_u * _eye(4) + 2j * sin_u * hamiltonian_form(b, 1.0)
         closed.append(residuals(from_h, angle_form(b, cos_t, sin_t)))
         op = np.stack([interaction_operator(s, phi) for phi in phis])[:, None]
         evolutions.append(cos_half * _eye(4) - 1j * sin_half * op)

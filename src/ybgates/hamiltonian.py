@@ -18,9 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .eightvertex import build_b_phi, build_R_x_normalized_stack, sign_value
+from .eightvertex import build_b_phi, build_b_phi_stack, build_R_x_normalized_stack, sign_value
 from .linalg import DimensionMismatchError, _eye, dagger, kron
-from .paulis import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .paulis import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, SQRT2
 
 DEFAULT_FD_STEP = 1e-5
 
@@ -30,21 +30,25 @@ _PAULIS = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 _PAULI_PRODUCTS = np.array([[kron(a, b) for b in _PAULIS] for a in _PAULIS])
 
 
+def hamiltonian_form(b: np.ndarray, x) -> np.ndarray:
+    """-i b^2 / (1 + x^2) for the unitary b(phi), written only here: one matrix
+    and a float x, or a stack (..., 4, 4) and an x that broadcasts against it.
+    b's eigenvalues exp(-+ i pi/4) give b^2 = sqrt(2) b - I, with no product."""
+    return (SQRT2 * b - _eye(4)) * (-1j / (1.0 + x * x))
+
+
 def hamiltonian_const(sign: str, phi: float) -> np.ndarray:
     """Constant Hamiltonian -(i/2) b(phi)^2; Hermitian with square I/4."""
-    b = build_b_phi(sign, phi)
-    return -0.5j * (b @ b)
+    return hamiltonian_x(sign, phi, 1.0)
 
 
 def hamiltonian_x(sign: str, phi: float, x: float) -> np.ndarray:
-    """Spectral-parameter Hamiltonian -i b(phi)^2 / (1 + x^2).
-
-    Equals 2 / (1 + x^2) times the constant Hamiltonian, so x = 1
-    reproduces hamiltonian_const exactly. For real x this is the
-    central-difference generator of the normalized spectral family.
-    """
-    b = build_b_phi(sign, phi)
-    return -1j * (b @ b) / (1.0 + x * x)
+    """Spectral-parameter Hamiltonian -i b(phi)^2 / (1 + x^2), which is
+    hamiltonian_const at x = 1 and for real x generates the normalized
+    spectral family. Raises OverflowError, naming x, if 1 + x^2 overflows."""
+    if math.isinf(1.0 + x * x):
+        raise OverflowError(f"H(x) = -i b(phi)^2 / (1 + x^2) overflows at x={x!r}")
+    return hamiltonian_form(build_b_phi(sign, phi), x)
 
 
 def generator_fd(
@@ -153,11 +157,16 @@ def R_from_H(sign: str, phi: float, theta: float) -> np.ndarray:
     """Angle family from its Hamiltonian: exp(i (pi/2 - 2 theta) H).
 
     Evaluated in closed form as cos(pi/4 - theta) I plus
-    2i sin(pi/4 - theta) H, which matches build_R_theta exactly.
+    2i sin(pi/4 - theta) H, which matches build_R_theta to rounding.
     """
     h = hamiltonian_const(sign, phi)
     u = math.pi / 4.0 - theta
     return math.cos(u) * _eye(4) + 2j * math.sin(u) * h
+
+
+def _row_sums(p: np.ndarray) -> np.ndarray:
+    """Sum over a last axis of length 4, left to right on every CPU."""
+    return p[..., 0] + p[..., 1] + p[..., 2] + p[..., 3]
 
 
 def schrodinger_residuals(
@@ -173,8 +182,8 @@ def schrodinger_residuals(
 
     psi evolves under the normalized (unitary) spectral family so its norm
     is conserved; the derivative is the central difference at step h and
-    the defect is the euclidean norm of the difference. R(x+h), R(x-h) and
-    R(x) are built as one stack and, like H(x), applied to all states at once.
+    the defect is the euclidean norm of the difference. Every product is
+    summed by _row_sums, so the bits depend on no BLAS kernel.
     """
     states = np.asarray(states, dtype=complex)
     if states.shape[1:] != (4,):
@@ -183,16 +192,10 @@ def schrodinger_residuals(
     spectral = np.stack([xs + h, xs - h, xs], axis=-1)
     family = build_R_x_normalized_stack(sign, phis[..., None], spectral)
     # Each S + (M, 4): R(x+h), R(x-h) and R(x) applied to every state.
-    plus, minus, psi = np.moveaxis(family[..., None, :, :] @ states[:, :, None], -4, 0)[..., 0]
-    # H(x) has no stacked constructor: one hamiltonian_x call per point of S.
-    points = zip(phis.ravel().tolist(), xs.ravel().tolist())
-    hamiltonian = np.reshape([hamiltonian_x(sign, p, xv) for p, xv in points], xs.shape + (4, 4))
-    rhs = (hamiltonian[..., None, :, :] @ psi[..., None])[..., 0]
-    defects = 1j * (plus - minus) / (2.0 * h) - rhs
-    # np.linalg.norm's sqrt(re.re + im.im), each row's dots as stacked dots.
-    re, im = defects.real, defects.imag
-    squares = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
-    return np.sqrt(squares[..., 0, 0])
+    plus, minus, psi = np.moveaxis(_row_sums(family[..., None, :, :] * states[:, None]), -3, 0)
+    h_of_x = hamiltonian_form(build_b_phi_stack(sign, phis), xs[..., None, None])[..., None, :, :]
+    defects = 1j * (plus - minus) / (2.0 * h) - _row_sums(h_of_x * psi[..., None, :])
+    return np.sqrt(_row_sums(defects.real**2 + defects.imag**2))
 
 
 def schrodinger_residual(

@@ -73,7 +73,7 @@ RELATION_GOLDEN = {
     ),
     ("verify", "schrodinger"): (
         0,
-        '{"command": "verify", "max_residual": 5.3445750471666324e-11, "pass": true, '
+        '{"command": "verify", "max_residual": 5.344586110002821e-11, "pass": true, '
         '"points": 96, "relation": "schrodinger", "tol": 1e-06, '
         '"worst": "sign=- phi=1.0471975511965976 x=0.4 state=3"}\n',
     ),
@@ -842,6 +842,18 @@ def test_nonfinite_matrix_fails_with_empty_stdout(args, capsys):
     code, out, err = run_cli(args, capsys)
     assert (code, out) == (2, "")
     assert err == f"error: the {args[1]} matrix at these parameters has non-finite entries\n"
+
+
+def test_matrix_hx_overflow_names_x(capsys):
+    # 1 + x^2 overflows past about 1.34e154, where H's entries would print
+    # as zeros; at 1e154 they are about 1e-308.
+    args = ["matrix", "Hx", "--sign", "+", "--phi", "0", "--x"]
+    code, out, err = run_cli([*args, "1.4e154"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "x=1.4e+154" in err
+    code, out, _ = run_cli([*args, "1e154"], capsys)
+    assert code == 0 and json.loads(out)["data"][3] == [0.0, -1e-308]
 
 
 @pytest.mark.parametrize("param", ["theta", "phi"])

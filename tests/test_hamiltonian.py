@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ybgates.eightvertex import (
     build_b_phi,
+    build_b_phi_stack,
     build_R_theta,
     build_R_x_normalized,
     sign_value,
@@ -19,6 +20,7 @@ from ybgates.hamiltonian import (
     evolution_U,
     generator_fd,
     hamiltonian_const,
+    hamiltonian_form,
     hamiltonian_x,
     interaction_operator,
     pauli_decompose,
@@ -80,6 +82,32 @@ def test_hamiltonian_x_anchor_and_scale():
             assert residual(
                 hamiltonian_x(sign, phi, 0.0), 2.0 * hamiltonian_const(sign, phi)
             ) < 1e-15
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_hamiltonian_const_closed_form_entries_are_exact(sign):
+    # sqrt(2) b - I has an exact zero diagonal and inner entries +-s, so H
+    # is -(i/2) times them with no rounding left over from a matrix product.
+    s = sign_value(sign)
+    for phi in [0.0, -0.0, math.pi] + np.linspace(-7.0, 7.0, 57).tolist():
+        h = hamiltonian_const(sign, phi)
+        assert np.all(np.diag(h) == 0)
+        assert h[1, 2] == -0.5j * s and h[2, 1] == 0.5j * s
+        assert h.tobytes() == hamiltonian_x(sign, phi, 1.0).tobytes()
+
+
+@given(
+    sign=st.sampled_from(["+", "-"]),
+    phis=st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=4),
+    xs=st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=4),
+)
+def test_hamiltonian_form_stack_bit_identical_to_hamiltonian_x(sign, phis, xs):
+    # phi runs down a column and x along a row, so they broadcast to a grid.
+    b = build_b_phi_stack(sign, np.array(phis)[:, None])
+    got = hamiltonian_form(b, np.array(xs)[:, None, None])
+    assert got.shape == (len(phis), len(xs), 4, 4)
+    expected = [[hamiltonian_x(sign, phi, x) for x in xs] for phi in phis]
+    assert got.tobytes() == np.array(expected).tobytes()
 
 
 def test_hamiltonian_x_hermitian():
@@ -234,12 +262,19 @@ def test_schrodinger_residual_second_order():
 
 
 def _schrodinger_oracle(sign, phi, psi0, x, h):
-    # The one-state defect, built point by point.
+    # The one-state defect, built point by point. Each matrix-vector product
+    # and the squared norm are elementwise products summed left to right.
+    def apply(m, v):
+        p = m * v
+        return p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]
+
     def psi(t):
-        return build_R_x_normalized(sign, phi, t) @ psi0
+        return apply(build_R_x_normalized(sign, phi, t), psi0)
 
     lhs = 1j * (psi(x + h) - psi(x - h)) / (2.0 * h)
-    return float(np.linalg.norm(lhs - hamiltonian_x(sign, phi, x) @ psi(x)))
+    d = lhs - apply(hamiltonian_x(sign, phi, x), psi(x))
+    squares = d.real**2 + d.imag**2
+    return float(np.sqrt(squares[0] + squares[1] + squares[2] + squares[3]))
 
 
 @given(
@@ -278,7 +313,7 @@ def test_stacked_schrodinger_residuals_bit_identical_to_single_points(
     assert got.shape == (len(phis), len(xs), count)
     singles = [[schrodinger_residuals(sign, phi, states, x, h) for x in xs] for phi in phis]
     assert got.tobytes() == np.array(singles).reshape(got.shape).tobytes()
-    # The stacked dots give np.linalg.norm's bits, row by row.
+    # The stacked sums give the per-point oracle's bits, row by row.
     norms = [
         [[_schrodinger_oracle(sign, phi, psi0, x, h) for psi0 in states] for x in xs]
         for phi in phis
