@@ -112,7 +112,7 @@ class MatrixDocument:
                 raise CliError("matrix entries must be [re, im] pairs")
             if not all(type(v) in (int, float) for v in entry):
                 raise CliError("matrix entries must be numeric [re, im] pairs")
-            pairs.append([float(entry[0]), float(entry[1])])
+            pairs.append([float(str(v)) for v in entry])  # an int past the range is +-inf
         meta = payload.get("meta", {})
         if not isinstance(meta, dict):
             raise CliError("matrix meta must be an object")

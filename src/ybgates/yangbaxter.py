@@ -17,10 +17,10 @@ factors are all structurally non-zero are fixed, and are tabled once, on
 first use, as indices into the 16 entries of m. Every matrix of the
 eight-vertex family has the zero pattern of b, whose lifts preserve
 three-qubit parity: each side then has 32 non-zero entries, each a sum
-of 2 paths. Points with a non-zero entry (NaN and infinity included)
-outside that pattern take the dense tables, 8 paths on each of the 64
-entries; those add only paths through structural zeros, so finite
-eight-vertex input gives the same bits on either. Each path is the
+of 2 paths. A call with a non-zero entry (NaN and infinity included)
+outside that pattern takes the dense tables, 8 paths on each of the 64
+entries, for every point; they add only paths through structural zeros,
+so finite eight-vertex input gives the same bits on either. Each path is the
 product of its three factors, left to right, and each entry adds its
 paths one at a time in (k, l) order, so an entry's bits depend on
 neither the size of the call nor the BLAS kernel. numpy's complex
@@ -52,10 +52,8 @@ _LIFT_INDEX = np.array(
 )
 
 # Flat indices of the entries that are zero in every eight-vertex matrix
-# (b has non-zeros on its diagonal and anti-diagonal only), and their rows
-# among a point's 48 entries: those of x, y and xy, 16 each.
-_OFF_PATTERN = [1, 2, 4, 7, 8, 11, 13, 14]
-_OFF_ROWS = np.array([row + offset for offset in (0, 16, 32) for row in _OFF_PATTERN])
+# (b has non-zeros on its diagonal and anti-diagonal only).
+_OFF_PATTERN = np.array([1, 2, 4, 7, 8, 11, 13, 14])
 
 # Points whose paths qybe_residuals multiplies at a time: enough to
 # spread numpy's per-call cost thin, few enough that the gathered factors
@@ -127,17 +125,16 @@ def qybe_residuals(r_x: np.ndarray, r_y: np.ndarray, r_xy: np.ndarray) -> np.nda
     computation and pinned in the test suite.
 
     Every entry of both sides is summed over the path tables (see the
-    module docstring), in chunks of _CHUNK points: the eight-vertex
-    tables, or the dense ones for a chunk in which any matrix has a
-    non-zero entry, NaN and infinity included, outside b's pattern. A
-    point's residual is the same, bit for bit, in a call of any size.
+    module docstring), chosen once per call: the eight-vertex tables, or
+    the dense ones when any matrix of the call has a non-zero entry, NaN
+    and infinity included, outside b's pattern. A point's residual is the
+    same, bit for bit, in a call of any size, or non-finite in both.
 
-    Each call allocates one chunk workspace, min(N, _CHUNK) columns wide,
-    and every chunk writes each step into it with out= arguments, the
-    same ufuncs on the same operands in the same order as temporaries
-    would take, so a large call costs no more per point than a small one.
-    A partial last chunk zeroes the columns it does not use before it
-    picks its tables, so stale points of an earlier chunk never steer it.
+    The call runs in chunks of _CHUNK points that share one workspace,
+    min(N, _CHUNK) columns wide and shaped for those tables. Every chunk
+    writes each step into it with out= arguments, the same ufuncs on the
+    same operands in the same order as temporaries would take, so a large
+    call costs no more per point than a small one.
     """
     r_x, r_y, r_xy = (np.asarray(r, dtype=complex) for r in (r_x, r_y, r_xy))
     # shape[1:] is () for a scalar and a vector, so they are refused too.
@@ -147,21 +144,22 @@ def qybe_residuals(r_x: np.ndarray, r_y: np.ndarray, r_xy: np.ndarray) -> np.nda
         )
     # Each point's x, y and xy, one row of 16 entries per point.
     x, y, xy = (r.reshape(-1, 16) for r in (r_x, r_y, r_xy))
+    # One table choice per call. The scan copies the off-pattern entries of
+    # 64 chunks' points at a time, so its memory stays bounded.
+    scan = 64 * _CHUNK
+    starts = range(0, len(xy), scan)
+    off = (r[i : i + scan].take(_OFF_PATTERN, axis=1).any() for r in (x, y, xy) for i in starts)
+    tables = _path_tables(any(off))
     out = np.empty(len(xy))
-    # The chunk workspace, one column per point: the 48 entry rows, and
-    # per table shape the gathered factors and the two sides' path terms.
+    # The chunk workspace, one column per point: the 48 entry rows, the
+    # gathered factors and the two sides' path terms.
     rows = np.empty((48, min(len(xy), _CHUNK)), dtype=complex)
-    spaces = {}
+    terms = np.empty(tables.shape + rows.shape[1:], dtype=complex)
+    prod = np.empty_like(terms[:2])
     for start in range(0, len(xy), _CHUNK):
         width = min(_CHUNK, len(xy) - start)
         for offset, r in zip((0, 16, 32), (x, y, xy)):
             rows[offset : offset + 16, :width] = r[start : start + width].T
-        rows[:, width:] = 0  # stale columns of a partial chunk
-        tables = _path_tables(bool(rows.take(_OFF_ROWS, axis=0).any()))
-        if tables.shape not in spaces:
-            terms = np.empty(tables.shape + rows.shape[1:], dtype=complex)
-            spaces[tables.shape] = terms, np.empty_like(terms[:2])
-        terms, prod = spaces[tables.shape]
         rows.take(tables, axis=0, out=terms, mode="clip")  # "raise" buffers out
         np.multiply(terms[0::3], terms[1::3], out=prod)
         np.multiply(prod, terms[2::3], out=prod)

@@ -659,6 +659,26 @@ def test_verify_braid_matrix_file_matches_kron_oracle_within_bound(tmp_path, cap
     assert abs(json.loads(out)["max_residual"] - kron) <= bound
 
 
+# A literal matrix outside the eight-vertex pattern, so the dense path
+# tables run; the same text is written in CI's three-kernel stdout step.
+DENSE_DOCUMENT = (
+    '{"dim": 4, "data": [[0.3, -1.1], [0.7, 0.2], [-0.4, 0.9], [1.3, 0.0], '
+    "[0.0, 0.6], [-1.2, 0.5], [0.8, -0.3], [0.1, 1.4], [0.9, 0.9], [0.2, -0.7], "
+    "[1.1, 0.4], [-0.6, -0.2], [-0.5, 0.3], [0.4, 0.0], [0.6, -1.3], [1.0, 0.8]]}"
+)
+
+
+def test_verify_braid_dense_matrix_file_stdout_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dense.json").write_text(DENSE_DOCUMENT)
+    code, out, err = run_cli(["verify", "braid", "--matrix-file", "dense.json"], capsys)
+    assert (code, err) == (1, "")
+    assert out == (
+        '{"command": "verify", "max_residual": 9.850055279032702, "pass": false, '
+        '"points": 1, "relation": "braid", "tol": 1e-12, "worst": "file=dense.json"}\n'
+    )
+
+
 def test_verify_nonfinite_matrix_file_fails(tmp_path, capsys):
     path = tmp_path / "nan.json"
     data = [[1.0, 0.0]] * 16
@@ -670,6 +690,23 @@ def test_verify_nonfinite_matrix_file_fails(tmp_path, capsys):
     assert report["pass"] is False
     assert report["nonfinite"] == 1
     assert report["max_residual"] is None
+
+
+def test_verify_matrix_file_integer_past_the_range_reads_as_infinity(tmp_path, monkeypatch, capsys):
+    # 1 followed by 400 zeros, written as a JSON integer or as 1e400, is
+    # the same number: both read as inf, and the check fails with exit 1.
+    monkeypatch.chdir(tmp_path)
+    data = json.dumps([[1.0 if k % 5 == 0 else 0.0, 0.0] for k in range(16)])
+    reports = []
+    for name, spelling in (("int.json", "1" + "0" * 400), ("exp.json", "1e400")):
+        (tmp_path / name).write_text(f'{{"dim": 4, "data": {data.replace("1.0", spelling, 1)}}}')
+        code, out, err = run_cli(["verify", "braid", "--matrix-file", name], capsys)
+        assert (code, err) == (1, "")
+        report = _strict_json(out)
+        assert report.pop("worst") == f"file={name}"
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["nonfinite"] == 1 and reports[0]["max_residual"] is None
 
 
 def _patch_qybe(monkeypatch, results):

@@ -460,8 +460,9 @@ def test_qybe_residuals_point_bit_identical_in_a_call_of_any_size(monkeypatch):
     # 279 points: four 64-point chunks and a partial one of 23. Chunks 0
     # and 4 hold eight-vertex points only; chunk 1 is dense; chunk 2 has
     # one dense point among eight-vertex ones; chunk 3 holds infinities,
-    # NaN and +-1e300, NaN also outside the pattern. Each point's residual
-    # equals its one-point call bit for bit, or both are non-finite.
+    # NaN and +-1e300, NaN also outside the pattern. The call takes the
+    # dense tables once, for all its points. Each point's residual equals
+    # its one-point call bit for bit, or both are non-finite.
     rng = np.random.default_rng(11)
     n = 4 * 64 + 23
     parts = rng.standard_normal((3, n, 4, 4, 2)) * 10.0 ** rng.integers(-6, 7, (3, n, 1, 1, 1))
@@ -482,7 +483,7 @@ def test_qybe_residuals_point_bit_identical_in_a_call_of_any_size(monkeypatch):
     )
     with np.errstate(all="ignore"):
         got = qybe_residuals(*stacks)
-        assert dense == [False, True, True, True, False]
+        assert dense == [True]
         single = np.concatenate([qybe_residuals(*stacks[:, k : k + 1]) for k in range(n)])
     finite = np.isfinite(single)
     assert 0 < np.count_nonzero(~finite) < 10
@@ -493,10 +494,10 @@ def test_qybe_residuals_point_bit_identical_in_a_call_of_any_size(monkeypatch):
 
 def test_qybe_residuals_partial_chunk_clears_the_columns_it_does_not_use(monkeypatch):
     # 65 eight-vertex points: a full chunk and a one-point chunk. Point 40
-    # has a NaN outside b's pattern, so the first chunk takes the dense
-    # tables. The one-point chunk reuses the workspace, whose column 40
-    # still holds that NaN unless the chunk clears it, and must take the
-    # eight-vertex tables; point 64 keeps its one-point bits.
+    # has a NaN outside b's pattern, so the call takes the dense tables,
+    # once. The one-point chunk reuses the workspace, whose column 40
+    # still holds that NaN, and its one column is the only one it reports:
+    # point 64 keeps its one-point bits.
     rng = np.random.default_rng(13)
     family = R_x_family("+", np.exp(-1j * rng.uniform(0.0, 6.3, 65)))
     x, y = rng.uniform(-3.0, 3.0, (2, 65))
@@ -510,15 +511,45 @@ def test_qybe_residuals_partial_chunk_clears_the_columns_it_does_not_use(monkeyp
     )
     with np.errstate(all="ignore"):
         got = qybe_residuals(*stacks)
-    assert dense == [True, False]
+    assert dense == [True]
     assert np.isnan(got[40]) and np.isfinite(np.delete(got, 40)).all()
     assert got[64:].tobytes() == single.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+def test_qybe_residuals_off_pattern_entry_in_the_last_partial_chunk(monkeypatch):
+    # 4096 + 64 + 5 eight-vertex points: more than one 4096-point scan
+    # slice, and a partial last chunk of 5 whose point 4163 alone has
+    # entries outside b's pattern, one of them infinite. The call takes
+    # the dense tables exactly once, and every finite point equals its
+    # one-point call bit for bit.
+    rng = np.random.default_rng(17)
+    n = 4096 + 64 + 5
+    family = R_x_family("-", np.exp(-1j * rng.uniform(0.0, 6.3, n)))
+    x, y = rng.uniform(-3.0, 3.0, (2, n))
+    stacks = np.stack([family(x), family(y), family(x * y)])
+    stacks[2, n - 2, 1, 2] = 0.25
+    stacks[1, n - 2, 3, 1] = math.inf
+    with np.errstate(all="ignore"):
+        single = np.concatenate([qybe_residuals(*stacks[:, k : k + 1]) for k in range(n)])
+    dense = []
+    tables = ybgates.yangbaxter._path_tables
+    monkeypatch.setattr(
+        ybgates.yangbaxter, "_path_tables", lambda flag: dense.append(flag) or tables(flag)
+    )
+    with np.errstate(all="ignore"):
+        got = qybe_residuals(*stacks)
+    assert dense == [True]
+    finite = np.isfinite(single)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert np.count_nonzero(~finite) == 1 and not finite[n - 2]
+    assert got[finite].tobytes() == single[finite].tobytes()
 
 
 def test_dense_tables_give_the_eight_vertex_residuals_on_the_family(monkeypatch):
     # The dense tables only add paths through structural zeros, whose
     # terms are exact zeros, so on finite eight-vertex input they give the
-    # same residual bits; a chunk of points may take either.
+    # same residual bits; a call of points may take either.
     rng = np.random.default_rng(5)
     family = R_x_family("-", np.exp(-1j * rng.uniform(0.0, 6.3, 189)))
     x, y = rng.uniform(-3.0, 3.0, (2, 189))
