@@ -90,8 +90,8 @@ class MatrixDocument:
 
     @classmethod
     def from_json(cls, text: str) -> "MatrixDocument":
-        try:
-            payload = json.loads(text)
+        try:  # long integers go to float (+-inf past the range); int() stops at 4300 digits
+            payload = json.loads(text, parse_int=lambda s: int(s) if len(s) < 310 else float(s))
         except json.JSONDecodeError as exc:
             raise CliError(f"invalid matrix document: {exc}") from exc
         if not isinstance(payload, dict):
@@ -407,8 +407,8 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     if value < tol:
         verdict, phase_angle = "exact", 0.0
     else:
-        phase = global_phase_between(candidate, target)
-        if phase is None or residual(phase * candidate, target) >= tol:
+        phase = global_phase_between(candidate, target, tol)
+        if phase is None:
             verdict, phase_angle = "mismatch", None
         else:
             verdict, phase_angle = "phase-only", math.atan2(phase.imag, phase.real)

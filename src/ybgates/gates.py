@@ -7,8 +7,10 @@ operator to a z-x coupling with Bloch rotations, evolves for theta = pi/2,
 and finishes with a phase gate; the phase gate's sign is fixed empirically
 (diag(1, -i) lands on CNOT exactly, diag(1, i) misses by 2).
 
-Gates that depend on no argument (CNOT, the theorem-1 product, the x-axis
-quarter turns) and each rotation axis's sigma . n are built once per
+Each conjugation is one local frame L and its adjoint, L G L^dagger. The
+x-axis quarter turn exp(i pi/4 sigma_x) is built once, at import, with the
+evolution route's corrector. Gates that depend on no argument (CNOT, the
+theorem-1 product) and each rotation axis's sigma . n are built once per
 process, on first use, and kept read-only; the public functions return
 fresh arrays.
 """
@@ -42,8 +44,11 @@ def _quarter_turn(generator: np.ndarray) -> np.ndarray:
     return math.cos(math.pi / 4.0) * eye + 1j * math.sin(math.pi / 4.0) * generator
 
 
+# exp(i pi/4 sigma_x) = rotation(X_AXIS, -pi/2); its adjoint is the +pi/2 turn.
+_X_QUARTER_TURN = read_only(_quarter_turn(SIGMA_X))
+
 # Final local step of the evolution route: CNOT_PHASE_GATE (x) exp(i pi/4 sigma_x).
-_EVOLUTION_CORRECTOR = kron(CNOT_PHASE_GATE, _quarter_turn(SIGMA_X))
+_EVOLUTION_CORRECTOR = kron(CNOT_PHASE_GATE, _X_QUARTER_TURN)
 
 
 class NonUnitAxisError(ValueError):
@@ -129,12 +134,6 @@ def rotation(axis: tuple[float, float, float], theta: float) -> np.ndarray:
     return math.cos(theta / 2.0) * IDENTITY_2 - 1j * math.sin(theta / 2.0) * direction
 
 
-@functools.cache
-def _x_quarter_turns() -> tuple[np.ndarray, np.ndarray]:
-    """rotation(X_AXIS, pi/2) and rotation(X_AXIS, -pi/2), read-only."""
-    return tuple(read_only(rotation(X_AXIS, t)) for t in (math.pi / 2.0, -math.pi / 2.0))
-
-
 def conjugation_identities(phi: float) -> tuple[float, float]:
     """Residuals of the two axis-straightening conjugations.
 
@@ -142,22 +141,18 @@ def conjugation_identities(phi: float) -> tuple[float, float]:
     Second: Dz(-phi/2) sigma_n2 Dz(phi/2) = sigma_x.
     """
     alpha1, alpha2 = axis_angle_pair(phi)
-    dz_minus = rotation(Z_AXIS, -phi / 2.0)
-    dz_plus = rotation(Z_AXIS, phi / 2.0)
-    dx_plus, dx_minus = _x_quarter_turns()
-    first = dx_plus @ dz_minus @ sigma_axis(alpha1) @ dz_plus @ dx_minus
-    second = dz_minus @ sigma_axis(alpha2) @ dz_plus
+    dz = rotation(Z_AXIS, -phi / 2.0)
+    xq = _X_QUARTER_TURN
+    first = xq.conj().T @ dz @ sigma_axis(alpha1) @ dz.conj().T @ xq
+    second = dz @ sigma_axis(alpha2) @ dz.conj().T
     return residual(first, SIGMA_Z), residual(second, SIGMA_X)
 
 
 def conjugate_to_zx(phi: float, theta: float) -> np.ndarray:
     """Rotate the '+' evolution operator into exp(-i (sigma_z x sigma_x) theta / 2)."""
-    dz_minus = rotation(Z_AXIS, -phi / 2.0)
-    dz_plus = rotation(Z_AXIS, phi / 2.0)
-    dx_plus, dx_minus = _x_quarter_turns()
-    left = kron(dx_plus @ dz_minus, dz_minus)
-    right = kron(dz_plus @ dx_minus, dz_plus)
-    return left @ evolution_U("+", phi, theta) @ right
+    dz = rotation(Z_AXIS, -phi / 2.0)
+    left = kron(_X_QUARTER_TURN.conj().T @ dz, dz)
+    return left @ evolution_U("+", phi, theta) @ left.conj().T
 
 
 def cnot_via_evolution(phi: float, theta: float = math.pi / 2.0) -> np.ndarray:
@@ -173,20 +168,19 @@ def cnot_via_evolution(phi: float, theta: float = math.pi / 2.0) -> np.ndarray:
 
 def transform_R_to_zx() -> np.ndarray:
     """Rotate exp(i pi/4 sigma_x x sigma_y) into exp(i pi/4 sigma_z x sigma_x)."""
-    dy_minus = rotation(Y_AXIS, -math.pi / 2.0)
-    dy_plus = rotation(Y_AXIS, math.pi / 2.0)
-    dz_minus = rotation(Z_AXIS, -math.pi / 2.0)
-    dz_plus = rotation(Z_AXIS, math.pi / 2.0)
+    left = kron(rotation(Y_AXIS, -math.pi / 2.0), rotation(Z_AXIS, -math.pi / 2.0))
     core = _quarter_turn(kron(SIGMA_X, SIGMA_Y))
-    return kron(dy_minus, dz_minus) @ core @ kron(dy_plus, dz_plus)
+    return left @ core @ left.conj().T
 
 
-def global_phase_between(candidate: np.ndarray, target: np.ndarray) -> complex | None:
+def global_phase_between(
+    candidate: np.ndarray, target: np.ndarray, tol: float = 1e-12
+) -> complex | None:
     """Scalar z with |z| = 1 making z * candidate equal target, if one exists.
 
     The phase is read off the largest-magnitude entry of the candidate;
     returns None when no unit scalar brings the max-entry residual of the
-    pair below 1e-12. Raises DimensionMismatchError when the shapes differ.
+    pair below tol. Raises DimensionMismatchError when the shapes differ.
     """
     candidate = np.asarray(candidate, dtype=complex)
     target = np.asarray(target, dtype=complex)
@@ -198,6 +192,6 @@ def global_phase_between(candidate: np.ndarray, target: np.ndarray) -> complex |
         return None
     phase = target[index] / pivot
     phase /= abs(phase)
-    if residual(phase * candidate, target) < 1e-12:
+    if residual(phase * candidate, target) < tol:
         return complex(phase)
     return None

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, read_only
+from .linalg import DimensionMismatchError, _eye, read_only
 
 # Entry (k, r, c) is the index, in a 4x4 matrix m flattened row-major, of
 # entry (r, c) of its k-th lift: m (x) I holds m[r // 2, c // 2] where r
@@ -193,7 +193,7 @@ def inverse_from_eigenvalues(b: np.ndarray, eigenvalues: tuple[complex, complex]
     if lam1 * lam2 == 0:
         raise ValueError("an eigenvalue is zero, so b is singular and has no inverse")
     b = np.asarray(b, dtype=complex)
-    return ((lam1 + lam2) * np.eye(b.shape[-1]) - b) * (1 / (lam1 * lam2))
+    return ((lam1 + lam2) * _eye(b.shape[-1]) - b) * (1 / (lam1 * lam2))
 
 
 def _baxterization(
@@ -239,7 +239,7 @@ def yang_baxterize(
     if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
         raise DimensionMismatchError(f"yang_baxterize needs (..., n, n) matrices, got {b.shape}")
     b_inv = inverse_from_eigenvalues(b, eigenvalues)
-    defect = np.abs(b @ b_inv - np.eye(b.shape[-1])).max(axis=(-2, -1))
+    defect = np.abs(b @ b_inv - _eye(b.shape[-1])).max(axis=(-2, -1))
     scale = (np.abs(b) @ np.abs(b_inv)).max(axis=(-2, -1))
     finite = np.isfinite(b).all(axis=(-2, -1))
     if np.any(finite & ~(defect <= _ROUNDING * scale)):
@@ -258,6 +258,6 @@ def verify_two_eigenvalues(
     b = np.asarray(b, dtype=complex)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise DimensionMismatchError(f"expected one square matrix, got shape {b.shape}")
-    eye = np.eye(b.shape[0], dtype=complex)
+    eye = _eye(b.shape[0])
     product = (b - lam1 * eye) @ (b - lam2 * eye)
     return float(np.max(np.abs(product)))

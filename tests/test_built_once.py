@@ -56,7 +56,6 @@ CACHES = [
     (gates, "_cnot"),
     (gates, "_sigma_dot"),
     (gates, "_theorem1"),
-    (gates, "_x_quarter_turns"),
     (hamiltonian, "_pauli_gather"),
     (linalg, "_eye"),
     (yangbaxter, "_path_tables"),
@@ -300,7 +299,7 @@ def test_cached_constants_are_read_only():
     cnot_via_theorem1()
     cnot_via_evolution(0.2)
     pauli_decompose(np.eye(4))
-    arrays = [gates._cnot(), gates._theorem1(), *gates._x_quarter_turns()]
+    arrays = [gates._cnot(), gates._theorem1(), gates._X_QUARTER_TURN]
     arrays += [*hamiltonian._pauli_gather(), linalg._eye(4), linalg._eye(2)]
     arrays += [cli._schrodinger_states()]
     arrays += [yangbaxter._path_tables(False), yangbaxter._path_tables(True)]

@@ -374,6 +374,16 @@ def test_synthesize_below_rounding_tol_is_mismatch_not_phase_only(route, capsys)
     assert 0 < report["residual"] < 1e-15
 
 
+def test_synthesize_phase_only_is_judged_by_tol(capsys):
+    # theta = 5 pi/2 gives -CNOT off by about 5e-10: above 1e-12, below --tol.
+    code, out, _ = run_cli(
+        ["synthesize", "evolution", "--theta", "7.853981634974483", "--tol", "1e-6"], capsys
+    )
+    report = json.loads(out)
+    assert (code, report["verdict"]) == (1, "phase-only")
+    assert abs(report["phase_angle"]) == math.pi
+
+
 def test_sweep_concurrence_matches_closed_form(capsys):
     code, out, _ = run_cli(
         [
@@ -695,17 +705,19 @@ def test_verify_nonfinite_matrix_file_fails(tmp_path, capsys):
 def test_verify_matrix_file_integer_past_the_range_reads_as_infinity(tmp_path, monkeypatch, capsys):
     # 1 followed by 400 zeros, written as a JSON integer or as 1e400, is
     # the same number: both read as inf, and the check fails with exit 1.
+    # So does an integer of 5000 digits, past Python's int-from-str limit.
     monkeypatch.chdir(tmp_path)
     data = json.dumps([[1.0 if k % 5 == 0 else 0.0, 0.0] for k in range(16)])
     reports = []
-    for name, spelling in (("int.json", "1" + "0" * 400), ("exp.json", "1e400")):
+    spellings = (("int.json", "1" + "0" * 400), ("exp.json", "1e400"), ("long.json", "9" * 5000))
+    for name, spelling in spellings:
         (tmp_path / name).write_text(f'{{"dim": 4, "data": {data.replace("1.0", spelling, 1)}}}')
         code, out, err = run_cli(["verify", "braid", "--matrix-file", name], capsys)
         assert (code, err) == (1, "")
         report = _strict_json(out)
         assert report.pop("worst") == f"file={name}"
         reports.append(report)
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
     assert reports[0]["nonfinite"] == 1 and reports[0]["max_residual"] is None
 
 

@@ -257,6 +257,27 @@ def test_transform_R_to_zx():
     assert residual(expm(0.25j * math.pi * kron(SX, SY)), build_b_phi("-", 0.0)) < 1e-12
 
 
+def test_conjugations_build_each_frame_once(monkeypatch):
+    # Each inverse is the frame's adjoint, so no rotation is built twice.
+    calls = []
+
+    def spy(axis, theta):
+        calls.append((axis, theta))
+        return rotation(axis, theta)
+
+    monkeypatch.setattr(gates, "rotation", spy)
+    counts = []
+    for route in (
+        lambda: cnot_via_evolution(0.7),
+        lambda: conjugation_identities(0.7),
+        transform_R_to_zx,
+    ):
+        calls.clear()
+        route()
+        counts.append(len(calls))
+    assert counts == [1, 1, 2]
+
+
 def test_global_phase_between():
     target = cnot()
     assert global_phase_between(1j * target, target) == pytest.approx(-1j)
