@@ -85,13 +85,12 @@ class MatrixDocument:
         return np.array([complex(re, im) for re, im in self.data]).reshape(self.dim, self.dim)
 
     def to_json(self) -> str:
-        payload = {"dim": self.dim, "data": self.data, "meta": self.meta}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"), allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "MatrixDocument":
-        try:  # long integers go to float (+-inf past the range); int() stops at 4300 digits
-            payload = json.loads(text, parse_int=lambda s: int(s) if len(s) < 310 else float(s))
+        try:  # int() stops at 4300 digits: a long integer is a np.float64, +-inf past the range
+            payload = json.loads(text, parse_int=lambda s: int(s) if len(s) < 310 else np.float64(s))
         except json.JSONDecodeError as exc:
             raise CliError(f"invalid matrix document: {exc}") from exc
         if not isinstance(payload, dict):
@@ -100,6 +99,8 @@ class MatrixDocument:
             dim, data = payload["dim"], payload["data"]
         except KeyError as exc:
             raise CliError(f"matrix document missing dim/data: {exc}") from exc
+        if type(dim) is np.float64:
+            raise CliError("matrix dim is too large: a JSON integer of 310 or more characters")
         if type(dim) is not int:  # not 4.7, "4", true or null
             raise CliError(f"matrix dim must be a JSON integer, got {json.dumps(dim)}")
         if dim <= 0:
@@ -110,7 +111,7 @@ class MatrixDocument:
         for entry in data:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise CliError("matrix entries must be [re, im] pairs")
-            if not all(type(v) in (int, float) for v in entry):
+            if not all(type(v) in (int, float, np.float64) for v in entry):
                 raise CliError("matrix entries must be numeric [re, im] pairs")
             pairs.append([float(str(v)) for v in entry])  # an int past the range is +-inf
         meta = payload.get("meta", {})
@@ -404,14 +405,13 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     candidate = build(**values)
     target = cnot()
     value = residual(candidate, target)
+    phase = None if value < tol else global_phase_between(candidate, target, tol)
     if value < tol:
         verdict, phase_angle = "exact", 0.0
+    elif phase is None:
+        verdict, phase_angle = "mismatch", None
     else:
-        phase = global_phase_between(candidate, target, tol)
-        if phase is None:
-            verdict, phase_angle = "mismatch", None
-        else:
-            verdict, phase_angle = "phase-only", math.atan2(phase.imag, phase.real)
+        verdict, phase_angle = "phase-only", math.atan2(phase.imag, phase.real)
     meta = {"route": args.route, **_given(values)}
     report = {
         "command": "synthesize",

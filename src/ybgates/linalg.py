@@ -64,6 +64,22 @@ def map_floats(f, x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
+def _reciprocal(d):
+    """The complex multiplier 1/d - 0j: a * _reciprocal(d) divides a complex
+    a by a real d > 0, a scalar or an array, with numpy's bits, in one
+    multiply per entry in place of numpy's complex division.
+
+    numpy divides re + i im by d + 0j (Smith's algorithm) as
+    (re + im*0) * (1/d) and (im - re*0) * (1/d); the multiply computes
+    re*(1/d) - im*(-0) and re*(-0) + im*(1/d). For finite d > 0 these have
+    the same bytes, signed zeros and NaN included, but for two cases: a
+    nonzero part that the quotient rounds to zero (never for d < 2) may
+    get the other sign, and an entry with two NaN parts may get other NaN
+    bits. d <= 0, inf or NaN is outside the identity.
+    """
+    return (1.0 / np.asarray(d, dtype=float)).astype(complex).conj()
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a, dtype=complex).conj().T
@@ -74,7 +90,7 @@ def expm(a: np.ndarray) -> np.ndarray:
 
     Accepts one matrix or a stack of shape (..., n, n); any other shape is
     a DimensionMismatchError. Each matrix gets its own squaring count and
-    is divided by its own power of two. One series then runs over the
+    is multiplied by its own 2^-s. One series then runs over the
     distinct scaled matrices, told apart by their bytes, and each matrix
     takes its series' sum and squares it its own count of times. So every
     matrix goes through the same products as it would alone, and gets the
@@ -94,7 +110,11 @@ def expm(a: np.ndarray) -> np.ndarray:
     # The 1-norm (largest absolute column sum) sets the squaring count.
     norms = np.abs(flat).sum(axis=-2).max(axis=-1)
     counts = np.ceil(np.log2(np.maximum(norms, 0.5) / 0.5)).astype(int)
-    scaled = flat / (2.0 ** counts)[:, None, None]
+    # Here and in the series a multiply by _reciprocal stands for a divide.
+    # Where the two differ, in the sign of a zero, no entry of the sum does:
+    # a zero's sign sets no nonzero value, and the sum starts at +0 and 1,
+    # so it never holds -0. expm keeps the one-matrix divide's bits.
+    scaled = flat * _reciprocal(2.0**counts)[:, None, None]
     # On a doubling grid (theta, 2 theta, 4 theta, ...) many matrices scale
     # to the same bytes; +0.0 and -0.0 differ, so each keeps its own series.
     keys = scaled.reshape(len(flat), n * n).view(np.dtype((np.void, 16 * n * n)))[:, 0]
@@ -103,8 +123,8 @@ def expm(a: np.ndarray) -> np.ndarray:
     term = np.zeros_like(distinct)
     term[..., range(n), range(n)] = 1
     total = term.copy()
-    for k in range(1, _SERIES_ORDER + 1):
-        term = term @ distinct / k
+    for step in _reciprocal(np.arange(1, _SERIES_ORDER + 1)):
+        term = term @ distinct * step
         total += term
     tails = np.abs(term).max(axis=(-2, -1))
     bounds = _SERIES_TOL * np.maximum(1.0, np.abs(total).max(axis=(-2, -1)))
@@ -118,7 +138,8 @@ def expm(a: np.ndarray) -> np.ndarray:
     out = total[member]
     for r in range(1, int(counts.max()) + 1):
         live = counts >= r
-        out[live] = out[live] @ out[live]
+        s = out[live]
+        out[live] = s @ s
     return out.reshape(a.shape)
 
 

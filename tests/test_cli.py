@@ -215,6 +215,25 @@ def test_verify_matrix_file_needs_json_numbers(dim, data, message, tmp_path, cap
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "dim, message",
+    [
+        ("9" * 400, "matrix dim is too large: a JSON integer of 310 or more characters"),
+        ("9" * 5000, "matrix dim is too large: a JSON integer of 310 or more characters"),
+        ("-" + "9" * 400, "matrix dim is too large: a JSON integer of 310 or more characters"),
+        # The same number written as a float is not an integer at all.
+        ("1e400", "matrix dim must be a JSON integer, got Infinity"),
+    ],
+    ids=["400 digits", "5000 digits", "minus 400 digits", "1e400"],
+)
+def test_verify_matrix_file_dim_past_the_range(dim, message, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(f'{{"dim": {dim}, "data": {json.dumps(_B_PHI_DATA)}}}')
+    code, out, err = run_cli(["verify", "braid", "--matrix-file", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_verify_matrix_file_integer_entries_are_numbers(tmp_path, capsys):
     # A JSON integer entry is a number: the identity written with 1 and 0.
     path = tmp_path / "eye.json"

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ybgates.eightvertex import (
@@ -217,21 +217,26 @@ def test_theta_from_x():
     phis=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
     xs=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4),
 )
+# A multiply by the reciprocal of the norm would give one zero here the
+# other sign: a subnormal part of exp(-i phi) goes to zero.
+@example(sign="+", phis=[-5e-324], xs=[2.0])
 def test_normalized_stack_bit_identical_to_scalar(sign, phis, xs):
-    # phi varies along the first axis, x along the second.
+    # phi varies along the first axis, x along the second; by the bytes,
+    # so the sign of each zero counts.
     got = build_R_x_normalized_stack(sign, np.array(phis)[:, None], xs)
     assert got.shape == (len(phis), len(xs), 4, 4)
     for k, phi in enumerate(phis):
         for m, x in enumerate(xs):
-            assert np.array_equal(got[k, m], build_R_x_normalized(sign, phi, x))
+            assert got[k, m].tobytes() == build_R_x_normalized(sign, phi, x).tobytes()
 
 
 @given(sign=st.sampled_from(["+", "-"]), phis=st.lists(st.floats(-10.0, 10.0), max_size=5))
+@example(sign="-", phis=[5e-324, -5e-324, -0.0, math.pi])
 def test_b_phi_stack_bit_identical_to_scalar(sign, phis):
     got = build_b_phi_stack(sign, phis)
     assert got.shape == (len(phis), 4, 4)
     for k, phi in enumerate(phis):
-        assert np.array_equal(got[k], build_b_phi(sign, phi))
+        assert got[k].tobytes() == build_b_phi(sign, phi).tobytes()
 
 
 def test_normalized_stack_divides_by_python_rho():
