@@ -28,7 +28,7 @@ import numpy as np
 
 from .linalg import _reciprocal, map_floats
 from .paulis import SQRT2
-from .yangbaxter import _baxterization, inverse_from_eigenvalues, yang_baxterize
+from .yangbaxter import _WEIGHT_INDEX, _baxterization, inverse_from_eigenvalues, yang_baxterize
 
 # The two eigenvalues shared by every member of the family; their product
 # is the Baxterization coefficient 2.
@@ -72,15 +72,19 @@ class EightVertexWeights:
 
     def to_matrix(self) -> np.ndarray:
         """Arrange the weights in the anti-diagonal-block pattern."""
-        return np.array(
-            [
-                [self.w1, 0, 0, self.w7],
-                [0, self.w5, self.w3, 0],
-                [0, self.w4, self.w6, 0],
-                [self.w8, 0, 0, self.w2],
-            ],
-            dtype=complex,
-        )
+        return _place(tuple(vars(self).values()))  # w1..w8, in field order
+
+
+def _place(weights) -> np.ndarray:
+    """The 4x4 matrix with w1..w8 at yangbaxter._WEIGHT_INDEX, zero elsewhere."""
+    m = np.zeros(16, dtype=complex)
+    m[_WEIGHT_INDEX] = weights
+    return m.reshape(4, 4)
+
+
+def _b_weights(s: float, q):
+    """w1..w8 of b_s(q), with -1/q in q's own arithmetic, Python's or numpy's."""
+    return (1, 1, s, -s, 1, 1, q, -1.0 / q)
 
 
 def check_constraints(w: EightVertexWeights) -> list[float]:
@@ -104,11 +108,7 @@ def build_b(sign: str, q: complex) -> np.ndarray:
     """Unnormalized braid matrix b_s(q) with overall scale w1 = 1."""
     if q == 0:
         raise ZeroDeformationError("deformation parameter q must be non-zero")
-    s = sign_value(sign)
-    # One flat list, reshaped: the same entries as nested rows, built faster.
-    return np.array(
-        [1, 0, 0, q, 0, 1, s, 0, 0, -s, 1, 0, -1.0 / q, 0, 0, 1], dtype=complex
-    ).reshape(4, 4)
+    return _place(_b_weights(sign_value(sign), q))
 
 
 def build_b_stack(sign: str, q: np.ndarray) -> np.ndarray:
@@ -120,14 +120,10 @@ def build_b_stack(sign: str, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=complex)
     if np.any(q == 0):
         raise ZeroDeformationError("deformation parameter q must be non-zero")
-    s = sign_value(sign)
-    b = np.zeros(q.shape + (4, 4), dtype=complex)
-    b[..., range(4), range(4)] = 1
-    b[..., 0, 3] = q
-    b[..., 1, 2] = s
-    b[..., 2, 1] = -s
-    b[..., 3, 0] = -1.0 / q
-    return b
+    b = np.zeros(q.shape + (16,), dtype=complex)
+    for k, w in zip(_WEIGHT_INDEX, _b_weights(sign_value(sign), q)):
+        b[..., k] = w
+    return b.reshape(q.shape + (4, 4))
 
 
 def build_b_phi(sign: str, phi: float) -> np.ndarray:

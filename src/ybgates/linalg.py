@@ -94,9 +94,10 @@ def expm(a: np.ndarray) -> np.ndarray:
     distinct scaled matrices, told apart by their bytes, and each matrix
     takes its series' sum and squares it its own count of times. So every
     matrix goes through the same products as it would alone, and gets the
-    same bits. Raises NonConvergenceError if any matrix's series fails its
-    convergence check; the message names the first failing matrix in stack
-    order by its index over the leading axes.
+    same bits. Raises OverflowError for a matrix whose 1-norm is above
+    2**1022, where 2^s overflows, and NonConvergenceError if any matrix's
+    series fails its convergence check; each message names the first such
+    matrix in stack order by its index over the leading axes.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -109,6 +110,9 @@ def expm(a: np.ndarray) -> np.ndarray:
     flat = a.reshape(-1, n, n)
     # The 1-norm (largest absolute column sum) sets the squaring count.
     norms = np.abs(flat).sum(axis=-2).max(axis=-1)
+    if len(big := np.flatnonzero(norms > 2.0**1022)):  # s would pass 1023: 2^s overflows
+        index = tuple(int(i) for i in np.unravel_index(big[0], a.shape[:-2]))
+        raise OverflowError(f"expm: 1-norm {norms[big[0]]:.3e} above 2**1022 at index {index}")
     counts = np.ceil(np.log2(np.maximum(norms, 0.5) / 0.5)).astype(int)
     # Here and in the series a multiply by _reciprocal stands for a divide.
     # Where the two differ, in the sign of a zero, no entry of the sum does:

@@ -51,9 +51,10 @@ _LIFT_INDEX = np.array(
     ]
 )
 
-# Flat indices of the entries that are zero in every eight-vertex matrix
-# (b has non-zeros on its diagonal and anti-diagonal only).
-_OFF_PATTERN = np.array([1, 2, 4, 7, 8, 11, 13, 14])
+# The eight-vertex pattern: the flat row-major positions of w1..w8 in a 4x4
+# matrix. Every eight-vertex matrix is zero at the others, _OFF_PATTERN.
+_WEIGHT_INDEX = np.array([0, 15, 6, 9, 5, 10, 3, 12])
+_OFF_PATTERN = np.delete(np.arange(16), _WEIGHT_INDEX)
 
 # Points whose paths qybe_residuals multiplies at a time: enough to
 # spread numpy's per-call cost thin, few enough that the gathered factors
@@ -79,11 +80,9 @@ def _path_tables(dense: bool) -> np.ndarray:
     to 5 those of R2(y) R1(xy) R2(x). Both sides list the same E entries
     (i, j) in row-major order, each with its T paths (k, l) in row-major
     order. Built on first use, read-only, from _LIFT_INDEX and the
-    eight-vertex zero pattern, or the dense one."""
-    pattern = np.ones(17, dtype=bool)
-    pattern[16] = False
-    if not dense:
-        pattern[_OFF_PATTERN] = False
+    eight-vertex pattern, _WEIGHT_INDEX, or the dense one."""
+    pattern = np.zeros(17, dtype=bool)
+    pattern[np.arange(16) if dense else _WEIGHT_INDEX] = True
     nonzero = pattern[_LIFT_INDEX]
     slots = []
     for lifts, rows in (((0, 1, 0), (0, 32, 16)), ((1, 0, 1), (16, 32, 0))):

@@ -1586,6 +1586,58 @@ def test_every_listed_flag_is_accepted(command, flags, tmp_path, capsys):
     assert code == 0, err
 
 
+def _unused_flag_cases():
+    # (args, message) for each optional flag a subparser declares, taken from
+    # the parser's own actions, and each table entry that does not read it.
+    parser = ybgates.cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    cli = ybgates.cli
+    # Each entry: its arguments, its name in messages, and the flags it reads.
+    entries = {
+        "verify": [([name], f"verify {name}", {*entry[2], "tol"})
+                   for name, entry in cli._RELATIONS.items()]
+        # --matrix-file makes braid check one file, an entry of its own.
+        + [(["braid", "--matrix-file", "1"], "verify braid --matrix-file",
+            {"matrix_file", "tol"})],
+        "matrix": [([name], f"matrix {name}", set(entry[0]))
+                   for name, entry in cli._FAMILIES.items()],
+        "synthesize": [([name], f"synthesize {name}", {*entry[0], "tol"})
+                       for name, entry in cli._ROUTES.items()],
+        # A sweep's own parameter is set by --from and --to, so its flag,
+        # like any flag not in its table entry, is refused.
+        "sweep": [
+            ([quantity, "--param", param, "--from", "0", "--to", "1", "--steps", "3"],
+             f"sweep {quantity} --param {param}",
+             {*entry[0], *(["tol"] if quantity in cli._RELATIONS else [])})
+            for (quantity, param), entry in cli._SWEEPS.items()
+        ],
+    }
+    # Flags that every sweep reads, whatever its table entry.
+    read_by_all = {"param", "start", "stop", "steps", "format", "out"}
+    cases = []
+    for command, rows in entries.items():
+        for action in commands.choices[command]._actions:
+            if not action.option_strings or action.dest in {"help"} | read_by_all:
+                continue
+            flag = action.option_strings[0]
+            for args, name, read in rows:
+                if action.dest in read or name == "verify braid" and flag == "--matrix-file":
+                    continue
+                message = f"{flag} is not used by {name}"
+                if command == "verify" and flag == "--matrix-file":
+                    message = "only braid accepts --matrix-file"
+                value = action.choices[0] if action.choices else "1"
+                cases.append(pytest.param([command, *args, flag, value], message,
+                                          id=f"{name} {flag}"))
+    return cases
+
+
+@pytest.mark.parametrize("args, message", _unused_flag_cases())
+def test_every_unused_flag_is_refused(args, message, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("param", ["theta", "phi"])
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_sweep_concurrence_rows_bit_identical_to_per_point(param, sign, capsys):

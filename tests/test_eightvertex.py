@@ -295,9 +295,33 @@ def _nested_b(sign, q):
     )
 
 
+def _nested_weights(w):
+    return np.array(
+        [[w.w1, 0, 0, w.w7], [0, w.w5, w.w3, 0], [0, w.w4, w.w6, 0], [w.w8, 0, 0, w.w2]],
+        dtype=complex,
+    )
+
+
 def test_build_b_bytes_match_nested_rows():
+    # tobytes, unlike np.array_equal, tells +0.0 from -0.0 and NaNs apart.
     qs = [1, -1.0, 2.0, 1j, complex(0.3, -0.0), complex(-0.0, 1.0), np.complex64(1 + 2j)]
     qs += np.exp(-1j * np.linspace(-7.0, 7.0, 57)).tolist()
     for sign in "+-":
         for q in qs:
             assert build_b(sign, q).tobytes() == _nested_b(sign, q).tobytes()
+        # build_b_stack, matrix by matrix: all of qs as one stack, a (3, 5)
+        # stack and an empty one, each against nested rows at its numpy q.
+        stack = np.array(qs, dtype=complex)
+        for q in (stack, stack[:15].reshape(3, 5), stack[:0]):
+            b = build_b_stack(sign, q)
+            assert b.shape == q.shape + (4, 4)
+            for index in np.ndindex(q.shape):
+                assert b[index].tobytes() == _nested_b(sign, q[index]).tobytes()
+    # to_matrix, on weights with signed zeros, NaNs of both signs and
+    # infinities in either part, and on ints, floats and numpy scalars.
+    parts = [0.0, -0.0, 1.5, np.inf, -np.inf, np.nan, -np.nan]
+    values = [complex(re, im) for re in parts for im in parts]
+    values += [0, -1, -0.0, np.float64(-0.0), np.complex64(-0.0 - 2j), np.nan, -np.inf]
+    for k in range(len(values)):
+        w = EightVertexWeights(*(values[(k + 11 * j) % len(values)] for j in range(8)))
+        assert w.to_matrix().tobytes() == _nested_weights(w).tobytes()

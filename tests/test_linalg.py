@@ -474,6 +474,31 @@ def test_expm_squaring_counts_at_powers_of_two_match_oracle():
     assert expm(stack).tobytes() == expected.tobytes()
 
 
+# The 1-norm of the last case overflows in its column sum, and numpy warns.
+@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+@pytest.mark.parametrize(
+    "column, norm",
+    [([5e307, 0.0], "5.000e+307"), ([9e307, 0.0], "9.000e+307"), ([1.7e308, 1.7e308], "inf")],
+    ids=["count-1024", "scaled-norm-overflows", "column-sum-overflows"],
+)
+def test_expm_refuses_a_1_norm_above_2_to_the_1022(column, norm):
+    # Past 2**1022 the squaring count reaches 1024 and 2^s is inf: a matrix
+    # was scaled to zero and came back as I, or from about 9e307 its count
+    # was undefined. At 2**1022 itself, N = [[0, t], [0, 0]] still gets its
+    # exact exponential I + N, and just above it is refused too.
+    edge = 2.0**1022
+    exact = np.array([[1, edge], [0, 1]], dtype=complex)
+    assert expm(np.array([[0, edge], [0, 0]])).tobytes() == exact.tobytes()
+    stack = np.zeros((2, 3, 2, 2), dtype=complex)
+    stack[1, 1, :, 1] = column
+    stack[1, 2, 0, 1] = np.nextafter(edge, np.inf)
+    message = f"expm: 1-norm {norm} above 2**1022 at index (1, 1)"
+    with pytest.raises(OverflowError, match=re.escape(message) + "$"):
+        expm(stack)
+    with pytest.raises(OverflowError, match=re.escape("at index (1, 0)") + "$"):
+        expm(stack[:, 2:])
+
+
 def test_expm_stack_rejects_any_nonfinite_matrix():
     stack = np.stack([I4, I4])
     stack[1, 2, 3] = np.inf
