@@ -55,9 +55,7 @@ from .hamiltonian import (
 )
 from .linalg import (
     DimensionMismatchError,
-    NonConvergenceError,
     dagger,
-    expm,
     kron,
     residual,
     residuals,

@@ -41,8 +41,10 @@ from .eightvertex import (
     R_x_family,
 )
 from .entangle import r_theta_concurrences
-from .gates import cnot, cnot_via_evolution, cnot_via_theorem1, global_phase_between
+from .gates import _quarter_turn, cnot, cnot_via_evolution, cnot_via_theorem1, global_phase_between
 from .hamiltonian import (
+    _product,
+    evolution_form,
     evolution_U,
     hamiltonian_const,
     hamiltonian_form,
@@ -50,8 +52,7 @@ from .hamiltonian import (
     interaction_operator,
     schrodinger_residuals,
 )
-from .linalg import _eye, expm, kron, map_floats, read_only, residual, residuals
-from .linalg import unitarity_residuals
+from .linalg import _eye, kron, map_floats, read_only, residual, residuals, unitarity_residuals
 from .paulis import DEFAULT_SEED, SIGMA_X, SIGMA_Y
 from .yangbaxter import braid_residual, braid_residuals, qybe_residuals
 
@@ -288,32 +289,31 @@ def _verify_schrodinger(sign: str | None) -> _Labelled:
 
 
 def _verify_exponential(sign: str | None, phi_grid: int) -> _Labelled:
-    # Points run sign, phi, theta, then the closed form R before the
-    # exponential U, as in the per-point closed forms of hamiltonian and
-    # eightvertex. Each coefficient is the Python float those functions
-    # compute with math.cos/math.sin, times the same factor, one row per theta.
+    # Points run sign, phi, theta, then R (with the per-point closed forms'
+    # Python-float coefficients) before U. Sigma^2 = I makes U(theta) a group
+    # with U(pi) = -i Sigma exactly, so no series is needed: a U row is the
+    # worse of the doubling law U(theta/2)^2 = U(theta) and that anchor.
     signs, phis = _signs(sign), _phi_grid(phi_grid)
     thetas = np.linspace(0.0, 2.0 * math.pi, 9)
-    cos_u, sin_u, cos_t, sin_t, cos_half, sin_half = (
+    cos_u, sin_u, cos_t, sin_t = (
         map_floats(f, angles)[:, None, None]
-        for angles in (math.pi / 4.0 - thetas, thetas, thetas / 2.0)
+        for angles in (math.pi / 4.0 - thetas, thetas)
         for f in (math.cos, math.sin)
     )
-    closed, evolutions, generators = [], [], []
+    closed = []
     for s in signs:
         b = build_b_phi_stack(s, phis)[:, None]
         from_h = cos_u * _eye(4) + 2j * sin_u * hamiltonian_form(b, 1.0)
         closed.append(residuals(from_h, angle_form(b, cos_t, sin_t)))
-        op = np.stack([interaction_operator(s, phi) for phi in phis])[:, None]
-        evolutions.append(cos_half * _eye(4) - 1j * sin_half * op)
-        generators.append(-0.5j * thetas[:, None, None] * op)
-    xy = 0.25j * math.pi * kron(SIGMA_X, SIGMA_Y)  # rides last; its expm is bphi(-,0)
-    exponentials = expm(np.concatenate([np.reshape(generators, (-1, 4, 4)), [xy]]))
-    direct = residuals(np.reshape(evolutions, (-1, 4, 4)), exponentials[:-1])
-    fixed = residual(build_b_phi("-", 0.0), exponentials[-1])
-    results = np.append(np.stack([np.ravel(closed), direct], axis=-1), fixed)
+    sigma = np.array([[interaction_operator(s, phi) for phi in phis] for s in signs])[:, :, None]
+    u = evolution_form(sigma, np.concatenate([thetas, thetas / 2.0, [math.pi]])[:, None, None])
+    full, half, at_pi = np.split(u, [9, 18], axis=2)
+    direct = np.maximum(residuals(_product(half, half), full), residuals(at_pi, -1j * sigma))
+    xy = kron(SIGMA_X, SIGMA_Y)  # an involution too, whose quarter turn is bphi(-,0)
+    fixed = residuals([build_b_phi("-", 0.0), _product(xy, xy)], [_quarter_turn(xy), _eye(4)]).max()
+    results = np.append(np.stack([np.ravel(closed), np.ravel(direct)], axis=-1), fixed)
     grid = _grid_label(("sign", signs), ("phi", phis), ("theta", thetas.tolist()))
-    fixed_label, last = "bphi(-,0) vs expm(i pi/4 x.y)", len(results) - 1
+    fixed_label, last = "bphi(-,0) vs exp(i pi/4 x.y)", len(results) - 1
     return results, lambda k: fixed_label if k == last else f"{'RU'[k % 2]} {grid(k // 2)}"
 
 

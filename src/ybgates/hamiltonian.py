@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .eightvertex import build_b_phi, build_b_phi_stack, build_R_x_normalized_stack, sign_value
-from .linalg import DimensionMismatchError, _eye, dagger, kron
+from .linalg import DimensionMismatchError, _eye, dagger, kron, map_floats
 from .paulis import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, SQRT2
 
 DEFAULT_FD_STEP = 1e-5
@@ -127,7 +127,7 @@ def pauli_decompose(m: np.ndarray) -> PauliDecomposition:
     product is a single unit-valued term, so the traces are gathered from m
     rather than multiplied out: the terms are exact and reduced over the
     diagonal as np.trace reduces it, which gives the dense products' bits,
-    signed zeros included. Non-finite entries are refused, as by expm.
+    signed zeros included. Non-finite entries are refused.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
@@ -147,10 +147,18 @@ def interaction_operator(sign: str, phi: float) -> np.ndarray:
     return kron(first, second) if s > 0 else kron(second, first)
 
 
+def evolution_form(op: np.ndarray, theta) -> np.ndarray:
+    """cos(theta/2) I - i sin(theta/2) op, which is exp(-i theta op / 2) for
+    an involutory op, written only here: one matrix and a float theta, or a
+    stack (..., 4, 4) and a theta array that broadcasts against it. The
+    coefficients are math.cos and math.sin of each theta / 2."""
+    half = theta / 2.0
+    return map_floats(math.cos, half) * _eye(4) - 1j * map_floats(math.sin, half) * op
+
+
 def evolution_U(sign: str, phi: float, theta: float) -> np.ndarray:
     """Evolution operator cos(theta/2) I - i sin(theta/2) times the coupling."""
-    op = interaction_operator(sign, phi)
-    return math.cos(theta / 2.0) * _eye(4) - 1j * math.sin(theta / 2.0) * op
+    return evolution_form(interaction_operator(sign, phi), theta)
 
 
 def R_from_H(sign: str, phi: float, theta: float) -> np.ndarray:
@@ -167,6 +175,12 @@ def R_from_H(sign: str, phi: float, theta: float) -> np.ndarray:
 def _row_sums(p: np.ndarray) -> np.ndarray:
     """Sum over a last axis of length 4, left to right on every CPU."""
     return p[..., 0] + p[..., 1] + p[..., 2] + p[..., 3]
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product a b of two (..., 4, 4) stacks that broadcast, each entry
+    summed over k by _row_sums, so its bits depend on no BLAS kernel."""
+    return _row_sums(a[..., :, None, :] * np.swapaxes(b, -1, -2)[..., None, :, :])
 
 
 def schrodinger_residuals(

@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 
+from expm_series import expm
 from ybgates.cli import MatrixDocument, main as cli_main
 from ybgates.eightvertex import (
     build_b,
@@ -41,7 +42,7 @@ from ybgates.hamiltonian import (
     schrodinger_residual,
     sigma_axis,
 )
-from ybgates.linalg import dagger, expm, kron, residual, unitarity_residual
+from ybgates.linalg import dagger, kron, residual, unitarity_residual
 from ybgates.yangbaxter import braid_residual, qybe_residual
 
 I4 = np.eye(4, dtype=complex)

@@ -249,20 +249,29 @@ def test_schrodinger_states_match_per_draw_oracle():
     assert cached.tobytes() == _schrodinger_states_oracle().tobytes()
 
 
-def test_verify_exponential_makes_one_expm_call(monkeypatch):
-    # The grid's generators and the fixed bphi(-,0) generator share one call.
-    stacks = []
+def test_verify_exponential_makes_one_evolution_form_call(monkeypatch):
+    # One stacked call gives U at each theta, each theta/2 and pi for every
+    # (sign, phi), and each of its matrices is evolution_U's, bit for bit.
+    calls = []
 
-    def counting_expm(a):
-        stacks.append(np.shape(a))
-        return linalg.expm(a)
+    def recording(op, theta):
+        calls.append(hamiltonian.evolution_form(op, theta))
+        return calls[-1]
 
-    monkeypatch.setattr(cli, "expm", counting_expm)
-    for phi_grid in (8, 3):
-        stacks.clear()
-        assert cli.main(["verify", "exponential", "--phi-grid", str(phi_grid)]) == 0
-        # Two signs, phi_grid angles and 9 thetas, then the fixed generator.
-        assert stacks == [(2 * phi_grid * 9 + 1, 4, 4)]
+    monkeypatch.setattr(cli, "evolution_form", recording)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 9).tolist()
+    angles = thetas + [t / 2.0 for t in thetas] + [math.pi]
+    for signs, phi_grid in (("+-", 8), ("-", 3), ("+", 1)):
+        calls.clear()
+        sign = ["--sign", signs] if len(signs) == 1 else []
+        assert cli.main(["verify", "exponential", "--phi-grid", str(phi_grid), *sign]) == 0
+        [u] = calls
+        want = [
+            [[evolution_U(s, 2.0 * math.pi * k / phi_grid, t) for t in angles]
+             for k in range(phi_grid)]
+            for s in signs
+        ]
+        assert _same_bits(u, want)
 
 
 # --- fresh results, read-only caches, nothing built at import -----------

@@ -25,7 +25,6 @@ import ybgates.cli
 import ybgates.linalg
 from ybgates.cli import MatrixDocument, main
 from ybgates.eightvertex import (
-    PHI_EIGENVALUES,
     build_b_phi,
     build_R_theta,
     build_R_x,
@@ -36,14 +35,13 @@ from ybgates.gates import cnot
 from ybgates.hamiltonian import (
     R_from_H,
     evolution_U,
-    hamiltonian_const,
     interaction_operator,
     schrodinger_residual,
     schrodinger_residuals,
 )
-from ybgates.linalg import expm, kron, residual, residuals, unitarity_residual
+from ybgates.linalg import kron, residual, unitarity_residual
 from ybgates.paulis import DEFAULT_SEED, SIGMA_X, SIGMA_Y
-from ybgates.yangbaxter import braid_residual, inverse_from_eigenvalues, qybe_residual
+from ybgates.yangbaxter import braid_residual, qybe_residual
 
 # `ybg verify qybe` stdout, pinned at the path kernel, whose sums do not
 # depend on the BLAS kernel (the BLAS products before it reported the same
@@ -79,9 +77,9 @@ RELATION_GOLDEN = {
     ),
     ("verify", "exponential"): (
         0,
-        '{"command": "verify", "max_residual": 1.1102230246251565e-15, "pass": true, '
+        '{"command": "verify", "max_residual": 2.718345674301793e-16, "pass": true, '
         '"points": 289, "relation": "exponential", "tol": 1e-12, '
-        '"worst": "U sign=- phi=0.7853981633974483 theta=4.71238898038469"}\n',
+        '"worst": "U sign=+ phi=0.7853981633974483 theta=3.141592653589793"}\n',
     ),
     ("verify", "braid", "--sign", "+", "--phi-grid", "7", "--tol", "1e-17"): (
         1,
@@ -97,9 +95,9 @@ RELATION_GOLDEN = {
     ),
     ("verify", "exponential", "--sign", "-", "--phi-grid", "3", "--tol", "1e-17"): (
         1,
-        '{"command": "verify", "max_residual": 9.992007221626409e-16, "pass": false, '
+        '{"command": "verify", "max_residual": 2.220446049250313e-16, "pass": false, '
         '"points": 55, "relation": "exponential", "tol": 1e-17, '
-        '"worst": "U sign=- phi=0.0 theta=5.497787143782138"}\n',
+        '"worst": "R sign=- phi=0.0 theta=3.9269908169872414"}\n',
     ),
 }
 
@@ -905,6 +903,14 @@ def test_matrix_file_refused_outside_braid(relation, capsys):
         ["matrix", "b", "--sign", "-", "--q", "0,1e-320"],
         ["matrix", "Rx", "--sign", "+", "--q", "1e-320", "--x", "1"],
     ],
+    ids=[
+        "Rx + x=1e308",
+        "b - q=1e-320",
+        "Rx - x=-1e308",
+        "b + q=1e-320",
+        "b - q=0,1e-320",
+        "Rx + q=1e-320",
+    ],
 )
 def test_nonfinite_matrix_fails_with_empty_stdout(args, capsys):
     code, out, err = run_cli(args, capsys)
@@ -1204,16 +1210,7 @@ def _relation_oracle(relation):
             for x in (0.4, 1.0, 2.0)
             for psi0 in states
         ]
-    out = []
-    for sign in "+-":
-        for phi in phis:
-            op = interaction_operator(sign, phi)
-            for theta in np.linspace(0.0, 2.0 * math.pi, 9):
-                theta = float(theta)
-                out.append(residual(R_from_H(sign, phi, theta), build_R_theta(sign, phi, theta)))
-                out.append(residual(evolution_U(sign, phi, theta), expm(-0.5j * theta * op)))
-    out.append(residual(build_b_phi("-", 0.0), expm(0.25j * math.pi * kron(SIGMA_X, SIGMA_Y))))
-    return out
+    return _exponential_points(None, 8)
 
 
 @pytest.mark.parametrize(
@@ -1234,34 +1231,30 @@ def test_verify_residuals_bit_identical_to_per_point_oracle(relation, monkeypatc
     assert np.array_equal(seen[0], _relation_oracle(relation))
 
 
-def _exponential_loop(sign, phi_grid):
-    # The per-(sign, phi) loop that the stacked runner replaced, with each
-    # exponential computed alone.
-    signs = [sign] if sign else ["+", "-"]
-    thetas = [float(t) for t in np.linspace(0.0, 2.0 * math.pi, 9)]
+def _square(m):
+    # m m for one 4x4 matrix, each entry summed over k left to right.
+    terms = [np.outer(m[:, k], m[k, :]) for k in range(4)]
+    return terms[0] + terms[1] + terms[2] + terms[3]
 
-    def column(coefficient):
-        return np.array([coefficient(t) for t in thetas])[:, None, None]
 
-    eye = np.eye(4, dtype=complex)
-    cos_u = column(lambda t: math.cos(math.pi / 4.0 - t))
-    sin_u = column(lambda t: 2j * math.sin(math.pi / 4.0 - t))
-    cos_t, sin_t = column(math.cos), column(math.sin)
-    cos_half = column(lambda t: math.cos(t / 2.0))
-    sin_half = column(lambda t: 1j * math.sin(t / 2.0))
-    exponents = column(lambda t: -0.5j * t)
-    closed, direct = [], []
-    for s in signs:
-        for phi in 2.0 * math.pi * np.arange(phi_grid) / phi_grid:
-            b = build_b_phi(s, phi)
-            from_h = cos_u * eye + sin_u * hamiltonian_const(s, phi)
-            b_inv = inverse_from_eigenvalues(b, PHI_EIGENVALUES)
-            closed.append(residuals(from_h, cos_t * b + sin_t * b_inv))
-            op = interaction_operator(s, phi)
-            exponentials = np.array([expm(g) for g in exponents * op])
-            direct.append(residuals(cos_half * eye - sin_half * op, exponentials))
-    fixed = residual(build_b_phi("-", 0.0), expm(0.25j * math.pi * kron(SIGMA_X, SIGMA_Y)))
-    return np.append(np.stack([np.ravel(closed), np.ravel(direct)], axis=-1), fixed)
+def _exponential_points(sign, phi_grid):
+    # verify exponential's rows one point at a time, from the per-point
+    # functions: R_from_H against build_R_theta, then the worse of
+    # evolution_U's doubling law and its anchor U(pi) = -i Sigma, and last
+    # the fixed row.
+    out = []
+    for s in [sign] if sign else ["+", "-"]:
+        for k in range(phi_grid):
+            phi = 2.0 * math.pi * k / phi_grid
+            anchor = residual(evolution_U(s, phi, math.pi), -1j * interaction_operator(s, phi))
+            for theta in np.linspace(0.0, 2.0 * math.pi, 9).tolist():
+                out.append(residual(R_from_H(s, phi, theta), build_R_theta(s, phi, theta)))
+                half = evolution_U(s, phi, theta / 2.0)
+                out.append(max(residual(_square(half), evolution_U(s, phi, theta)), anchor))
+    xy = kron(SIGMA_X, SIGMA_Y)
+    quarter_turn = math.cos(math.pi / 4.0) * np.eye(4) + 1j * math.sin(math.pi / 4.0) * xy
+    fixed = residual(build_b_phi("-", 0.0), quarter_turn)
+    return np.array(out + [max(fixed, residual(_square(xy), np.eye(4)))])
 
 
 def _schrodinger_loop(sign):
@@ -1281,7 +1274,36 @@ def _schrodinger_loop(sign):
 @pytest.mark.parametrize("phi_grid", [1, 3, 8, 13])
 def test_verify_exponential_bit_identical_to_per_phi_loop(sign, phi_grid):
     results, _ = ybgates.cli._verify_exponential(sign, phi_grid)
-    assert results.tobytes() == _exponential_loop(sign, phi_grid).tobytes()
+    assert results.tobytes() == _exponential_points(sign, phi_grid).tobytes()
+
+
+# Each mutant of verify exponential's closed forms: the name it replaces in
+# every ybgates module that binds it, the mutant made from the original,
+# and the residual it must raise the report to.
+_EXPONENTIAL_MUTANTS = {
+    # exp(+i theta Sigma / 2) still doubles, but its U(pi) is +i Sigma.
+    "evolution-sign": ("evolution_form", lambda real: lambda op, t: real(-op, t), 2.0),
+    # theta for theta/2: exp(-i theta Sigma) still doubles, but its U(pi) is -I.
+    "evolution-half-angle": ("evolution_form", lambda real: lambda op, t: real(op, 2 * t), 1.0),
+    # A Sigma 0.1 % off an involution: U(theta/2)^2 misses U(theta).
+    "sigma-scaled": ("interaction_operator", lambda real: lambda s, p: 1.001 * real(s, p), 2e-3),
+    # exp(-i pi/4 G) in place of exp(i pi/4 G).
+    "quarter-turn-sign": ("_quarter_turn", lambda real: lambda g: real(-g), 1.0),
+}
+
+
+@pytest.mark.parametrize("mutant", list(_EXPONENTIAL_MUTANTS))
+def test_verify_exponential_fails_a_broken_closed_form(mutant, monkeypatch, capsys):
+    name, mutate, floor = _EXPONENTIAL_MUTANTS[mutant]
+    modules = (ybgates.cli, ybgates.gates, ybgates.hamiltonian)
+    broken = mutate(getattr(ybgates.cli, name))
+    for module in modules:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, broken)
+    code, out, _ = run_cli(["verify", "exponential"], capsys)
+    report = json.loads(out)
+    assert (code, report["pass"]) == (1, False)
+    assert report["max_residual"] > 0.9 * floor
 
 
 @pytest.mark.parametrize("sign", [None, "+", "-"])
@@ -1328,7 +1350,9 @@ _SWEEP_QYBE_ARGS = {
 }
 
 
-@pytest.mark.parametrize("param, fmt", list(SWEEP_QYBE_SHA256), ids="-".join)
+@pytest.mark.parametrize(
+    "param, fmt", list(SWEEP_QYBE_SHA256), ids=["x-json", "phi-json", "x-csv", "phi-csv"]
+)
 def test_sweep_qybe_4096_step_stdout_golden(param, fmt, capsys):
     code, out, _ = run_cli(
         ["sweep", "qybe", "--param", param, "--steps", "4096", "--format", fmt,

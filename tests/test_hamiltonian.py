@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from expm_series import expm
 from ybgates.eightvertex import (
     build_b_phi,
     build_b_phi_stack,
@@ -28,7 +29,7 @@ from ybgates.hamiltonian import (
     schrodinger_residuals,
     sigma_axis,
 )
-from ybgates.linalg import DimensionMismatchError, dagger, expm, kron, residual
+from ybgates.linalg import DimensionMismatchError, dagger, kron, residual
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import expm_series
+from expm_series import NonConvergenceError, expm
 from ybgates.eightvertex import build_b_phi, rho
-import ybgates.linalg
 from ybgates.linalg import (
     DimensionMismatchError,
-    NonConvergenceError,
     _reciprocal,
     dagger,
-    expm,
     kron,
     residual,
     residuals,
@@ -258,7 +257,7 @@ def test_expm_any_stack_shape_matches_oracle(shape, scale, seed):
 def test_expm_convergence_checked_per_matrix(monkeypatch):
     # Two terms cannot converge on a nonzero matrix; the zero matrix
     # converges at once, so only a stack holding a nonzero matrix fails.
-    monkeypatch.setattr(ybgates.linalg, "_SERIES_ORDER", 2)
+    monkeypatch.setattr(expm_series, "_SERIES_ORDER", 2)
     zeros = np.zeros((3, 4, 4), dtype=complex)
     assert np.array_equal(expm(zeros), np.broadcast_to(I4, zeros.shape))
     mixed = zeros.copy()
@@ -274,7 +273,7 @@ def test_expm_convergence_checked_per_matrix(monkeypatch):
 def test_expm_nonconvergence_names_first_failing_matrix(monkeypatch, shape, failing, index):
     # Flat members in failing are given a norm the 2-term series cannot meet;
     # the message gives the first one's index over the batch axes.
-    monkeypatch.setattr(ybgates.linalg, "_SERIES_ORDER", 2)
+    monkeypatch.setattr(expm_series, "_SERIES_ORDER", 2)
     flat = np.zeros((max(1, math.prod(shape)), 4, 4), dtype=complex)
     flat[failing] = 0.25 * np.kron(SX, SY)
     with pytest.raises(NonConvergenceError, match=re.escape(f"at index {index}") + "$"):
@@ -344,7 +343,7 @@ def test_expm_runs_one_series_per_distinct_scaled_matrix(monkeypatch):
         distinct.append(len(found[0]))
         return found
 
-    monkeypatch.setattr(ybgates.linalg.np, "unique", spy)
+    monkeypatch.setattr(expm_series.np, "unique", spy)
     got = expm(stack)
     monkeypatch.undo()
     assert distinct == [3]
@@ -431,7 +430,7 @@ def test_expm_nonconvergence_names_first_failing_matrix_before_its_duplicate(
     # Two failing matrices, each repeated later in the stack: whichever of
     # them sorts first by bytes, the message names stack index 1 and that
     # matrix's own tail, as a one-matrix call gives it.
-    monkeypatch.setattr(ybgates.linalg, "_SERIES_ORDER", 2)
+    monkeypatch.setattr(expm_series, "_SERIES_ORDER", 2)
     failing = {"a": 0.25 * np.kron(SX, SY), "b": 0.3 * np.kron(SZ, SX)}
     first, second = (failing[c] for c in order)
     stack = np.array([0 * I4, first, second, first, 0 * I4, second]).reshape(2, 3, 4, 4)
