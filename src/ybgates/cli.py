@@ -196,32 +196,36 @@ def _json_float(value: float) -> float | None:
 
 # --- verify -----------------------------------------------------------
 
-def _braid(sign: str, phi) -> np.ndarray:
-    """Braid-relation residual of b(sign, phi) at each angle of ``phi``."""
-    return braid_residuals(build_b_phi_stack(sign, phi))
+def _braid(sign, phi) -> np.ndarray:
+    """Braid-relation residual of b(sign, phi) at each (sign, phi)."""
+    b = build_b_phi_stack(sign, phi)
+    return braid_residuals(b.reshape(-1, 4, 4)).reshape(b.shape[:-2])
 
 
-def _unitarity(sign: str, phi, x) -> np.ndarray:
-    """Unitarity residual of the normalized R(x), phi and x broadcast."""
-    return unitarity_residuals(build_R_x_normalized_stack(sign, phi, x))
+def _unitarity(sign, phi, x) -> np.ndarray:
+    """Unitarity residual of the normalized R(x), sign, phi and x broadcast."""
+    # One build per label: merged, verify's 976 points pay glibc mmap/trim page faults.
+    return np.concatenate(
+        [unitarity_residuals(build_R_x_normalized_stack(s, phi, x)) for s in np.ravel(sign)])
 
 
-def _qybe(sign: str, phi, x, y) -> np.ndarray:
-    """QYBE residual of R(x) over the open grid phi x x x y, in its shape."""
-    shape = np.broadcast_shapes(np.shape(phi), np.shape(x), np.shape(y))
+def _qybe(sign, phi, x, y) -> np.ndarray:
+    """QYBE residual of R(x) over the open grid sign x phi x x x y, in its shape."""
+    shape = np.broadcast_shapes(*map(np.shape, (sign, phi, x, y)))
     phi, x, y = (np.asarray(a, dtype=float).ravel() for a in (phi, x, y))
-    out = np.empty((len(phi), len(x), len(y)))
+    out = np.empty((np.size(sign), len(phi), len(x), len(y)))
     rows = max(1, min(len(x), _QYBE_BLOCK // len(y)))
     phis = max(1, _QYBE_BLOCK // (rows * len(y)))
-    for p in range(0, len(phi), phis):
-        family = R_x_family(sign, np.exp(-1j * phi[p : p + phis])[:, None, None])
-        r_y = np.repeat(family(y), rows, axis=1)  # points run phi, x, then y fastest
-        for i in range(0, len(x), rows):
-            xs = x[i : i + rows]
-            r_x = np.repeat(family(xs).reshape(-1, 4, 4), len(y), axis=0)
-            r_xy = family(xs[:, None] * y).reshape(-1, 4, 4)
-            r_ys = r_y[:, : len(xs)].reshape(-1, 4, 4)
-            out[p : p + phis, i : i + rows].flat = qybe_residuals(r_x, r_ys, r_xy)
+    for s, grid in zip(np.ravel(sign), out):
+        for p in range(0, len(phi), phis):
+            family = R_x_family(s, np.exp(-1j * phi[p : p + phis])[:, None, None])
+            r_y = np.repeat(family(y), rows, axis=1)  # points run phi, x, then y fastest
+            for i in range(0, len(x), rows):
+                xs = x[i : i + rows]
+                r_x = np.repeat(family(xs).reshape(-1, 4, 4), len(y), axis=0)
+                r_xy = family(xs[:, None] * y).reshape(-1, 4, 4)
+                r_ys = r_y[:, : len(xs)].reshape(-1, 4, 4)
+                grid[p : p + phis, i : i + rows].flat = qybe_residuals(r_x, r_ys, r_xy)
     return out.reshape(shape)
 
 
@@ -230,16 +234,14 @@ _Labelled = tuple[np.ndarray, Callable[[int], str]]
 
 
 def _over_grid(kernel, sign: str | None, *axes: tuple[str, np.ndarray]) -> _Labelled:
-    """kernel(s, name=values, ...) for each sign s over the open grid of
-    ``axes``, (name, values) pairs, passed as np.ix_ arrays; points run
-    sign, then the axes in order, the last fastest. The whole result is
-    allocated first, so a grid too large to hold fails at once."""
-    signs = _signs(sign)
+    """kernel(sign=labels, name=values, ...), one call over the open grid of the signs and
+    ``axes``, (name, values) pairs, as np.ix_ arrays; points run sign, then the axes, the
+    last fastest. The result is allocated first, so a grid too large to hold fails at once."""
+    axes = (("sign", _signs(sign)), *axes)
     names, values = zip(*axes)
-    results = np.empty((len(signs), *map(len, values)))
-    for s, row in zip(signs, results):
-        row[...] = kernel(s, **dict(zip(names, np.ix_(*values))))
-    return results.ravel(), _grid_label(("sign", signs), *axes)
+    results = np.empty(tuple(map(len, values)))
+    results[...] = kernel(**dict(zip(names, np.ix_(*values))))
+    return results.ravel(), _grid_label(*axes)
 
 
 def _verify_matrix_file(matrix_file: str) -> _Labelled:
@@ -300,12 +302,10 @@ def _verify_exponential(sign: str | None, phi_grid: int) -> _Labelled:
         for angles in (math.pi / 4.0 - thetas, thetas)
         for f in (math.cos, math.sin)
     )
-    closed = []
-    for s in signs:
-        b = build_b_phi_stack(s, phis)[:, None]
-        from_h = cos_u * _eye(4) + 2j * sin_u * hamiltonian_form(b, 1.0)
-        closed.append(residuals(from_h, angle_form(b, cos_t, sin_t)))
-    sigma = np.array([[interaction_operator(s, phi) for phi in phis] for s in signs])[:, :, None]
+    b = build_b_phi_stack(np.array(signs)[:, None], phis)[:, :, None]
+    from_h = cos_u * _eye(4) + 2j * sin_u * hamiltonian_form(b, 1.0)
+    closed = residuals(from_h, angle_form(b, cos_t, sin_t))
+    sigma = np.array([interaction_operator(s, phis) for s in signs])[:, :, None]
     u = evolution_form(sigma, np.concatenate([thetas, thetas / 2.0, [math.pi]])[:, None, None])
     full, half, at_pi = np.split(u, [9, 18], axis=2)
     direct = np.maximum(residuals(_product(half, half), full), residuals(at_pi, -1j * sigma))

@@ -111,19 +111,23 @@ def build_b(sign: str, q: complex) -> np.ndarray:
     return _place(_b_weights(sign_value(sign), q))
 
 
-def build_b_stack(sign: str, q: np.ndarray) -> np.ndarray:
-    """build_b over an array of deformations: shape q.shape + (4, 4).
-
-    Entries are computed with numpy complex arithmetic, so each matrix is
-    bit-identical to build_b at the same numpy complex q.
+def build_b_stack(sign, q: np.ndarray) -> np.ndarray:
+    """build_b over an array of deformations q and one label, or an array of
+    them that broadcasts against q: shape S + (4, 4) for the shape S of both,
+    each matrix bit-identical to build_b at its label and numpy complex q.
     """
     q = np.asarray(q, dtype=complex)
     if np.any(q == 0):
         raise ZeroDeformationError("deformation parameter q must be non-zero")
-    b = np.zeros(q.shape + (16,), dtype=complex)
-    for k, w in zip(_WEIGHT_INDEX, _b_weights(sign_value(sign), q)):
+    if isinstance(sign, str):
+        s, shape = sign_value(sign), q.shape
+    else:  # each label through sign_value, in the labels' shape
+        s = np.reshape([sign_value(v) for v in np.ravel(sign).tolist()], np.shape(sign))
+        shape = np.broadcast(s, q).shape
+    b = np.zeros(shape + (16,), dtype=complex)
+    for k, w in zip(_WEIGHT_INDEX, _b_weights(s, q)):
         b[..., k] = w
-    return b.reshape(q.shape + (4, 4))
+    return b.reshape(shape + (4, 4))
 
 
 def build_b_phi(sign: str, phi: float) -> np.ndarray:
@@ -131,8 +135,8 @@ def build_b_phi(sign: str, phi: float) -> np.ndarray:
     return build_b(sign, np.exp(-1j * phi)) / SQRT2
 
 
-def build_b_phi_stack(sign: str, phi: np.ndarray) -> np.ndarray:
-    """build_b_phi over an array of angles: shape phi.shape + (4, 4),
+def build_b_phi_stack(sign, phi: np.ndarray) -> np.ndarray:
+    """build_b_phi over an array of angles and labels as in build_b_stack,
     each matrix bit-identical to build_b_phi at the same float phi."""
     return build_b_stack(sign, np.exp(-1j * np.asarray(phi, dtype=float))) * _PER_SQRT2
 
@@ -143,13 +147,13 @@ def build_R_x(sign: str, q: complex, x: float) -> np.ndarray:
     return yang_baxterize(build_b(sign, q), EIGENVALUES)(x)
 
 
-def R_x_family(sign: str, q: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The map x -> build_R_x(sign, q, x) over arrays: q and x broadcast to a
-    shape S, the result S + (4, 4), each matrix bit-identical to build_R_x at
-    the same numpy complex q and float x. One braid matrix is built per
-    entry of q, once, however often the map is called. Every b_s(q) has the
-    eigenvalues 1 -+ i, so the premise that yang_baxterize checks holds by
-    construction and is not checked here."""
+def R_x_family(sign, q: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The map x -> build_R_x(sign, q, x) over arrays: labels as in
+    build_b_stack, q and x broadcast to a shape S, the result S + (4, 4), each
+    matrix bit-identical to build_R_x at the same numpy complex q and float x.
+    One braid matrix is built per (label, q), once, however often the map is
+    called. Every b_s(q) has the eigenvalues 1 -+ i, so the premise that
+    yang_baxterize checks holds by construction and is not checked here."""
     return _baxterization(build_b_stack(sign, q), EIGENVALUES)
 
 
@@ -172,9 +176,10 @@ def build_R_x_normalized(sign: str, phi: float, x: float) -> np.ndarray:
     return build_R_x(sign, np.exp(-1j * phi), x) / math.sqrt(rho(x))
 
 
-def build_R_x_normalized_stack(sign: str, phi: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """build_R_x_normalized over arrays: phi and x broadcast to a shape S,
-    result S + (4, 4), each matrix bit-identical to the per-point function.
+def build_R_x_normalized_stack(sign, phi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """build_R_x_normalized over arrays: labels as in build_b_stack, phi and x
+    broadcast to a shape S, result S + (4, 4), each matrix bit-identical to
+    the per-point function.
 
     The normalization is math.sqrt(rho(x)) on Python floats, as in the
     per-point function: numpy's square differs from Python's ** in the last

@@ -64,12 +64,14 @@ def axis_angle_pair(phi: float) -> tuple[float, float]:
     return (math.pi + phi) / 2.0, phi / 2.0
 
 
-def sigma_axis(alpha: float) -> np.ndarray:
-    """Pauli projection onto the xy-plane direction at angle alpha.
+def sigma_axis(alpha) -> np.ndarray:
+    """Pauli projection onto the xy-plane direction at angle alpha, or their
+    stack alpha.shape + (2, 2) over an array of angles.
 
     sigma_plus * exp(-i alpha) + sigma_minus * exp(i alpha); Hermitian,
     traceless, and involutory.
     """
+    alpha = alpha[..., None, None] if isinstance(alpha, np.ndarray) else alpha
     return SIGMA_PLUS * np.exp(-1j * alpha) + SIGMA_MINUS * np.exp(1j * alpha)
 
 
@@ -139,12 +141,12 @@ def pauli_decompose(m: np.ndarray) -> PauliDecomposition:
     return PauliDecomposition(coefficients=coeffs)
 
 
-def interaction_operator(sign: str, phi: float) -> np.ndarray:
-    """The axis coupling sigma_n1 (x) sigma_n2 (order swapped for '-')."""
-    s = sign_value(sign)
+def interaction_operator(sign: str, phi) -> np.ndarray:
+    """The axis coupling sigma_n1 (x) sigma_n2 (order swapped for '-'), or
+    its stack phi.shape + (4, 4) over an array of angles."""
     alpha1, alpha2 = axis_angle_pair(phi)
     first, second = sigma_axis(alpha1), sigma_axis(alpha2)
-    return kron(first, second) if s > 0 else kron(second, first)
+    return kron(first, second) if sign_value(sign) > 0 else kron(second, first)
 
 
 def evolution_form(op: np.ndarray, theta) -> np.ndarray:
@@ -184,15 +186,11 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def schrodinger_residuals(
-    sign: str,
-    phi: np.ndarray,
-    states: np.ndarray,
-    x: np.ndarray,
-    h: float = DEFAULT_FD_STEP,
+    sign, phi: np.ndarray, states: np.ndarray, x: np.ndarray, h: float = DEFAULT_FD_STEP
 ) -> np.ndarray:
     """Defect of i d/dx psi(x) = H(x) psi(x) for psi(x) = R(x) psi0, one per
-    row psi0 of an (M, 4) array of states; phi and x broadcast to a shape S,
-    and the result has shape S + (M,).
+    row psi0 of an (M, 4) array of states; the labels (as in build_b_stack),
+    phi and x broadcast to a shape S, and the result has shape S + (M,).
 
     psi evolves under the normalized (unitary) spectral family so its norm
     is conserved; the derivative is the central difference at step h and
@@ -202,22 +200,17 @@ def schrodinger_residuals(
     states = np.asarray(states, dtype=complex)
     if states.shape[1:] != (4,):
         raise DimensionMismatchError(f"expected (M, 4) states, got shape {states.shape}")
-    phis, xs = np.broadcast_arrays(np.asarray(phi, dtype=float), np.asarray(x, dtype=float))
-    spectral = np.stack([xs + h, xs - h, xs], axis=-1)
-    family = build_R_x_normalized_stack(sign, phis[..., None], spectral)
+    xs = np.broadcast_to(np.asarray(x, dtype=float), np.broadcast(sign, phi, x).shape)
+    family = build_R_x_normalized_stack(sign, phi, np.stack([xs + h, xs - h, xs]))
     # Each S + (M, 4): R(x+h), R(x-h) and R(x) applied to every state.
-    plus, minus, psi = np.moveaxis(_row_sums(family[..., None, :, :] * states[:, None]), -3, 0)
-    h_of_x = hamiltonian_form(build_b_phi_stack(sign, phis), xs[..., None, None])[..., None, :, :]
+    plus, minus, psi = _row_sums(family[..., None, :, :] * states[:, None])
+    h_of_x = hamiltonian_form(build_b_phi_stack(sign, phi), xs[..., None, None])[..., None, :, :]
     defects = 1j * (plus - minus) / (2.0 * h) - _row_sums(h_of_x * psi[..., None, :])
     return np.sqrt(_row_sums(defects.real**2 + defects.imag**2))
 
 
 def schrodinger_residual(
-    sign: str,
-    phi: float,
-    psi0: np.ndarray,
-    x: float,
-    h: float = DEFAULT_FD_STEP,
+    sign: str, phi: float, psi0: np.ndarray, x: float, h: float = DEFAULT_FD_STEP
 ) -> float:
     """schrodinger_residuals for the single state psi0."""
     return float(schrodinger_residuals(sign, phi, [psi0], x, h)[0])

@@ -29,15 +29,17 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices, with np.kron's bits: entry
+    """Kronecker product of two matrices, or of each pair of two stacks
+    (..., m, n) and (..., p, q) that broadcast, with np.kron's bits: entry
     ((i*p+k), (j*q+l)) is a[i,j] * b[k,l], from one broadcast multiply of
-    interleaved reshapes. Any other operand is a DimensionMismatchError."""
+    interleaved axes. A vector or scalar is a DimensionMismatchError."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionMismatchError(f"kron needs two matrices, got {a.shape} and {b.shape}")
-    (m, n), (p, q) = a.shape, b.shape
-    return (a.reshape(m, 1, n, 1) * b.reshape(1, p, 1, q)).reshape(m * p, n * q)
+    if a.ndim < 2 or b.ndim < 2:
+        raise DimensionMismatchError(f"kron needs matrices or stacks, got {a.shape} and {b.shape}")
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (m * p, n * q))
 
 
 def map_floats(f, x: np.ndarray) -> np.ndarray:

@@ -15,8 +15,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ybgates import cli, gates, hamiltonian, linalg, yangbaxter
-from ybgates.eightvertex import build_b_phi, build_R_x_normalized_stack
+from ybgates import cli, eightvertex, gates, hamiltonian, linalg, yangbaxter
+from ybgates.eightvertex import build_b_phi, build_b_stack, build_R_x_normalized_stack
 from ybgates.entangle import r_theta_concurrences
 from ybgates.gates import (
     CNOT_PHASE_GATE,
@@ -272,6 +272,28 @@ def test_verify_exponential_makes_one_evolution_form_call(monkeypatch):
             for s in signs
         ]
         assert _same_bits(u, want)
+
+
+@pytest.mark.parametrize(
+    "relation, builds",
+    # schrodinger builds two b's: the spectral family's b(q) and H(x)'s b(phi).
+    [("braid", 1), ("schrodinger", 2), ("exponential", 1)],
+    ids=["braid", "schrodinger", "exponential"],
+)
+def test_verify_builds_b_for_both_signs_in_one_call(monkeypatch, relation, builds):
+    # Each b a runner builds is one build_b_stack call that holds both signs'
+    # labels, so the call count is the same with --sign and without it.
+    labels = []
+
+    def recording(sign, q):
+        labels.append(sorted(set(np.ravel(sign).tolist())))
+        return build_b_stack(sign, q)
+
+    monkeypatch.setattr(eightvertex, "build_b_stack", recording)
+    for sign, want in ((["--sign", "-"], ["-"]), ([], ["+", "-"])):
+        labels.clear()
+        assert cli.main(["verify", relation, *sign]) == 0
+        assert labels == [want] * builds
 
 
 # --- fresh results, read-only caches, nothing built at import -----------

@@ -1524,7 +1524,9 @@ def test_sweep_out_of_memory_names_the_reason(args):
     assert lines[0][len("error: "):].strip(), "the error line gives no reason"
 
 
-@pytest.mark.parametrize("quantity, param", list(ybgates.cli._SWEEPS), ids="-".join)
+@pytest.mark.parametrize(
+    "quantity, param", list(ybgates.cli._SWEEPS), ids=[f"{q}-{p}" for q, p in ybgates.cli._SWEEPS]
+)
 def test_sweep_default_tol_is_the_verify_tol(quantity, param, capsys):
     code, out, _ = run_cli(
         ["sweep", quantity, "--param", param, "--from", "0", "--to", "1", "--steps", "3"], capsys

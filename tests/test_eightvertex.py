@@ -38,6 +38,16 @@ def test_sign_value():
         sign_value("plus")
 
 
+def test_build_b_stack_reads_each_label_of_an_array():
+    # A (2, 3) label array against one q: each matrix has its label's sign.
+    labels = np.array([["+", "-", "-"], ["-", "+", "+"]])
+    got = build_b_stack(labels, np.exp(-0.7j))
+    assert got.shape == (2, 3, 4, 4)
+    assert got[..., 1, 2].real.tolist() == [[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0]]
+    with pytest.raises(ValueError, match="got 'x'"):
+        build_b_stack(np.array(["+", "x", "-"]), np.ones(3))
+
+
 def test_constraints_on_family_weights():
     w = EightVertexWeights(w1=1, w2=1, w3=1, w4=-1, w5=1, w6=1, w7=1, w8=-1)
     assert all(value == 0.0 for value in check_constraints(w))
@@ -325,3 +335,58 @@ def test_build_b_bytes_match_nested_rows():
     for k in range(len(values)):
         w = EightVertexWeights(*(values[(k + 11 * j) % len(values)] for j in range(8)))
         assert w.to_matrix().tobytes() == _nested_weights(w).tobytes()
+
+
+# Labels down the first axis, in an order that repeats each of them.
+_LABELS = np.array(["+", "-", "-", "+"])
+
+
+@given(
+    phis=st.lists(st.floats(-1e3, 1e3), max_size=5),
+    xs=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=3),
+)
+@example(phis=[0.0, -0.0, 5e-324, -5e-324, math.pi], xs=[2.0, -0.0])
+@example(phis=[-math.pi, 1e16, 2.2250738585072014e-308], xs=[0.0])
+def test_stack_constructors_over_a_label_axis_are_each_labels_stack(phis, xs):
+    # A label array broadcasts against q (phi, x) like one more axis; each
+    # label's slice has the bytes of that label's own stack.
+    phis = np.array(phis, dtype=float)
+    qs = np.exp(-1j * phis)
+    labels = _LABELS[:, None]
+    b, b_phi = build_b_stack(labels, qs), build_b_phi_stack(labels, phis)
+    r = build_R_x_normalized_stack(labels[:, :, None], phis[:, None], xs)
+    family = R_x_family(labels[:, :, None], qs[:, None])(xs)
+    assert b.shape == b_phi.shape == (len(_LABELS), len(phis), 4, 4)
+    assert r.shape == family.shape == (len(_LABELS), len(phis), len(xs), 4, 4)
+    for k, label in enumerate(_LABELS.tolist()):
+        assert b[k].tobytes() == build_b_stack(label, qs).tobytes()
+        assert b_phi[k].tobytes() == build_b_phi_stack(label, phis).tobytes()
+        assert r[k].tobytes() == build_R_x_normalized_stack(label, phis[:, None], xs).tobytes()
+        assert family[k].tobytes() == R_x_family(label, qs[:, None])(xs).tobytes()
+
+
+def test_label_array_broadcasts_on_any_axis():
+    # Labels along the last axis, q down the first; a 0-d label array is one label.
+    qs = np.exp(-1j * np.array([0.3, -0.0, 2.0]))[:, None]
+    got = build_b_stack(np.array(["-", "+"]), qs)
+    assert got.shape == (3, 2, 4, 4)
+    assert got[:, 0].tobytes() == build_b_stack("-", qs[:, 0]).tobytes()
+    assert got[:, 1].tobytes() == build_b_stack("+", qs[:, 0]).tobytes()
+    assert build_b_stack(np.array("+"), qs).tobytes() == build_b_stack("+", qs).tobytes()
+    assert build_b_phi_stack(np.array([], dtype=str)[:, None], [0.1, 0.2]).shape == (0, 2, 4, 4)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda labels: build_b_stack(labels, np.ones(3)),
+        lambda labels: build_b_phi_stack(labels, np.zeros(3)),
+        lambda labels: R_x_family(labels, np.ones(3)),
+        lambda labels: build_R_x_normalized_stack(labels, 0.0, np.zeros(3)),
+    ],
+    ids=["build_b_stack", "build_b_phi_stack", "R_x_family", "build_R_x_normalized_stack"],
+)
+def test_a_bad_label_in_the_array_is_refused(build):
+    for labels in (np.array(["+", "x"])[:, None], np.array([["-", "-"], ["+", "plus"]])[..., None]):
+        with pytest.raises(ValueError, match="sign must be '\\+' or '-'"):
+            build(labels)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from expm_series import expm
@@ -161,6 +161,30 @@ def test_sigma_axis_involutory_traceless():
         assert residual(s @ s, I2) < 1e-15
         assert abs(np.trace(s)) < 1e-15
         assert residual(s, dagger(s)) < 1e-15
+
+
+# Seeded angles and the special ones: signed zeros, +-pi, a large angle,
+# the smallest subnormal and both phi grids verify uses.
+_STACK_PHIS = np.concatenate([
+    np.random.default_rng(3201).uniform(-1e3, 1e3, 2000),
+    [0.0, -0.0, math.pi, -math.pi, 1e16, 5e-324, -5e-324],
+    2.0 * math.pi * np.arange(8) / 8,
+    2.0 * math.pi * np.arange(33) / 33,
+])
+
+
+def test_stacked_sigma_axis_and_interaction_operator_bit_identical_to_scalar():
+    # One call over an array of angles gives each angle's matrix, by the bytes.
+    alphas = _STACK_PHIS.reshape(-1, 2)
+    got = sigma_axis(alphas)
+    assert got.shape == alphas.shape + (2, 2)
+    for index in np.ndindex(alphas.shape):
+        assert got[index].tobytes() == sigma_axis(float(alphas[index])).tobytes()
+    for sign in "+-":
+        got = interaction_operator(sign, _STACK_PHIS)
+        assert got.shape == (len(_STACK_PHIS), 4, 4)
+        for k, phi in enumerate(_STACK_PHIS.tolist()):
+            assert got[k].tobytes() == interaction_operator(sign, phi).tobytes()
 
 
 def test_pauli_decompose_hamiltonian():
@@ -320,6 +344,27 @@ def test_stacked_schrodinger_residuals_bit_identical_to_single_points(
         for phi in phis
     ]
     assert got.tobytes() == np.array(norms).reshape(got.shape).tobytes()
+
+
+@given(
+    phis=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=3),
+    xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+    count=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(phis=[0.0, -0.0, 5e-324], xs=[-0.0, 1.0], count=2, seed=7)
+def test_schrodinger_residuals_over_a_label_axis_are_each_labels(phis, xs, count, seed):
+    # Labels down the first axis, phi down the second and x along the third.
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((count, 4)) + 1j * rng.standard_normal((count, 4))
+    labels = np.array(["-", "+", "-"])[:, None, None]
+    phi, x = np.array(phis)[:, None], np.array(xs)
+    got = schrodinger_residuals(labels, phi, states, x)
+    assert got.shape == (3, len(phis), len(xs), count)
+    for k, label in enumerate("-+-"):
+        assert got[k].tobytes() == schrodinger_residuals(label, phi, states, x).tobytes()
+    with pytest.raises(ValueError, match="got 'x'"):
+        schrodinger_residuals(np.array(["+", "x"])[:, None, None], phi, states, x)
 
 
 @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 4, 1)])

@@ -67,48 +67,77 @@ _SHAPE_PAIRS = [
     ((0, 4), (2, 2)),
 ]
 
-# Vectors, scalars and stacks: kron takes two matrices and nothing else.
-_REFUSED_SHAPE_PAIRS = [
-    ((2,), (2,)),
-    ((4,), (2,)),
+# Stacks on either side or both, broadcast against each other.
+_STACK_SHAPE_PAIRS = [
     ((3, 4, 4), (2, 2)),
     ((2, 2), (3, 4, 4)),
     ((64, 4, 4), (2, 2)),
-    ((2,), (2, 2)),
     ((3, 1, 2), (2, 3)),
+    ((5, 2, 2), (5, 2, 2)),
+    ((3, 1, 2, 2), (4, 2, 2)),
+    ((0, 2, 2), (2, 2)),
+]
+
+# Vectors and scalars: kron takes two matrices or stacks and nothing else.
+_REFUSED_SHAPE_PAIRS = [
+    ((2,), (2,)),
+    ((4,), (2,)),
+    ((2,), (2, 2)),
+    ((3, 4, 4), (2,)),
     ((), (2,)),
+    ((2, 2), ()),
 ]
 
 
+def _pairwise_kron(a, b):
+    """np.kron of each pair of matrices of two stacks that broadcast."""
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a, b = (np.broadcast_to(m, lead + m.shape[-2:]) for m in (a, b))
+    shape = lead + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+    pairs = [np.kron(a[index], b[index]) for index in np.ndindex(lead)]
+    return np.array(pairs, dtype=complex).reshape(shape)
+
+
 @given(
-    pair=st.sampled_from(_SHAPE_PAIRS + _REFUSED_SHAPE_PAIRS), seed=st.integers(0, 2**32 - 1)
+    pair=st.sampled_from(_SHAPE_PAIRS + _STACK_SHAPE_PAIRS + _REFUSED_SHAPE_PAIRS),
+    seed=st.integers(0, 2**32 - 1),
 )
 def test_kron_bit_identical_to_numpy(pair, seed):
+    # Two matrices give np.kron's bytes; two stacks give them for each pair.
     rng = np.random.default_rng(seed)
     a, b = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in pair)
     if pair in _REFUSED_SHAPE_PAIRS:
         with pytest.raises(DimensionMismatchError, match=re.escape(f"{a.shape} and {b.shape}")):
             kron(a, b)
         return
-    got, expected = kron(a, b), np.kron(a, b)
+    got, expected = kron(a, b), _pairwise_kron(a, b)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+    if pair in _SHAPE_PAIRS:
+        assert got.tobytes() == np.kron(a, b).tobytes()
 
 
 @given(
-    shape_a=st.lists(st.integers(1, 3), min_size=1, max_size=3),
-    shape_b=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    shape_a=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    shape_b=st.lists(st.integers(1, 3), min_size=1, max_size=4),
 )
 def test_kron_matches_numpy_on_any_shapes(shape_a, shape_b):
-    # Two matrices match np.kron; a vector or a stack on either side is refused.
+    # Two matrices match np.kron and two stacks match it pair by pair; a
+    # vector on either side is refused, as are stacks that do not broadcast.
     rng = np.random.default_rng(len(shape_a) * 10 + len(shape_b))
     a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
     b = rng.standard_normal(shape_b)
-    if len(shape_a) != 2 or len(shape_b) != 2:
+    try:
+        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    except ValueError:
+        with pytest.raises(ValueError):
+            kron(a, b)
+        return
+    if len(shape_a) < 2 or len(shape_b) < 2:
         with pytest.raises(DimensionMismatchError):
             kron(a, b)
         return
-    got, expected = kron(a, b), np.kron(a, b.astype(complex))
+    got, expected = kron(a, b), _pairwise_kron(a, b.astype(complex))
     assert got.dtype == complex
     assert got.shape == expected.shape
     assert np.array_equal(got, expected)
@@ -134,6 +163,25 @@ def test_kron_of_two_matrices_bit_identical_to_numpy_on_special_values(shape_a, 
             for s in (shape_a, shape_b)
         )
         got, expected = kron(a, b), np.kron(a, b)
+        assert got.shape == expected.shape and got.dtype == complex
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "shape_a, shape_b",
+    [((8, 2, 2), (2, 2)), ((2, 2), (8, 4, 4)), ((8, 2, 2), (8, 2, 2)), ((3, 1, 2, 2), (4, 2, 2))],
+    ids=["8x2x2-2x2", "2x2-8x4x4", "8x2x2-8x2x2", "3x1x2x2-4x2x2"],
+)
+def test_kron_of_two_stacks_bit_identical_to_pairs_on_special_values(shape_a, shape_b):
+    # Each matrix of the stacked product has the bytes of np.kron of its pair.
+    rng = np.random.default_rng(1802)
+    for _ in range(50):
+        a, b = (
+            rng.choice(_SPECIAL_PARTS, s) + 1j * rng.choice(_SPECIAL_PARTS, s)
+            for s in (shape_a, shape_b)
+        )
+        got, expected = kron(a, b), _pairwise_kron(a, b)
         assert got.shape == expected.shape and got.dtype == complex
         assert got.tobytes() == expected.tobytes()
 
