@@ -50,9 +50,10 @@ from .hamiltonian import (
     hamiltonian_form,
     hamiltonian_x,
     interaction_operator,
+    r_from_h_form,
     schrodinger_residuals,
 )
-from .linalg import _eye, kron, map_floats, read_only, residual, residuals, unitarity_residuals
+from .linalg import _eye, kron, read_only, residual, residuals, unitarity_residuals
 from .paulis import DEFAULT_SEED, SIGMA_X, SIGMA_Y
 from .yangbaxter import braid_residual, braid_residuals, qybe_residuals
 
@@ -291,20 +292,15 @@ def _verify_schrodinger(sign: str | None) -> _Labelled:
 
 
 def _verify_exponential(sign: str | None, phi_grid: int) -> _Labelled:
-    # Points run sign, phi, theta, then R (with the per-point closed forms'
-    # Python-float coefficients) before U. Sigma^2 = I makes U(theta) a group
+    # Points run sign, phi, theta, then R (through the per-point closed
+    # forms, which take theta) before U. Sigma^2 = I makes U(theta) a group
     # with U(pi) = -i Sigma exactly, so no series is needed: a U row is the
     # worse of the doubling law U(theta/2)^2 = U(theta) and that anchor.
     signs, phis = _signs(sign), _phi_grid(phi_grid)
     thetas = np.linspace(0.0, 2.0 * math.pi, 9)
-    cos_u, sin_u, cos_t, sin_t = (
-        map_floats(f, angles)[:, None, None]
-        for angles in (math.pi / 4.0 - thetas, thetas)
-        for f in (math.cos, math.sin)
-    )
     b = build_b_phi_stack(np.array(signs)[:, None], phis)[:, :, None]
-    from_h = cos_u * _eye(4) + 2j * sin_u * hamiltonian_form(b, 1.0)
-    closed = residuals(from_h, angle_form(b, cos_t, sin_t))
+    t = thetas[:, None, None]
+    closed = residuals(r_from_h_form(hamiltonian_form(b, 1.0), t), angle_form(b, t))
     sigma = np.array([interaction_operator(s, phis) for s in signs])[:, :, None]
     u = evolution_form(sigma, np.concatenate([thetas, thetas / 2.0, [math.pi]])[:, None, None])
     full, half, at_pi = np.split(u, [9, 18], axis=2)

@@ -193,16 +193,17 @@ def build_R_x_normalized_stack(sign, phi: np.ndarray, x: np.ndarray) -> np.ndarr
     return R_x_family(sign, q)(x) / norms[..., None, None]
 
 
-def angle_form(b: np.ndarray, cos, sin) -> np.ndarray:
-    """cos b + sin b^(-1) for the unitary b(phi): one matrix with float
-    coefficients, or a stack (..., 4, 4) with coefficient arrays that
-    broadcast against it. The one place the angle form is written."""
-    return cos * b + sin * inverse_from_eigenvalues(b, PHI_EIGENVALUES)
+def angle_form(b: np.ndarray, theta) -> np.ndarray:
+    """cos(theta) b + sin(theta) b^(-1) for the unitary b(phi), written only
+    here, with math.cos and math.sin of each theta: one matrix and a float
+    theta, or a stack (..., 4, 4) and a theta array that broadcasts against it."""
+    inverse = inverse_from_eigenvalues(b, PHI_EIGENVALUES)
+    return map_floats(math.cos, theta) * b + map_floats(math.sin, theta) * inverse
 
 
 def build_R_theta(sign: str, phi: float, theta: float) -> np.ndarray:
     """Angle form cos(theta) b(phi) + sin(theta) b(phi)^(-1); unitary."""
-    return angle_form(build_b_phi(sign, phi), math.cos(theta), math.sin(theta))
+    return angle_form(build_b_phi(sign, phi), theta)
 
 
 def theta_from_x(x: float) -> float:

@@ -17,14 +17,13 @@ bit-identical to applying the gate and concurrence() state by state.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .eightvertex import angle_form, build_b_phi, build_b_phi_stack, build_R_theta
-from .linalg import DimensionMismatchError, map_floats, read_only
+from .linalg import DimensionMismatchError, read_only
 from .linalg import unitarity_residual, unitarity_residuals
 from .paulis import DEFAULT_SEED, SQRT2
 
@@ -95,11 +94,11 @@ def r_theta_action(sign: str, phi: float, theta: float, basis_index: int) -> np.
 
 def r_theta_concurrences(sign: str, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """concurrence(r_theta_action(sign, p, t, 0)) for each pair (p, t) of
-    phi and theta broadcast together, bit for bit: cos and sin come from
-    math, as in build_R_theta, and a gate's first column is its action on
-    |00>. Raises NonUnitaryGateError for the first non-unitary gate."""
-    cos, sin = (map_floats(f, theta)[..., None, None] for f in (math.cos, math.sin))
-    gates = angle_form(build_b_phi_stack(sign, phi), cos, sin).reshape(-1, 4, 4)
+    phi and theta broadcast together, bit for bit: both go through
+    angle_form, as build_R_theta does, and a gate's first column is its
+    action on |00>. Raises NonUnitaryGateError for the first non-unitary gate."""
+    theta = np.asarray(theta, dtype=float)[..., None, None]
+    gates = angle_form(build_b_phi_stack(sign, phi), theta).reshape(-1, 4, 4)
     defects = unitarity_residuals(gates)
     failed = np.flatnonzero(~(defects < _UNITARY_TOL))
     if len(failed):

@@ -163,15 +163,17 @@ def evolution_U(sign: str, phi: float, theta: float) -> np.ndarray:
     return evolution_form(interaction_operator(sign, phi), theta)
 
 
-def R_from_H(sign: str, phi: float, theta: float) -> np.ndarray:
-    """Angle family from its Hamiltonian: exp(i (pi/2 - 2 theta) H).
-
-    Evaluated in closed form as cos(pi/4 - theta) I plus
-    2i sin(pi/4 - theta) H, which matches build_R_theta to rounding.
-    """
-    h = hamiltonian_const(sign, phi)
+def r_from_h_form(h: np.ndarray, theta) -> np.ndarray:
+    """exp(i (pi/2 - 2 theta) h) for h^2 = I/4, written only here as
+    cos(pi/4 - theta) I + 2i sin(pi/4 - theta) h; theta as in angle_form."""
     u = math.pi / 4.0 - theta
-    return math.cos(u) * _eye(4) + 2j * math.sin(u) * h
+    return map_floats(math.cos, u) * _eye(4) + 2j * map_floats(math.sin, u) * h
+
+
+def R_from_H(sign: str, phi: float, theta: float) -> np.ndarray:
+    """Angle family from its Hamiltonian, exp(i (pi/2 - 2 theta) H); matches
+    build_R_theta to rounding."""
+    return r_from_h_form(hamiltonian_const(sign, phi), theta)
 
 
 def _row_sums(p: np.ndarray) -> np.ndarray:

@@ -33,8 +33,8 @@ from ybgates.eightvertex import (
 from ybgates.entangle import concurrence, r_theta_action
 from ybgates.gates import cnot
 from ybgates.hamiltonian import (
-    R_from_H,
     evolution_U,
+    hamiltonian_const,
     interaction_operator,
     schrodinger_residual,
     schrodinger_residuals,
@@ -1239,16 +1239,18 @@ def _square(m):
 
 def _exponential_points(sign, phi_grid):
     # verify exponential's rows one point at a time, from the per-point
-    # functions: R_from_H against build_R_theta, then the worse of
-    # evolution_U's doubling law and its anchor U(pi) = -i Sigma, and last
-    # the fixed row.
+    # functions: exp(i (pi/2 - 2 theta) H), written out here in closed form,
+    # against build_R_theta, then the worse of evolution_U's doubling law and
+    # its anchor U(pi) = -i Sigma, and last the fixed row.
     out = []
     for s in [sign] if sign else ["+", "-"]:
         for k in range(phi_grid):
             phi = 2.0 * math.pi * k / phi_grid
             anchor = residual(evolution_U(s, phi, math.pi), -1j * interaction_operator(s, phi))
             for theta in np.linspace(0.0, 2.0 * math.pi, 9).tolist():
-                out.append(residual(R_from_H(s, phi, theta), build_R_theta(s, phi, theta)))
+                u = math.pi / 4.0 - theta
+                from_h = math.cos(u) * np.eye(4) + 2j * math.sin(u) * hamiltonian_const(s, phi)
+                out.append(residual(from_h, build_R_theta(s, phi, theta)))
                 half = evolution_U(s, phi, theta / 2.0)
                 out.append(max(residual(_square(half), evolution_U(s, phi, theta)), anchor))
     xy = kron(SIGMA_X, SIGMA_Y)
@@ -1289,6 +1291,10 @@ _EXPONENTIAL_MUTANTS = {
     "sigma-scaled": ("interaction_operator", lambda real: lambda s, p: 1.001 * real(s, p), 2e-3),
     # exp(-i pi/4 G) in place of exp(i pi/4 G).
     "quarter-turn-sign": ("_quarter_turn", lambda real: lambda g: real(-g), 1.0),
+    # R(-theta) for R(theta): the R row's two sides part by up to sqrt(2).
+    "angle-form-sign": ("angle_form", lambda real: lambda b, t: real(b, -t), 1.414),
+    # exp(-i (pi/2 - 2 theta) H) for exp(i (pi/2 - 2 theta) H): up to 2.
+    "r-from-h-sign": ("r_from_h_form", lambda real: lambda h, t: real(-h, t), 2.0),
 }
 
 
@@ -1761,6 +1767,7 @@ def test_relation_runner_called_with_table_flags_by_keyword(relation, monkeypatc
         (["synthesize", "evolution", "--theta", "1.5"], ybgates.cli._ROUTES["evolution"][0],
          {"theta": 1.5}),
     ],
+    ids=["verify-qybe-grid", "verify-schrodinger-sign", "sweep-qybe-y", "synthesize-evolution-theta"],
 )
 def test_read_flags_returns_defaults_and_leaves_namespace(command, flags, given):
     args = ybgates.cli._build_parser().parse_args(command)

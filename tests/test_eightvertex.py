@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ybgates.eightvertex import (
     EightVertexWeights,
     ZeroDeformationError,
+    angle_form,
     build_b,
     build_b_phi,
     build_b_phi_stack,
@@ -363,6 +364,26 @@ def test_stack_constructors_over_a_label_axis_are_each_labels_stack(phis, xs):
         assert b_phi[k].tobytes() == build_b_phi_stack(label, phis).tobytes()
         assert r[k].tobytes() == build_R_x_normalized_stack(label, phis[:, None], xs).tobytes()
         assert family[k].tobytes() == R_x_family(label, qs[:, None])(xs).tobytes()
+
+
+# Seeded angles and the special ones: signed zeros, +-pi/4, a large angle
+# and the smallest subnormals.
+_STACK_THETAS = np.concatenate([
+    np.random.default_rng(3303).uniform(-1e3, 1e3, 60),
+    [0.0, -0.0, math.pi / 4, -math.pi / 4, 1e16, 5e-324, -5e-324],
+])
+
+
+def test_angle_form_stack_bit_identical_to_build_R_theta():
+    # Signs down the first axis, phi down the second and theta along the
+    # third; each matrix has the bytes of the one-matrix call at float theta.
+    signs, phis = np.array(["+", "-"]), np.array([0.0, -0.0, 0.9, -2.2, 5e-324])
+    b = build_b_phi_stack(signs[:, None, None], phis[:, None])
+    got = angle_form(b, _STACK_THETAS[:, None, None])
+    assert got.shape == (len(signs), len(phis), len(_STACK_THETAS), 4, 4)
+    for k, m, n in np.ndindex(got.shape[:3]):
+        want = build_R_theta(signs[k], float(phis[m]), float(_STACK_THETAS[n]))
+        assert got[k, m, n].tobytes() == want.tobytes()
 
 
 def test_label_array_broadcasts_on_any_axis():

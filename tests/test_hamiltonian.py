@@ -25,6 +25,7 @@ from ybgates.hamiltonian import (
     hamiltonian_x,
     interaction_operator,
     pauli_decompose,
+    r_from_h_form,
     schrodinger_residual,
     schrodinger_residuals,
     sigma_axis,
@@ -270,6 +271,23 @@ def test_R_from_H_equals_angle_family(sign):
             assert residual(R_from_H(sign, phi, theta), build_R_theta(sign, phi, theta)) < 1e-12
             exponent = 1j * (math.pi / 2.0 - 2.0 * theta) * hamiltonian_const(sign, phi)
             assert residual(R_from_H(sign, phi, theta), expm(exponent)) < 1e-12
+
+
+def test_r_from_h_form_stack_bit_identical_to_R_from_H():
+    # Signs down the first axis, phi down the second and theta along the
+    # third, with theta seeded in [-1e3, 1e3] and special; each matrix has
+    # the bytes of the one-matrix call at float theta.
+    signs, phis = np.array(["+", "-"]), np.array([0.0, -0.0, 0.9, -2.2, 5e-324])
+    thetas = np.concatenate([
+        np.random.default_rng(3304).uniform(-1e3, 1e3, 60),
+        [0.0, -0.0, math.pi / 4, -math.pi / 4, 1e16, 5e-324, -5e-324],
+    ])
+    h = hamiltonian_form(build_b_phi_stack(signs[:, None, None], phis[:, None]), 1.0)
+    got = r_from_h_form(h, thetas[:, None, None])
+    assert got.shape == (len(signs), len(phis), len(thetas), 4, 4)
+    for k, m, n in np.ndindex(got.shape[:3]):
+        want = R_from_H(signs[k], float(phis[m]), float(thetas[n]))
+        assert got[k, m, n].tobytes() == want.tobytes()
 
 
 def test_schrodinger_residual_examples():
