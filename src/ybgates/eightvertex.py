@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import _reciprocal, map_floats
+from .linalg import map_floats
 from .paulis import SQRT2
 from .yangbaxter import _WEIGHT_INDEX, _baxterization, inverse_from_eigenvalues, yang_baxterize
 
@@ -38,10 +38,6 @@ EIGENVALUES = (1.0 - 1.0j, 1.0 + 1.0j)
 # written as exp(-+ i pi/4): in floats their sum is SQRT2 and their product
 # 1.0 exactly, so inverse_from_eigenvalues gives sqrt(2) I - b(phi).
 PHI_EIGENVALUES = (cmath.exp(-0.25j * math.pi), cmath.exp(0.25j * math.pi))
-
-# Multiplying by it divides by SQRT2 with the divide's bits: SQRT2 < 2, so
-# no nonzero part goes to zero, where the two could differ.
-_PER_SQRT2 = _reciprocal(SQRT2)
 
 
 class ZeroDeformationError(ValueError):
@@ -138,7 +134,7 @@ def build_b_phi(sign: str, phi: float) -> np.ndarray:
 def build_b_phi_stack(sign, phi: np.ndarray) -> np.ndarray:
     """build_b_phi over an array of angles and labels as in build_b_stack,
     each matrix bit-identical to build_b_phi at the same float phi."""
-    return build_b_stack(sign, np.exp(-1j * np.asarray(phi, dtype=float))) * _PER_SQRT2
+    return build_b_stack(sign, np.exp(-1j * np.asarray(phi, dtype=float))) / SQRT2
 
 
 def build_R_x(sign: str, q: complex, x: float) -> np.ndarray:
@@ -184,8 +180,6 @@ def build_R_x_normalized_stack(sign, phi: np.ndarray, x: np.ndarray) -> np.ndarr
     The normalization is math.sqrt(rho(x)) on Python floats, as in the
     per-point function: numpy's square differs from Python's ** in the last
     bit for some x, and ** raises OverflowError where numpy returns inf.
-    It stays a divide: a multiply by _reciprocal(norms) takes a subnormal
-    part to a zero of the other sign (phi = -5e-324, x = 2).
     """
     x = np.asarray(x, dtype=float)
     norms = map_floats(lambda v: math.sqrt(rho(v)), x)

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .eightvertex import build_b_phi, build_b_phi_stack, build_R_x_normalized_stack, sign_value
+from .eightvertex import build_b_phi, build_R_x_normalized_stack, sign_value
 from .linalg import DimensionMismatchError, _eye, dagger, kron, map_floats
 from .paulis import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, SQRT2
 
@@ -203,10 +203,12 @@ def schrodinger_residuals(
     if states.shape[1:] != (4,):
         raise DimensionMismatchError(f"expected (M, 4) states, got shape {states.shape}")
     xs = np.broadcast_to(np.asarray(x, dtype=float), np.broadcast(sign, phi, x).shape)
-    family = build_R_x_normalized_stack(sign, phi, np.stack([xs + h, xs - h, xs]))
+    # R(x+h), R(x-h), R(x) and R(0), which is b(phi) bit for bit: H(x)'s b.
+    at = np.stack([xs + h, xs - h, xs, np.zeros_like(xs)])
+    family = build_R_x_normalized_stack(sign, phi, at)
     # Each S + (M, 4): R(x+h), R(x-h) and R(x) applied to every state.
-    plus, minus, psi = _row_sums(family[..., None, :, :] * states[:, None])
-    h_of_x = hamiltonian_form(build_b_phi_stack(sign, phi), xs[..., None, None])[..., None, :, :]
+    plus, minus, psi = _row_sums(family[:3, ..., None, :, :] * states[:, None])
+    h_of_x = hamiltonian_form(family[3], xs[..., None, None])[..., None, :, :]
     defects = 1j * (plus - minus) / (2.0 * h) - _row_sums(h_of_x * psi[..., None, :])
     return np.sqrt(_row_sums(defects.real**2 + defects.imag**2))
 

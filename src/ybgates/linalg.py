@@ -60,22 +60,6 @@ def map_floats(f, x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def _reciprocal(d):
-    """The complex multiplier 1/d - 0j: a * _reciprocal(d) divides a complex
-    a by a real d > 0, a scalar or an array, with numpy's bits, in one
-    multiply per entry in place of numpy's complex division.
-
-    numpy divides re + i im by d + 0j (Smith's algorithm) as
-    (re + im*0) * (1/d) and (im - re*0) * (1/d); the multiply computes
-    re*(1/d) - im*(-0) and re*(-0) + im*(1/d). For finite d > 0 these have
-    the same bytes, signed zeros and NaN included, but for two cases: a
-    nonzero part that the quotient rounds to zero (never for d < 2) may
-    get the other sign, and an entry with two NaN parts may get other NaN
-    bits. d <= 0, inf or NaN is outside the identity.
-    """
-    return (1.0 / np.asarray(d, dtype=float)).astype(complex).conj()
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a, dtype=complex).conj().T

@@ -276,8 +276,8 @@ def test_verify_exponential_makes_one_evolution_form_call(monkeypatch):
 
 @pytest.mark.parametrize(
     "relation, builds",
-    # schrodinger builds two b's: the spectral family's b(q) and H(x)'s b(phi).
-    [("braid", 1), ("schrodinger", 2), ("exponential", 1)],
+    # schrodinger builds one b: H(x) takes its b(phi) from the family at x = 0.
+    [("braid", 1), ("schrodinger", 1), ("exponential", 1)],
     ids=["braid", "schrodinger", "exponential"],
 )
 def test_verify_builds_b_for_both_signs_in_one_call(monkeypatch, relation, builds):

@@ -1077,6 +1077,15 @@ def test_numpy_warnings_silenced_in_process(capsys):
         (["sweep", "unitarity", "--param", "x", "--from", "-1e200", "--to", "0", "--steps", "3"],
          ["--from/--to", "x=-1e+200"]),
     ],
+    ids=[
+        "x-to-1e200",
+        "phi-x-1e200",
+        "x-from-1e200",
+        "x-sign-plus-to-1e200",
+        "phi-x-minus-1e200",
+        "x-from-minus-1e200-to-1e200",
+        "x-from-minus-1e200",
+    ],
 )
 def test_arithmetic_errors_name_the_argument(args, names, capsys):
     code, out, err = run_cli(args, capsys)

@@ -337,6 +337,30 @@ def test_build_b_bytes_match_nested_rows():
         w = EightVertexWeights(*(values[(k + 11 * j) % len(values)] for j in range(8)))
         assert w.to_matrix().tobytes() == _nested_weights(w).tobytes()
 
+# Signed zeros, subnormals and angles up to the largest doubles.
+_EDGE_PHIS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e16, -1e16, 1e300, -1e300, 1.7e308]
+
+
+@given(
+    labels=st.one_of(
+        st.sampled_from(["+", "-"]), st.lists(st.sampled_from(["+", "-"]), min_size=1, max_size=4)
+    ),
+    phis=st.lists(
+        st.one_of(st.sampled_from(_EDGE_PHIS), st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_normalized_stack_at_x_zero_is_b_phi_stack(labels, phis):
+    # R(0) has b(phi)'s bytes, the one b schrodinger_residuals builds for
+    # both R(x) and H(x); a label array runs down a first axis.
+    if not isinstance(labels, str):
+        labels = np.array(labels)[:, None]
+    got = build_R_x_normalized_stack(labels, phis, 0.0)
+    want = build_b_phi_stack(labels, phis)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 
 # Labels down the first axis, in an order that repeats each of them.
 _LABELS = np.array(["+", "-", "-", "+"])

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 import expm_series
 from expm_series import NonConvergenceError, expm
-from ybgates.eightvertex import build_b_phi, rho
+from ybgates.eightvertex import build_b_phi
 from ybgates.linalg import (
     DimensionMismatchError,
-    _reciprocal,
     dagger,
     kron,
     residual,
@@ -398,76 +397,13 @@ def test_expm_runs_one_series_per_distinct_scaled_matrix(monkeypatch):
     assert got.tobytes() == np.array([_expm_oracle(m) for m in stack]).tobytes()
 
 
-def _awkward_parts(rng, shape):
-    # Complex entries whose parts run from the smallest subnormals to 1e300,
-    # with +-0.0 and NaN of both signs among them.
-    shape += (2,)
-    kind = rng.integers(0, 8, size=shape)
-    magnitude = np.select(
-        [kind == 0, kind == 1, kind == 2],
-        [5e-324 * rng.integers(1, 64, size=shape), 0.0, np.nan],
-        10.0 ** rng.uniform(-323, 300, size=shape),
-    )
-    return np.copysign(magnitude, rng.choice([-1.0, 1.0], size=shape)).view(complex)[..., 0]
-
-
-# expm's k and 2^s, b(phi)'s sqrt(2), and 2^-s, whose quotients overflow.
-_DIVISORS = (
-    [float(k) for k in range(1, 17)]
-    + [2.0**s for s in range(61)]
-    + [2.0**-s for s in range(61)]
-    + [math.sqrt(2.0)]
-)
-
-
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    d=st.one_of(st.sampled_from(_DIVISORS), st.floats(-1e6, 1e6).map(lambda x: math.sqrt(rho(x)))),
-)
-def test_multiply_by_reciprocal_has_the_divide_bytes(seed, d):
-    # Byte for byte wherever the identity holds. Elsewhere, where a nonzero
-    # part goes to zero or both parts are NaN, only a zero's sign or a NaN's
-    # bits may differ.
-    a = _awkward_parts(np.random.default_rng(seed), (64, 4, 4))
-    with np.errstate(all="ignore"):
-        want, got = a / d, a * _reciprocal(d)
-    parts, quotient = a.view(float), want.view(float)
-    to_zero = ((parts != 0) & (quotient == 0)).reshape(a.shape + (2,)).any(axis=-1)
-    inside = ~to_zero & ~np.isnan(parts).reshape(a.shape + (2,)).all(axis=-1)
-    assert want[inside].tobytes() == got[inside].tobytes()
-    assert np.array_equal(quotient, got.view(float), equal_nan=True)
-
-
-def test_multiply_by_reciprocal_outside_the_identity():
-    # A subnormal part the divide takes to zero keeps its sign in the divide
-    # only, and two NaN parts of different signs come out with other signs.
-    a = np.array([-1.5 - 5e-324j, 0j])
-    a.view(float)[2:] = np.nan, -np.nan
-    with np.errstate(all="ignore"):
-        want, got = a / 7.0, a * _reciprocal(7.0)
-    assert np.signbit(want.imag[0]) and not np.signbit(got.imag[0])
-    assert want[1:].tobytes() != got[1:].tobytes()
-    assert np.array_equal(want.view(float), got.view(float), equal_nan=True)
-
-
 @pytest.mark.parametrize("scale", [1.0, 3e-162], ids=["in the scaling", "in the series"])
-def test_expm_keeps_the_divide_bits_where_the_multiply_flips_a_zero(scale):
+def test_expm_keeps_the_one_matrix_bits_on_subnormal_entries(scale):
     # Subnormal entries of both signs go to zero in the scaling of matrices
-    # of norm > 0.5, and at 3e-162 the series' terms reach them. The
-    # multiply gives some such zero the other sign, which reaches no entry
-    # of the result.
+    # of norm > 0.5, and at 3e-162 the series' terms reach them.
     rng = np.random.default_rng(29)
     stack = np.array([_random_matrix(rng, n=4, scale=scale) for _ in range(8)])
     stack.view(float)[..., ::3] = rng.choice([-5e-324, 5e-324, -1e-323], size=(8, 4, 3))
-    norms = np.abs(stack).sum(axis=-2).max(axis=-1)
-    scale_by = 2.0 ** np.ceil(np.log2(np.maximum(norms, 0.5) / 0.5))[:, None, None]
-    divided, multiplied = stack / scale_by, stack * _reciprocal(scale_by)
-    flips = [divided.tobytes() != multiplied.tobytes()]
-    term_d = term_m = np.broadcast_to(I4, stack.shape)
-    for k in range(1, 17):
-        term_d, term_m = term_d @ divided / k, term_m @ multiplied * _reciprocal(k)
-        flips.append(term_d.tobytes() != term_m.tobytes())
-    assert any(flips)  # the case is real
     assert expm(stack).tobytes() == np.array([_expm_oracle(m) for m in stack]).tobytes()
 
 
