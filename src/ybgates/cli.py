@@ -153,7 +153,7 @@ def _read_flags(args: argparse.Namespace, flags: dict, command: str) -> dict:
     """The value of each key of ``flags``: the one given, else its value
     there, the default. Refuse every optional flag given that is not a key
     of ``flags``."""
-    for name in ("sign", "q", "grid", "phi_grid", "matrix_file", "phi", "theta", "x", "y", "tol"):
+    for name in _FLAGS:
         if getattr(args, name, None) is not None and name not in flags:
             raise CliError(f"--{name.replace('_', '-')} is not used by {command}")
     return {
@@ -520,8 +520,25 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# Each optional flag that a table entry reads, in the order _read_flags
+# refuses them: the subcommands that declare it, and its argparse settings.
+_FLAGS = {
+    "sign": ("verify matrix sweep", {"choices": ["+", "-"], "help": "family sign"}),
+    "q": ("matrix", {"help": "deformation parameter as 're' or 're,im'"}),
+    "grid": ("verify", {"type": _positive_int, "help": "points per spectral axis"}),
+    "phi_grid": ("verify", {"type": _positive_int, "help": "deformation grid points"}),
+    "matrix_file": ("verify", {"help": "check one matrix document (braid only)"}),
+    "phi": ("matrix synthesize sweep", {"type": _finite_float, "help": "deformation angle (rad)"}),
+    "theta": ("matrix synthesize sweep", {"type": _finite_float, "help": "evolution angle (rad)"}),
+    "x": ("matrix sweep", {"type": _finite_float, "help": "spectral parameter"}),
+    "y": ("sweep", {"type": _finite_float, "help": "second spectral value (qybe)"}),
+    "tol": ("verify synthesize sweep", {"type": _positive_float, "help": "pass tolerance"}),
+}
+
+
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reads any negative number as a value.
+    """ArgumentParser that reads each flag only as spelled in full, and any
+    negative number as a value.
 
     argparse before Python 3.13 takes only '-12' and '-1.5' for negative
     numbers, so '--from -1e-05', '--q -1,0' or '--tol -inf' failed as a
@@ -531,17 +548,10 @@ class _Parser(argparse.ArgumentParser):
     """
 
     def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, **kwargs, allow_abbrev=False)
         self._negative_number_matcher = re.compile(
             r"^-\.?\d|^-(inf|infinity|nan)$", re.IGNORECASE
         )
-
-
-def _add_common_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sign", choices=["+", "-"], help="family sign")
-    parser.add_argument("--phi", type=_finite_float, help="deformation angle in radians")
-    parser.add_argument("--theta", type=_finite_float, help="evolution angle in radians")
-    parser.add_argument("--x", type=_finite_float, help="spectral parameter")
 
 
 @functools.lru_cache(maxsize=None)
@@ -556,26 +566,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a relation check over its grid")
     verify.add_argument("relation", choices=list(_RELATIONS))
-    verify.add_argument("--sign", choices=["+", "-"], help="restrict to one sign")
-    verify.add_argument("--tol", type=_positive_float, help="pass tolerance (relation's default)")
-    verify.add_argument("--grid", type=_positive_int, help="points per spectral axis")
-    verify.add_argument("--phi-grid", type=_positive_int, help="deformation grid points")
-    verify.add_argument("--matrix-file", help="check one matrix document (braid only)")
     verify.set_defaults(func=_cmd_verify)
 
     matrix = sub.add_parser("matrix", help="print a matrix document")
     matrix.add_argument("family", choices=list(_FAMILIES))
-    _add_common_params(matrix)
-    matrix.add_argument("--q", help="deformation parameter as 're' or 're,im'")
     matrix.set_defaults(func=_cmd_matrix)
 
     synthesize = sub.add_parser("synthesize", help="build CNOT along one route")
     synthesize.add_argument("route", choices=list(_ROUTES))
-    synthesize.add_argument(
-        "--phi", type=_finite_float, help="deformation angle (evolution route)"
-    )
-    synthesize.add_argument("--theta", type=_finite_float, help="evolution angle, default pi/2")
-    synthesize.add_argument("--tol", type=_positive_float, help="pass tolerance, default 1e-12")
     synthesize.set_defaults(func=_cmd_synthesize)
 
     sweep = sub.add_parser("sweep", help="tabulate a quantity over a range")
@@ -586,13 +584,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--from", dest="start", type=_finite_float, required=True)
     sweep.add_argument("--to", dest="stop", type=_finite_float, required=True)
     sweep.add_argument("--steps", type=int, required=True)
-    _add_common_params(sweep)
-    sweep.add_argument("--y", type=_finite_float, help="second spectral value (qybe)")
-    sweep.add_argument("--tol", type=_positive_float, help="pass tolerance for residual sweeps")
     sweep.add_argument("--format", choices=["json", "csv"], default="json")
     sweep.add_argument("--out", help="write the report to a file instead of stdout")
     sweep.set_defaults(func=_cmd_sweep)
 
+    for name, (commands, settings) in _FLAGS.items():
+        for command in commands.split():
+            sub.choices[command].add_argument(f"--{name.replace('_', '-')}", **settings)
     return parser
 
 

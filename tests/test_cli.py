@@ -1336,6 +1336,7 @@ def test_verify_schrodinger_bit_identical_to_per_point_calls(sign):
          "--x", "-2E-7", "--y", "-.5"],
         ["matrix", "b", "--sign", "-", "--q", "-1e-3,-2e-5"],
     ],
+    ids=["from-exponent", "x-capital-exponent-y-leading-dot", "q-pair"],
 )
 def test_negative_numbers_in_any_notation_are_values(args, capsys):
     code, out, err = run_cli(args, capsys)
@@ -1627,14 +1628,17 @@ def test_every_listed_flag_is_accepted(command, flags, tmp_path, capsys):
     assert code == 0, err
 
 
-def _unused_flag_cases():
-    # (args, message) for each optional flag a subparser declares, taken from
-    # the parser's own actions, and each table entry that does not read it.
+def _subparsers():
     parser = ybgates.cli._build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+def _table_entries():
+    # Each subcommand's table entries: its arguments, its name in messages,
+    # and the flags it reads.
     cli = ybgates.cli
-    # Each entry: its arguments, its name in messages, and the flags it reads.
-    entries = {
+    return {
         "verify": [([name], f"verify {name}", {*entry[2], "tol"})
                    for name, entry in cli._RELATIONS.items()]
         # --matrix-file makes braid check one file, an entry of its own.
@@ -1653,11 +1657,17 @@ def _unused_flag_cases():
             for (quantity, param), entry in cli._SWEEPS.items()
         ],
     }
+
+
+def _unused_flag_cases():
+    # (args, message) for each optional flag a subparser declares, taken from
+    # the parser's own actions, and each table entry that does not read it.
+
     # Flags that every sweep reads, whatever its table entry.
     read_by_all = {"param", "start", "stop", "steps", "format", "out"}
     cases = []
-    for command, rows in entries.items():
-        for action in commands.choices[command]._actions:
+    for command, rows in _table_entries().items():
+        for action in _subparsers()[command]._actions:
             if not action.option_strings or action.dest in {"help"} | read_by_all:
                 continue
             flag = action.option_strings[0]
@@ -1677,6 +1687,57 @@ def _unused_flag_cases():
 def test_every_unused_flag_is_refused(args, message, capsys):
     code, out, err = run_cli(args, capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [pytest.param(name, command, id=f"{command} {name}")
+     for name, (commands, _) in ybgates.cli._FLAGS.items() for command in commands.split()],
+)
+def test_every_declared_flag_is_read_by_an_entry(name, command):
+    # The reverse of test_every_listed_flag_is_accepted: a subcommand
+    # declares a table flag only if one of its table entries reads it.
+    assert any(name in read for _, _, read in _table_entries()[command])
+
+
+def _abbreviation_cases():
+    # (base, argv) for each proper prefix of each long option of each parser,
+    # taken from the parser's own actions, that is not an option itself; the
+    # top-level parser's prefix goes before the subcommand.
+    parsers = {"ybg": ybgates.cli._build_parser(), **_subparsers()}
+    entries = {command: [command, *rows[0][0]] for command, rows in _table_entries().items()}
+    cases = []
+    for command, parser in parsers.items():
+        base = entries.get(command, entries["verify"])
+        options = parser._option_string_actions
+        # A prefix of two options, such as sweep's --s, is one case.
+        prefixes = {option[:end]: action for option, action in options.items()
+                    if option.startswith("--") for end in range(3, len(option))}
+        for prefix, action in prefixes.items():
+            if prefix in options:
+                continue
+            value = [] if action.nargs == 0 else [action.choices[0] if action.choices else "1"]
+            argv = [prefix, *value, *base] if command == "ybg" else [*base, prefix, *value]
+            cases.append(pytest.param(base, argv, id=f"{command} {prefix}"))
+    return cases
+
+
+@pytest.mark.parametrize("base, argv", _abbreviation_cases())
+def test_no_parser_reads_an_abbreviated_flag(base, argv, capsys):
+    # Prefix matching read `verify braid --phi 3` as --phi-grid 3, and
+    # `verify braid --he` printed help: each flag is read only as spelled.
+    parser = ybgates.cli._build_parser()
+    parser.parse_args(base)
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_abbreviated_flag_exits_2_with_empty_stdout(capsys):
+    code, out, err = run_cli(["verify", "braid", "--phi", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --phi 3\n")
 
 
 @pytest.mark.parametrize("param", ["theta", "phi"])
