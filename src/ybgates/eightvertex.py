@@ -15,18 +15,26 @@ the unit circle a generic x gives a non-unitary matrix, though not every
 x does: R(1) = 2I for every q != 0. Writing q = exp(-i*phi) and
 x = tan(theta) gives the equivalent angle form
 cos(theta) * b(phi) + sin(theta) * b(phi)^(-1).
+
+The unitary b(phi) is built once per (sign, phi), on first use, and kept
+read-only in a bounded cache keyed by the label and the bits of a float
+phi, so -0.0 and 0.0 stay apart; the angle family, the Hamiltonians, the
+Bell states and the theorem-1 product read it, and build_b_phi returns a
+fresh copy.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .linalg import map_floats
+from .linalg import map_floats, read_only
 from .paulis import SQRT2
 from .yangbaxter import _WEIGHT_INDEX, _baxterization, inverse_from_eigenvalues, yang_baxterize
 
@@ -126,9 +134,30 @@ def build_b_stack(sign, q: np.ndarray) -> np.ndarray:
     return b.reshape(shape + (4, 4))
 
 
+def _build_b_phi(sign: str, phi: float) -> np.ndarray:
+    return build_b(sign, np.exp(-1j * phi)) / SQRT2
+
+
+@functools.lru_cache(maxsize=8)
+def _b_phi_of_bits(sign: str, key: bytes) -> np.ndarray:
+    """b(phi), read-only, for the angle packed in key as one double; bounded,
+    as callers may pass any angle."""
+    return read_only(_build_b_phi(sign, struct.unpack("d", key)[0]))
+
+
+def _b_phi(sign: str, phi: float) -> np.ndarray:
+    """The read-only b(phi): cached for a float phi, keyed by its bits (the
+    label is checked first, so a bad one raises ValueError, not a hashing
+    error); any other phi is built as build_b_phi always built it."""
+    if isinstance(phi, float):
+        sign_value(sign)
+        return _b_phi_of_bits(sign, struct.pack("d", phi))
+    return _build_b_phi(sign, phi)
+
+
 def build_b_phi(sign: str, phi: float) -> np.ndarray:
     """Unitary braid matrix build_b(sign, exp(-i*phi)) / sqrt(2)."""
-    return build_b(sign, np.exp(-1j * phi)) / SQRT2
+    return _b_phi(sign, phi).copy()
 
 
 def build_b_phi_stack(sign, phi: np.ndarray) -> np.ndarray:
@@ -197,7 +226,7 @@ def angle_form(b: np.ndarray, theta) -> np.ndarray:
 
 def build_R_theta(sign: str, phi: float, theta: float) -> np.ndarray:
     """Angle form cos(theta) b(phi) + sin(theta) b(phi)^(-1); unitary."""
-    return angle_form(build_b_phi(sign, phi), theta)
+    return angle_form(_b_phi(sign, phi), theta)
 
 
 def theta_from_x(x: float) -> float:

@@ -8,11 +8,11 @@ and finishes with a phase gate; the phase gate's sign is fixed empirically
 (diag(1, -i) lands on CNOT exactly, diag(1, i) misses by 2).
 
 Each conjugation is one local frame L and its adjoint, L G L^dagger. The
-x-axis quarter turn exp(i pi/4 sigma_x) is built once, at import, with the
-evolution route's corrector. Gates that depend on no argument (CNOT, the
-theorem-1 product) and each rotation axis's sigma . n are built once per
-process, on first use, and kept read-only; the public functions return
-fresh arrays.
+x-axis quarter turn exp(i pi/4 sigma_x) and its adjoint are built once, at
+import, with the evolution route's corrector. Gates that depend on no
+argument (CNOT, the theorem-1 product) and each rotation axis's sigma . n
+are built once per process, on first use, and kept read-only; the public
+functions return fresh arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eightvertex import build_b_phi
+from .eightvertex import _b_phi
 from .hamiltonian import axis_angle_pair, evolution_U, sigma_axis
 from .linalg import DimensionMismatchError, kron, read_only, residual
 from .paulis import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, SQRT2
@@ -46,6 +46,7 @@ def _quarter_turn(generator: np.ndarray) -> np.ndarray:
 
 # exp(i pi/4 sigma_x) = rotation(X_AXIS, -pi/2); its adjoint is the +pi/2 turn.
 _X_QUARTER_TURN = read_only(_quarter_turn(SIGMA_X))
+_X_QUARTER_TURN_ADJOINT = read_only(_X_QUARTER_TURN.conj().T)
 
 # Final local step of the evolution route: CNOT_PHASE_GATE (x) exp(i pi/4 sigma_x).
 _EVOLUTION_CORRECTOR = kron(CNOT_PHASE_GATE, _X_QUARTER_TURN)
@@ -99,7 +100,7 @@ def _theorem1() -> np.ndarray:
     g = local_gates()
     m = kron(g.alpha, g.beta)
     n = -kron(g.gamma, g.delta)
-    return read_only(m @ build_b_phi("-", 0.0) @ n)
+    return read_only(m @ _b_phi("-", 0.0) @ n)
 
 
 def cnot_via_theorem1() -> np.ndarray:
@@ -142,8 +143,7 @@ def conjugation_identities(phi: float) -> tuple[float, float]:
     """
     alpha1, alpha2 = axis_angle_pair(phi)
     dz = rotation(Z_AXIS, -phi / 2.0)
-    xq = _X_QUARTER_TURN
-    first = xq.conj().T @ dz @ sigma_axis(alpha1) @ dz.conj().T @ xq
+    first = _X_QUARTER_TURN_ADJOINT @ dz @ sigma_axis(alpha1) @ dz.conj().T @ _X_QUARTER_TURN
     second = dz @ sigma_axis(alpha2) @ dz.conj().T
     return residual(first, SIGMA_Z), residual(second, SIGMA_X)
 
@@ -151,7 +151,7 @@ def conjugation_identities(phi: float) -> tuple[float, float]:
 def conjugate_to_zx(phi: float, theta: float) -> np.ndarray:
     """Rotate the '+' evolution operator into exp(-i (sigma_z x sigma_x) theta / 2)."""
     dz = rotation(Z_AXIS, -phi / 2.0)
-    left = kron(_X_QUARTER_TURN.conj().T @ dz, dz)
+    left = kron(_X_QUARTER_TURN_ADJOINT @ dz, dz)
     return left @ evolution_U("+", phi, theta) @ left.conj().T
 
 

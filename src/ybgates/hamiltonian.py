@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .eightvertex import build_b_phi, build_R_x_normalized_stack, sign_value
+from .eightvertex import _b_phi, build_R_x_normalized_stack, sign_value
 from .linalg import DimensionMismatchError, _eye, dagger, kron, map_floats
 from .paulis import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, SQRT2
 
@@ -48,7 +48,7 @@ def hamiltonian_x(sign: str, phi: float, x: float) -> np.ndarray:
     spectral family. Raises OverflowError, naming x, if 1 + x^2 overflows."""
     if math.isinf(1.0 + x * x):
         raise OverflowError(f"H(x) = -i b(phi)^2 / (1 + x^2) overflows at x={x!r}")
-    return hamiltonian_form(build_b_phi(sign, phi), x)
+    return hamiltonian_form(_b_phi(sign, phi), x)
 
 
 def generator_fd(

@@ -106,4 +106,4 @@ def unitarity_residuals(u: np.ndarray) -> np.ndarray:
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise DimensionMismatchError(f"expected (..., n, n) matrices, got shape {u.shape}")
     product = u @ u.conj().swapaxes(-1, -2)
-    return np.max(np.abs(product - _eye(u.shape[-1])), axis=(-2, -1))
+    return np.abs(product - _eye(u.shape[-1])).max(axis=(-2, -1))

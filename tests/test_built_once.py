@@ -11,13 +11,21 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from ybgates import cli, eightvertex, gates, hamiltonian, linalg, yangbaxter
-from ybgates.eightvertex import build_b_phi, build_b_stack, build_R_x_normalized_stack
-from ybgates.entangle import r_theta_concurrences
+from ybgates.eightvertex import (
+    angle_form,
+    build_b,
+    build_b_phi,
+    build_b_stack,
+    build_R_theta,
+    build_R_x_normalized_stack,
+)
+from ybgates.entangle import NonUnitaryGateError, basis_state, bell_from_b, r_theta_concurrences
 from ybgates.gates import (
     CNOT_PHASE_GATE,
     X_AXIS,
@@ -36,12 +44,14 @@ from ybgates.hamiltonian import (
     axis_angle_pair,
     evolution_U,
     hamiltonian_const,
+    hamiltonian_form,
     hamiltonian_x,
     interaction_operator,
     pauli_decompose,
     sigma_axis,
 )
 from ybgates.linalg import dagger, kron, map_floats, residual, unitarity_residual
+from ybgates.paulis import SQRT2
 from test_cli import _schrodinger_states as _schrodinger_states_oracle
 
 PAULIS = (
@@ -53,6 +63,7 @@ PAULIS = (
 # Every cache this module covers, as (module, function name).
 CACHES = [
     (cli, "_schrodinger_states"),
+    (eightvertex, "_b_phi_of_bits"),
     (gates, "_cnot"),
     (gates, "_sigma_dot"),
     (gates, "_theorem1"),
@@ -234,6 +245,72 @@ def test_theorem1_and_cnot_match_uncached_rebuild():
     assert _same_bits(cnot(), literal)
 
 
+def _b_phi_oracle(sign, phi):
+    # build_b_phi as written before b(phi) was cached.
+    return build_b(sign, np.exp(-1j * phi)) / SQRT2
+
+
+def test_b_phi_readers_match_uncached_rebuild():
+    rng = np.random.default_rng(1205)
+    phis = [0.0, -0.0, math.pi, -math.pi, 1e6, -1e6, 1e300, -1e300]
+    phis += rng.uniform(-10.0, 10.0, 24).tolist()  # four times the cache's 8 entries
+    points = [(str(rng.choice(["+", "-"])), phi) for phi in phis]
+    # The second pass comes back to each point after the cache evicted it.
+    for sign, phi in points + points[::-1]:
+        b = _b_phi_oracle(sign, phi)
+        theta, x, index = rng.uniform(-4.0, 4.0), rng.uniform(-3.0, 3.0), int(rng.integers(4))
+        assert _same_bits(build_b_phi(sign, phi), b)
+        assert _same_bits(build_R_theta(sign, phi, theta), angle_form(b, theta))
+        assert _same_bits(hamiltonian_const(sign, phi), hamiltonian_form(b, 1.0))
+        assert _same_bits(hamiltonian_x(sign, phi, x), hamiltonian_form(b, x))
+        assert _same_bits(bell_from_b(sign, phi, index), b @ basis_state(index))
+
+
+def test_one_b_phi_build_per_sign_and_angle(monkeypatch):
+    builds = []
+
+    def counting(sign, q):
+        builds.append((sign, q))
+        return build_b(sign, q)
+
+    monkeypatch.setattr(eightvertex, "build_b", counting)
+    eightvertex._b_phi_of_bits.cache_clear()
+    for phi, want in ((0.0, 1), (-0.0, 2)):
+        build_R_theta("-", phi, 0.3)
+        bell_from_b("-", phi, 2)
+        hamiltonian_const("-", phi)
+        hamiltonian_x("-", phi, 0.7)
+        assert len(builds) == want
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        build_b_phi,
+        lambda sign, phi: build_R_theta(sign, phi, 0.3),
+        hamiltonian_const,
+        lambda sign, phi: hamiltonian_x(sign, phi, 0.7),
+        lambda sign, phi: bell_from_b(sign, phi, 1),
+    ],
+    ids=["build_b_phi", "build_R_theta", "hamiltonian_const", "hamiltonian_x", "bell_from_b"],
+)
+def test_b_phi_readers_refuse_what_they_refused(read):
+    for sign in ("x", None, ["+"]):
+        with pytest.raises(ValueError, match="sign must be"):
+            read(sign, 0.3)
+    for phi in ("0.3", None, [0.3], Decimal("0.3")):
+        with pytest.raises(TypeError):
+            read("+", phi)
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+def test_bell_from_b_refuses_non_finite_angles_from_the_cache():
+    for phi in (math.nan, math.inf, -math.inf):
+        for _ in range(2):  # built, then read from the cache
+            with pytest.raises(NonUnitaryGateError):
+                bell_from_b("+", phi, 0)
+
+
 def test_evolution_U_matches_fresh_identity():
     for sign in "+-":
         for phi, theta in [(0.0, 0.0), (-0.0, math.pi), (1.3, -0.4), (5.0, 2.2)]:
@@ -301,8 +378,8 @@ def test_verify_builds_b_for_both_signs_in_one_call(monkeypatch, relation, build
 
 @pytest.mark.parametrize(
     "build",
-    [cnot, cnot_via_theorem1, lambda: evolution_U("+", 0.4, 0.3)],
-    ids=["cnot", "cnot_via_theorem1", "evolution_U"],
+    [cnot, cnot_via_theorem1, lambda: evolution_U("+", 0.4, 0.3), lambda: build_b_phi("-", 0.4)],
+    ids=["cnot", "cnot_via_theorem1", "evolution_U", "build_b_phi"],
 )
 def test_public_results_are_fresh_writable_arrays(build):
     first = build()
@@ -331,6 +408,7 @@ def test_cached_constants_are_read_only():
     cnot_via_evolution(0.2)
     pauli_decompose(np.eye(4))
     arrays = [gates._cnot(), gates._theorem1(), gates._X_QUARTER_TURN]
+    arrays += [gates._X_QUARTER_TURN_ADJOINT, eightvertex._b_phi("+", 0.3)]
     arrays += [*hamiltonian._pauli_gather(), linalg._eye(4), linalg._eye(2)]
     arrays += [cli._schrodinger_states()]
     arrays += [yangbaxter._path_tables(False), yangbaxter._path_tables(True)]
