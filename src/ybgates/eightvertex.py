@@ -34,9 +34,9 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import map_floats, read_only
+from .linalg import _WEIGHT_INDEX, map_floats, read_only
 from .paulis import SQRT2
-from .yangbaxter import _WEIGHT_INDEX, _baxterization, inverse_from_eigenvalues, yang_baxterize
+from .yangbaxter import _baxterization, inverse_from_eigenvalues, yang_baxterize
 
 # The two eigenvalues shared by every member of the family; their product
 # is the Baxterization coefficient 2.
@@ -80,7 +80,7 @@ class EightVertexWeights:
 
 
 def _place(weights) -> np.ndarray:
-    """The 4x4 matrix with w1..w8 at yangbaxter._WEIGHT_INDEX, zero elsewhere."""
+    """The 4x4 matrix with w1..w8 at linalg._WEIGHT_INDEX, zero elsewhere."""
     m = np.zeros(16, dtype=complex)
     m[_WEIGHT_INDEX] = weights
     return m.reshape(4, 4)
@@ -148,10 +148,14 @@ def _b_phi_of_bits(sign: str, key: bytes) -> np.ndarray:
 def _b_phi(sign: str, phi: float) -> np.ndarray:
     """The read-only b(phi): cached for a float phi, keyed by its bits (the
     label is checked first, so a bad one raises ValueError, not a hashing
-    error); any other phi is built as build_b_phi always built it."""
+    error). A complex phi, which would give a non-unitary matrix, and an
+    array are a TypeError; any other phi is built as build_b_phi always
+    built it."""
     if isinstance(phi, float):
         sign_value(sign)
         return _b_phi_of_bits(sign, struct.pack("d", phi))
+    if isinstance(phi, (complex, np.complexfloating, np.ndarray)):
+        raise TypeError(f"phi must be one real number, got {phi!r}")
     return _build_b_phi(sign, phi)
 
 

@@ -4,6 +4,17 @@
 Everything takes and returns numpy complex128 arrays. Closeness is always
 measured with the max-entry absolute residual, never a spectral norm, so a
 tolerance means the same thing in every module, test, and report.
+
+unitarity_residuals calls no BLAS. Entry (i, j) of u u^H is the sum over
+k of u[i, k] conj(u[j, k]). On b's pattern only 8 entries have paths k on
+which both factors are structurally non-zero, 2 paths each; a call with
+n != 4, or with a non-zero entry (NaN and infinity included) outside the
+pattern, takes the dense tables, n paths on each of the n^2 entries, which
+add only exact zeros to finite eight-vertex input. Each entry adds its
+paths one at a time in increasing k, so a matrix's bits depend on neither
+the size of the call nor the BLAS kernel. numpy's complex multiply is the
+one step whose bits depend on the CPU: they are the same from numpy's
+X86_V3 target (AVX2 and FMA) up, and differ on its unfused X86_V2 baseline.
 """
 
 from __future__ import annotations
@@ -16,6 +27,11 @@ import numpy as np
 # the per-block cost is spread thin, small enough that the list stays tens
 # of kilobytes whatever the array size.
 _FLOAT_BLOCK = 1024
+
+# The eight-vertex pattern: the flat row-major positions of w1..w8 in a 4x4
+# matrix. Every eight-vertex matrix is zero at the others, _OFF_PATTERN.
+_WEIGHT_INDEX = np.array([0, 15, 6, 9, 5, 10, 3, 12])
+_OFF_PATTERN = np.delete(np.arange(16), _WEIGHT_INDEX)
 
 
 class DimensionMismatchError(ValueError):
@@ -99,11 +115,47 @@ def unitarity_residual(u: np.ndarray) -> float:
     return float(unitarity_residuals(u))
 
 
+@functools.lru_cache(maxsize=4)
+def _gram_tables(n: int, dense: bool) -> np.ndarray:
+    """The paths of u u^H for an n x n u, dense or on b's pattern (n = 4),
+    as a (2, T, E) array of indices into u's n^2 entries, row-major: the
+    factors of path t of entry e are at [0, t, e] and [1, t, e], the paths
+    in increasing k, the E entries that have paths diagonal first. Built
+    on first use, read-only; bounded, as callers may pass any n."""
+    pattern = np.ones((n, n), dtype=bool)
+    if not dense:
+        pattern = np.isin(np.arange(16), _WEIGHT_INDEX).reshape(4, 4)
+    i, j, k = np.nonzero(pattern[:, None] & pattern[None])  # entry (i, j), path k
+    # The diagonal first, stably, so k stays increasing within each entry.
+    i, j, k = (a[np.argsort(i != j, kind="stable")] for a in (i, j, k))
+    entries = len(set(zip(i.tolist(), j.tolist())))
+    factors = np.stack([i * n + k, j * n + k]).reshape(2, entries, -1)
+    return read_only(factors.swapaxes(1, 2).copy())
+
+
 def unitarity_residuals(u: np.ndarray) -> np.ndarray:
-    """Residual of u @ dagger(u) against the identity, with the identity
-    built once per size, for each matrix of a (..., n, n) stack; shape (...)."""
+    """Residual of u @ dagger(u) against the identity for each matrix of a
+    (..., n, n) stack, over the path tables (see the module docstring),
+    chosen once per call; shape (...). A structurally zero entry's residual
+    is exactly 0 and is left out. At its peak a call holds 40 complex
+    numbers per eight-vertex matrix (2 n^3 + n^2 on the dense tables), the
+    bytes that zgemm's u @ dagger(u) - I took."""
     u = np.asarray(u, dtype=complex)
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise DimensionMismatchError(f"expected (..., n, n) matrices, got shape {u.shape}")
-    product = u @ u.conj().swapaxes(-1, -2)
-    return np.abs(product - _eye(u.shape[-1])).max(axis=(-2, -1))
+    n = u.shape[-1]
+    x = u.reshape(-1, n * n)
+    tables = _gram_tables(n, n != 4 or bool(x.take(_OFF_PATTERN, axis=1).any()))
+    # Each path's two factors, (T, E, N): one column per matrix.
+    left, right = x.T[tables[0]], x.T[tables[1]]
+    np.conjugate(right, out=right)
+    # The first product gets its own array: numpy rounds a one-element
+    # complex multiply into one of its inputs without FMA, so a lone 1x1
+    # matrix would get other bits than in a stack.
+    gram = left[0] * right[0]
+    # Each entry adds its paths' terms one at a time, in order.
+    for path in range(1, len(left)):
+        np.add(gram, np.multiply(left[path], right[path], out=left[path]), out=gram)
+    del right  # before the result is allocated: the peak stays at 40 numbers a matrix
+    gram[:n] -= 1
+    return np.abs(gram, out=left[0].real).max(axis=0).reshape(u.shape[:-2])

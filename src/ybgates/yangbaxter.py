@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, _eye, read_only
+from .linalg import _OFF_PATTERN, _WEIGHT_INDEX, DimensionMismatchError, _eye, read_only
 
 # Entry (k, r, c) is the index, in a 4x4 matrix m flattened row-major, of
 # entry (r, c) of its k-th lift: m (x) I holds m[r // 2, c // 2] where r
@@ -50,11 +50,6 @@ _LIFT_INDEX = np.array(
         [[4 * (r % 4) + c % 4 if r // 4 == c // 4 else 16 for c in range(8)] for r in range(8)],
     ]
 )
-
-# The eight-vertex pattern: the flat row-major positions of w1..w8 in a 4x4
-# matrix. Every eight-vertex matrix is zero at the others, _OFF_PATTERN.
-_WEIGHT_INDEX = np.array([0, 15, 6, 9, 5, 10, 3, 12])
-_OFF_PATTERN = np.delete(np.arange(16), _WEIGHT_INDEX)
 
 # Points whose paths qybe_residuals multiplies at a time: enough to
 # spread numpy's per-call cost thin, few enough that the gathered factors

@@ -7,6 +7,7 @@ them.
 """
 
 import math
+import re
 import struct
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from ybgates.eightvertex import (
     angle_form,
     build_b,
     build_b_phi,
+    build_b_phi_stack,
     build_b_stack,
     build_R_theta,
     build_R_x_normalized_stack,
@@ -50,7 +52,7 @@ from ybgates.hamiltonian import (
     pauli_decompose,
     sigma_axis,
 )
-from ybgates.linalg import dagger, kron, map_floats, residual, unitarity_residual
+from ybgates.linalg import kron, map_floats, residual, unitarity_residual, unitarity_residuals
 from ybgates.paulis import SQRT2
 from test_cli import _schrodinger_states as _schrodinger_states_oracle
 
@@ -69,6 +71,7 @@ CACHES = [
     (gates, "_theorem1"),
     (hamiltonian, "_pauli_gather"),
     (linalg, "_eye"),
+    (linalg, "_gram_tables"),
     (yangbaxter, "_path_tables"),
 ]
 
@@ -120,8 +123,44 @@ def test_pauli_decompose_matches_trace_oracle_on_hamiltonians():
 
 
 def _unitarity_oracle(u):
+    """Residual of u u^H against I for each matrix of a (..., n, n) stack,
+    in fixed order: entry (i, j) is the sum over k of u[i, k] conj(u[j, k]),
+    added one at a time in increasing k. Arithmetic runs on numpy arrays
+    over the matrices, as numpy's scalar complex multiply rounds differently."""
     u = np.asarray(u, dtype=complex)
-    return residual(u @ dagger(u), np.eye(u.shape[0], dtype=complex))
+    n = u.shape[-1]
+    m = u.reshape(-1, n, n)
+    worst = np.zeros(len(m))
+    for i in range(n):
+        for j in range(n):
+            entry = m[:, i, 0] * m[:, j, 0].conj()
+            for k in range(1, n):
+                entry = entry + m[:, i, k] * m[:, j, k].conj()
+            worst = np.maximum(worst, np.abs(entry - (i == j)))
+    return worst.reshape(u.shape[:-2])
+
+
+def _assert_unitarity_oracle(got, u):
+    """got has the oracle's bits where the oracle is finite, and is
+    non-finite where it is not; there the values may differ, as the tables
+    leave out structurally zero entries, where the oracle can make NaN."""
+    want = _unitarity_oracle(u)
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert _same_bits(np.where(finite, got, 0.0), np.where(finite, want, 0.0))
+
+
+def _spoiled_b_phi():
+    """b(0.3) with NaN or an infinity on b's pattern, at (0, 3), or off it,
+    at (1, 3), and matrices of one such value."""
+    cases = []
+    for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.inf)):
+        for at in ((0, 3), (1, 3)):
+            spoiled = build_b_phi("+", 0.3)
+            spoiled[at] = bad
+            cases.append(spoiled)
+        cases.append(np.full((4, 4), bad, dtype=complex))
+    return cases
 
 
 @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
@@ -130,13 +169,67 @@ def test_unitarity_residual_matches_residual_oracle():
     cases = [build_b_phi(s, float(p)) for s in "+-" for p in rng.uniform(-7.0, 7.0, 50)]
     cases += [_random_matrix(rng) for _ in range(200)]
     cases += [rng.standard_normal((n, n)) for n in (1, 2, 3, 8)]
-    for bad in (math.nan, math.inf, -math.inf):
-        spoiled = build_b_phi("+", 0.3)
-        spoiled[1, 2] = bad
-        cases += [spoiled, np.full((4, 4), bad, dtype=complex)]
-    for u in cases:
-        assert _same_bits(unitarity_residual(u), _unitarity_oracle(u))
+    for u in cases + _spoiled_b_phi():
+        _assert_unitarity_oracle(unitarity_residual(u), u)
     assert math.isnan(unitarity_residual(np.full((4, 4), math.nan)))
+
+
+def _unitarity_stack(rng) -> np.ndarray:
+    """976 matrices: 732 of the family, b(phi), R(x) and R(theta), with
+    signed zeros among their entries, then 244 dense ones."""
+    phi = np.concatenate([[0.0, -0.0, math.pi, -math.pi], rng.uniform(-7.0, 7.0, 57)])
+    x = np.concatenate([[0.0, -0.0, 1.0, -1.0], rng.uniform(-3.0, 3.0, 57)])
+    theta = np.concatenate([[0.0, -0.0, math.pi / 4, math.pi / 2], rng.uniform(-4.0, 4.0, 57)])
+    parts = []
+    for sign in "+-":
+        parts.append(build_b_phi_stack(sign, phi))
+        parts.append(build_R_x_normalized_stack(sign, phi[:3, None], x))
+        parts.append(angle_form(build_b_phi_stack(sign, phi[:2])[:, None], theta[:, None, None]))
+    parts.append([_random_matrix(rng) for _ in range(244)])
+    return np.concatenate([np.reshape(part, (-1, 4, 4)) for part in parts])
+
+
+def test_unitarity_residuals_match_oracle_in_calls_of_any_size():
+    # On b's pattern a matrix costs 16 products: 8 entries of 2 paths.
+    assert linalg._gram_tables(4, False).shape == (2, 2, 8)
+    rng = np.random.default_rng(1206)
+    stack = _unitarity_stack(rng)
+    # A call of family matrices alone takes the eight-vertex tables; one
+    # that holds a dense matrix takes the dense tables for all of them.
+    for size in (1, 61, 488, 976):
+        got = [unitarity_residuals(stack[i : i + size]) for i in range(0, len(stack), size)]
+        _assert_unitarity_oracle(np.concatenate(got), stack)
+    for n in (1, 2, 3, 8):
+        stack = rng.standard_normal((61, n, n)) + 1j * rng.standard_normal((61, n, n))
+        stack.real[rng.random(stack.shape) < 0.2] = -0.0
+        _assert_unitarity_oracle(unitarity_residuals(stack), stack)
+        _assert_unitarity_oracle(np.array([unitarity_residual(m) for m in stack]), stack)
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+def test_non_finite_matrices_leave_the_rest_of_the_call_unchanged():
+    family = build_b_phi_stack("-", np.linspace(-3.0, 3.0, 61))
+    want = unitarity_residuals(family)
+    for bad in _spoiled_b_phi():
+        stack = np.insert(family, 30, bad, axis=0)
+        got = unitarity_residuals(stack)
+        _assert_unitarity_oracle(got, stack)
+        assert not np.isfinite(got[30])
+        assert _same_bits(np.delete(got, 30), want)
+
+
+def test_unitarity_residuals_hold_only_the_gathered_factors():
+    stack = build_R_x_normalized_stack("+", 0.3, np.linspace(-3.0, 3.0, 20_000))
+    unitarity_residuals(stack[:1])  # build the tables
+    tracemalloc.start()
+    try:
+        unitarity_residuals(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 32 complex factors and 8 complex entries per matrix, as many bytes as
+    # u @ u^H - I held through zgemm.
+    assert peak < 40 * 16 * len(stack) + 65536
 
 
 def _conjugate_to_zx_oracle(phi, theta):
@@ -283,7 +376,7 @@ def test_one_b_phi_build_per_sign_and_angle(monkeypatch):
         assert len(builds) == want
 
 
-@pytest.mark.parametrize(
+_B_PHI_READERS = pytest.mark.parametrize(
     "read",
     [
         build_b_phi,
@@ -294,6 +387,9 @@ def test_one_b_phi_build_per_sign_and_angle(monkeypatch):
     ],
     ids=["build_b_phi", "build_R_theta", "hamiltonian_const", "hamiltonian_x", "bell_from_b"],
 )
+
+
+@_B_PHI_READERS
 def test_b_phi_readers_refuse_what_they_refused(read):
     for sign in ("x", None, ["+"]):
         with pytest.raises(ValueError, match="sign must be"):
@@ -301,6 +397,20 @@ def test_b_phi_readers_refuse_what_they_refused(read):
     for phi in ("0.3", None, [0.3], Decimal("0.3")):
         with pytest.raises(TypeError):
             read("+", phi)
+
+
+@_B_PHI_READERS
+def test_b_phi_readers_refuse_complex_and_array_angles(read):
+    # A complex phi gave a non-unitary b(phi), an array numpy's ValueError.
+    for phi in (1j, 0.3 + 0j, np.complex64(0.3), np.array(0.3), np.array([0.3]), np.zeros(2)):
+        with pytest.raises(TypeError, match=re.escape(f"phi must be one real number, got {phi!r}")):
+            read("+", phi)
+
+
+def test_b_phi_keeps_the_bits_of_int_and_numpy_real_angles():
+    for phi in (3, -0, True, np.int64(-2), np.float16(1.5), np.float32(0.3), np.float64(0.3)):
+        for sign in "+-":
+            assert _same_bits(build_b_phi(sign, phi), _b_phi_oracle(sign, phi))
 
 
 @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
@@ -412,6 +522,7 @@ def test_cached_constants_are_read_only():
     arrays += [*hamiltonian._pauli_gather(), linalg._eye(4), linalg._eye(2)]
     arrays += [cli._schrodinger_states()]
     arrays += [yangbaxter._path_tables(False), yangbaxter._path_tables(True)]
+    arrays += [linalg._gram_tables(4, False), linalg._gram_tables(4, True)]
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
