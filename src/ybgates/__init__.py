@@ -49,7 +49,6 @@ from .hamiltonian import (
     hamiltonian_const,
     hamiltonian_x,
     pauli_decompose,
-    schrodinger_residual,
     schrodinger_residuals,
     sigma_axis,
 )
@@ -59,14 +58,11 @@ from .linalg import (
     kron,
     residual,
     residuals,
-    unitarity_residual,
     unitarity_residuals,
 )
 from .yangbaxter import (
-    braid_residual,
     braid_residuals,
     inverse_from_eigenvalues,
-    qybe_residual,
     qybe_residuals,
     verify_two_eigenvalues,
     yang_baxterize,

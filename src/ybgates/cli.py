@@ -55,7 +55,7 @@ from .hamiltonian import (
 )
 from .linalg import _eye, kron, read_only, residual, residuals, unitarity_residuals
 from .paulis import DEFAULT_SEED, SIGMA_X, SIGMA_Y
-from .yangbaxter import braid_residual, braid_residuals, qybe_residuals
+from .yangbaxter import braid_residuals, qybe_residuals
 
 _SYNTHESIZE_TOL = 1e-12
 
@@ -199,8 +199,7 @@ def _json_float(value: float) -> float | None:
 
 def _braid(sign, phi) -> np.ndarray:
     """Braid-relation residual of b(sign, phi) at each (sign, phi)."""
-    b = build_b_phi_stack(sign, phi)
-    return braid_residuals(b.reshape(-1, 4, 4)).reshape(b.shape[:-2])
+    return braid_residuals(build_b_phi_stack(sign, phi))
 
 
 def _unitarity(sign, phi, x) -> np.ndarray:
@@ -247,7 +246,7 @@ def _over_grid(kernel, sign: str | None, *axes: tuple[str, np.ndarray]) -> _Labe
 
 def _verify_matrix_file(matrix_file: str) -> _Labelled:
     b = MatrixDocument.load(matrix_file).to_matrix()
-    result = braid_residual(b)  # first: it refuses a matrix that is not 4x4
+    result = braid_residuals(b)  # first: it refuses a matrix that is not 4x4
     # A singular b satisfies the relation trivially (zero does, at residual 0).
     if np.isfinite(b).all() and np.linalg.matrix_rank(b) < 4:
         raise CliError(f"{matrix_file} is singular; a braid generator must be invertible")
@@ -398,16 +397,11 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     flags, build = _ROUTES[args.route]
     values = _read_flags(args, {**flags, "tol": _SYNTHESIZE_TOL}, f"synthesize {args.route}")
     tol = values.pop("tol")
-    candidate = build(**values)
-    target = cnot()
+    candidate, target = build(**values), cnot()
     value = residual(candidate, target)
-    phase = None if value < tol else global_phase_between(candidate, target, tol)
-    if value < tol:
-        verdict, phase_angle = "exact", 0.0
-    elif phase is None:
-        verdict, phase_angle = "mismatch", None
-    else:
-        verdict, phase_angle = "phase-only", math.atan2(phase.imag, phase.real)
+    phase = 1.0 if value < tol else global_phase_between(candidate, target, tol)
+    verdict = "exact" if value < tol else "mismatch" if phase is None else "phase-only"
+    phase_angle = None if phase is None else math.atan2(phase.imag, phase.real)
     meta = {"route": args.route, **_given(values)}
     report = {
         "command": "synthesize",
@@ -537,8 +531,8 @@ _FLAGS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reads each flag only as spelled in full, and any
-    negative number as a value.
+    """ArgumentParser that reads each flag only as spelled in full, any
+    negative number as a value, and refuses its own leftover arguments.
 
     argparse before Python 3.13 takes only '-12' and '-1.5' for negative
     numbers, so '--from -1e-05', '--q -1,0' or '--tol -inf' failed as a
@@ -552,6 +546,12 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(
             r"^-\.?\d|^-(inf|infinity|nan)$", re.IGNORECASE
         )
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:  # here, not at the top level, so the error names the subcommand
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 @functools.lru_cache(maxsize=None)

@@ -211,10 +211,3 @@ def schrodinger_residuals(
     h_of_x = hamiltonian_form(family[3], xs[..., None, None])[..., None, :, :]
     defects = 1j * (plus - minus) / (2.0 * h) - _row_sums(h_of_x * psi[..., None, :])
     return np.sqrt(_row_sums(defects.real**2 + defects.imag**2))
-
-
-def schrodinger_residual(
-    sign: str, phi: float, psi0: np.ndarray, x: float, h: float = DEFAULT_FD_STEP
-) -> float:
-    """schrodinger_residuals for the single state psi0."""
-    return float(schrodinger_residuals(sign, phi, [psi0], x, h)[0])

@@ -106,15 +106,6 @@ def _eye(n: int) -> np.ndarray:
     return read_only(np.eye(n, dtype=complex))
 
 
-def unitarity_residual(u: np.ndarray) -> float:
-    """Residual of u @ dagger(u) against the identity, for a square u:
-    unitarity_residuals on one matrix."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {u.shape}")
-    return float(unitarity_residuals(u))
-
-
 @functools.lru_cache(maxsize=4)
 def _gram_tables(n: int, dense: bool) -> np.ndarray:
     """The paths of u u^H for an n x n u, dense or on b's pattern (n = 4),

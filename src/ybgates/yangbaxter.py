@@ -7,8 +7,7 @@ products of three such 8x8 lifts, and both checks return the max-entry
 residual of the two sides so the caller picks the tolerance.
 qybe_residuals, over N points given as three (N, 4, 4) stacks, makes
 every product: the braid relation is the spectral one with b = R(0) in
-all three slots, and the one-matrix and one-point checks are calls of it
-on stacks of one. Callers that check a grid expand it to points first.
+all three slots. Callers that check a grid expand it to points first.
 
 It builds no lift and calls no BLAS. Entry (i, j) of a product A B C of
 lifts is the sum over the paths (k, l) of A[i, k] B[k, l] C[l, j], and a
@@ -92,20 +91,13 @@ def _path_tables(dense: bool) -> np.ndarray:
 
 def braid_residuals(b: np.ndarray) -> np.ndarray:
     """Residuals of (b x I)(I x b)(b x I) = (I x b)(b x I)(I x b), one per
-    matrix of an (N, 4, 4) stack, as qybe_residuals with b in all three
-    slots; shape (N,)."""
-    return qybe_residuals(b, b, b)
-
-
-def braid_residual(b: np.ndarray) -> float:
-    """Residual of (b x I)(I x b)(b x I) = (I x b)(b x I)(I x b).
-
-    This is braid_residuals on a stack of one matrix.
-    """
+    matrix of a (..., 4, 4) stack, as qybe_residuals with b in all three
+    slots; shape (...), so one 4x4 matrix gives a 0-d result with the bits
+    it has in a stack of any size. Any other shape is refused."""
     b = np.asarray(b, dtype=complex)
-    if b.shape != (4, 4):
+    if b.shape[-2:] != (4, 4):
         raise DimensionMismatchError(f"expected a 4x4 matrix, got {b.shape}")
-    return float(braid_residuals(b[None])[0])
+    return qybe_residuals(*[b.reshape(-1, 4, 4)] * 3).reshape(b.shape[:-2])
 
 
 def qybe_residuals(r_x: np.ndarray, r_y: np.ndarray, r_xy: np.ndarray) -> np.ndarray:
@@ -162,16 +154,6 @@ def qybe_residuals(r_x: np.ndarray, r_y: np.ndarray, r_xy: np.ndarray) -> np.nda
             np.add(prod[:, 0], prod[:, path], out=prod[:, 0])
         out[start : start + width] = np.abs(prod[0, 0] - prod[1, 0]).max(axis=0)[:width]
     return out
-
-
-def qybe_residual(family: Callable[[float], np.ndarray], x: float, y: float) -> float:
-    """Residual of R1(x) R2(xy) R1(y) = R2(y) R1(xy) R2(x) on the 8x8 lift.
-
-    ``family`` maps a spectral value to a 4x4 matrix; it is evaluated at
-    x, y, and x*y. This is qybe_residuals on a stack of one point.
-    """
-    r_x, r_y, r_xy = (np.asarray(family(t), dtype=complex)[None] for t in (x, y, x * y))
-    return float(qybe_residuals(r_x, r_y, r_xy)[0])
 
 
 def inverse_from_eigenvalues(b: np.ndarray, eigenvalues: tuple[complex, complex]) -> np.ndarray:

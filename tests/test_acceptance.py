@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 from expm_series import expm
+from qybe_point import qybe_point
 from ybgates.cli import MatrixDocument, main as cli_main
 from ybgates.eightvertex import (
     build_b,
@@ -39,11 +40,11 @@ from ybgates.hamiltonian import (
     generator_fd,
     hamiltonian_const,
     interaction_operator,
-    schrodinger_residual,
+    schrodinger_residuals,
     sigma_axis,
 )
-from ybgates.linalg import dagger, kron, residual, unitarity_residual
-from ybgates.yangbaxter import braid_residual, qybe_residual
+from ybgates.linalg import dagger, kron, residual, unitarity_residuals
+from ybgates.yangbaxter import braid_residuals
 
 I4 = np.eye(4, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -67,9 +68,9 @@ def test_criterion_01_braid_relation():
     worst = 0.0
     for sign in SIGNS:
         for phi in PHI_32:
-            worst = max(worst, braid_residual(build_b_phi(sign, phi)))
+            worst = max(worst, float(braid_residuals(build_b_phi(sign, phi))))
         for phi in PHI_8:
-            worst = max(worst, braid_residual(build_b(sign, np.exp(-1j * phi))))
+            worst = max(worst, float(braid_residuals(build_b(sign, np.exp(-1j * phi)))))
     _criterion(1, "braid relation", worst < 1e-12, f"max={worst:.3e}")
 
 
@@ -82,19 +83,19 @@ def test_criterion_02_qybe_grid():
             family = lambda t, _s=sign, _q=q: build_R_x(_s, _q, t)
             for x in grid:
                 for y in grid:
-                    worst = max(worst, qybe_residual(family, x, y))
+                    worst = max(worst, qybe_point(family, x, y))
     _criterion(2, "spectral relation over grid", worst < 1e-10, f"max={worst:.3e}")
 
 
 def test_criterion_02b_qybe_argument_convention():
-    # The convention pinned in qybe_residual (first right-hand factor at y)
+    # The convention pinned in qybe_residuals (first right-hand factor at y)
     # holds to machine precision; swapping it for x fails by ~1.
     I2 = np.eye(2, dtype=complex)
     x, y = 0.3, 0.7
     kept, swapped = 0.0, np.inf
     for sign in SIGNS:
         family = lambda t, _s=sign: build_R_x(_s, 1.0, t)
-        kept = max(kept, qybe_residual(family, x, y))
+        kept = max(kept, qybe_point(family, x, y))
         lhs = (
             np.kron(family(x), I2)
             @ np.kron(I2, family(x * y))
@@ -126,11 +127,11 @@ def test_criterion_04_unitarity_regime():
         for phi in PHI_8:
             for x in np.linspace(-3.0, 3.0, 61):
                 worst = max(
-                    worst, unitarity_residual(build_R_x_normalized(sign, phi, float(x)))
+                    worst, float(unitarity_residuals(build_R_x_normalized(sign, phi, float(x))))
                 )
-    off_circle = unitarity_residual(build_R_x("+", 2.0, 0.5) / math.sqrt(rho(0.5)))
+    off_circle = float(unitarity_residuals(build_R_x("+", 2.0, 0.5) / math.sqrt(rho(0.5))))
     # R(1) = 2I for every q, so x = 1 is unitary off the circle too.
-    at_one = unitarity_residual(build_R_x("+", 2.0, 1.0) / math.sqrt(rho(1.0)))
+    at_one = float(unitarity_residuals(build_R_x("+", 2.0, 1.0) / math.sqrt(rho(1.0))))
     ok = worst < 1e-12 and off_circle > 1e-2 and at_one < 1e-12
     detail = f"max={worst:.3e} q=2 defect={off_circle:.3f} at x=1 {at_one:.3e}"
     _criterion(4, "unitary at real x iff |q| = 1 or x = 1", ok, detail)
@@ -200,9 +201,9 @@ def test_criterion_07_schrodinger_equation():
         for phi in (0.0, math.pi / 3):
             for x in (0.4, 1.0, 2.0):
                 for psi0 in states:
-                    worst = max(worst, schrodinger_residual(sign, phi, psi0, x, 1e-5))
-    coarse = schrodinger_residual("+", 0.3, states[0], 0.7, 1e-2)
-    fine = schrodinger_residual("+", 0.3, states[0], 0.7, 1e-3)
+                    worst = max(worst, float(schrodinger_residuals(sign, phi, [psi0], x, 1e-5)[0]))
+    coarse = float(schrodinger_residuals("+", 0.3, [states[0]], 0.7, 1e-2)[0])
+    fine = float(schrodinger_residuals("+", 0.3, [states[0]], 0.7, 1e-3)[0])
     ratio = coarse / fine
     ok = worst < 1e-6 and ratio >= 50.0
     _criterion(7, "Schrodinger defect and h^2 order", ok, f"max={worst:.2e} ratio={ratio:.1f}")

@@ -52,7 +52,7 @@ from ybgates.hamiltonian import (
     pauli_decompose,
     sigma_axis,
 )
-from ybgates.linalg import kron, map_floats, residual, unitarity_residual, unitarity_residuals
+from ybgates.linalg import kron, map_floats, residual, unitarity_residuals
 from ybgates.paulis import SQRT2
 from test_cli import _schrodinger_states as _schrodinger_states_oracle
 
@@ -170,8 +170,8 @@ def test_unitarity_residual_matches_residual_oracle():
     cases += [_random_matrix(rng) for _ in range(200)]
     cases += [rng.standard_normal((n, n)) for n in (1, 2, 3, 8)]
     for u in cases + _spoiled_b_phi():
-        _assert_unitarity_oracle(unitarity_residual(u), u)
-    assert math.isnan(unitarity_residual(np.full((4, 4), math.nan)))
+        _assert_unitarity_oracle(float(unitarity_residuals(u)), u)
+    assert math.isnan(float(unitarity_residuals(np.full((4, 4), math.nan))))
 
 
 def _unitarity_stack(rng) -> np.ndarray:
@@ -203,7 +203,7 @@ def test_unitarity_residuals_match_oracle_in_calls_of_any_size():
         stack = rng.standard_normal((61, n, n)) + 1j * rng.standard_normal((61, n, n))
         stack.real[rng.random(stack.shape) < 0.2] = -0.0
         _assert_unitarity_oracle(unitarity_residuals(stack), stack)
-        _assert_unitarity_oracle(np.array([unitarity_residual(m) for m in stack]), stack)
+        _assert_unitarity_oracle(np.array([float(unitarity_residuals(m)) for m in stack]), stack)
 
 
 @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")

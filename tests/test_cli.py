@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qybe_point import qybe_point
 import ybgates.cli
 import ybgates.linalg
 from ybgates.cli import MatrixDocument, main
@@ -36,12 +37,11 @@ from ybgates.hamiltonian import (
     evolution_U,
     hamiltonian_const,
     interaction_operator,
-    schrodinger_residual,
     schrodinger_residuals,
 )
-from ybgates.linalg import kron, residual, unitarity_residual
+from ybgates.linalg import kron, residual, unitarity_residuals
 from ybgates.paulis import DEFAULT_SEED, SIGMA_X, SIGMA_Y
-from ybgates.yangbaxter import braid_residual, qybe_residual
+from ybgates.yangbaxter import braid_residuals
 
 # `ybg verify qybe` stdout, pinned at the path kernel, whose sums do not
 # depend on the BLAS kernel (the BLAS products before it reported the same
@@ -268,7 +268,7 @@ def test_matrix_document_unreadable_path_exits_2(tmp_path, capsys):
 
 
 def test_verify_3x3_matrix_file_names_its_shape(tmp_path, capsys):
-    # braid_residual refuses it by its own shape, not the stack kernel's.
+    # braid_residuals refuses it by its own shape, not the path kernel's.
     path = tmp_path / "three.json"
     path.write_text(MatrixDocument.from_matrix(np.eye(3)).to_json())
     code, out, err = run_cli(["verify", "braid", "--matrix-file", str(path)], capsys)
@@ -541,14 +541,14 @@ def test_sweep_qybe_x_row_bit_identical_to_oracle(capsys):
     report = json.loads(out)
     q = np.exp(-1j * 1.3)
     family = lambda t: build_R_x("-", q, t)
-    expected = [qybe_residual(family, v, 0.7) for v in report["values"]]
+    expected = [qybe_point(family, v, 0.7) for v in report["values"]]
     assert len(expected) == 4096
     assert np.array_equal(report["results"], expected)
 
 
 def _verify_qybe_oracle(sign, grid, phi_grid):
     """verify qybe's residuals in its order (sign, phi, then x-major), one
-    point at a time, each in a one-point call (qybe_residual): a point's
+    point at a time, each in a one-point call (qybe_point): a point's
     bits must not depend on the block it runs in. tests/test_yangbaxter.py
     checks the kernel itself against np.kron oracles."""
     values = [2.0 * k / grid for k in range(1, grid + 1)]
@@ -557,7 +557,7 @@ def _verify_qybe_oracle(sign, grid, phi_grid):
         for phi in [2.0 * math.pi * k / phi_grid for k in range(phi_grid)]:
             q = np.exp(-1j * phi)
             family = lambda t, s=s, q=q: build_R_x(s, q, t)
-            results.extend(qybe_residual(family, x, y) for x in values for y in values)
+            results.extend(qybe_point(family, x, y) for x in values for y in values)
     return np.array(results)
 
 
@@ -619,7 +619,7 @@ def test_sweep_qybe_x_partial_block_bit_identical_to_oracle(steps, capsys):
     assert code == 0
     report = json.loads(out)
     family = lambda t: build_R_x("+", np.exp(-1j * 0.4), t)
-    expected = np.array([qybe_residual(family, v, -1.3) for v in report["values"]])
+    expected = np.array([qybe_point(family, v, -1.3) for v in report["values"]])
     assert len(expected) == steps
     assert np.array(report["results"]).tobytes() == expected.tobytes()
 
@@ -635,7 +635,7 @@ def test_sweep_qybe_phi_row_bit_identical_to_oracle(capsys):
     assert code == 0
     report = json.loads(out)
     expected = [
-        qybe_residual(lambda t: build_R_x("+", np.exp(-1j * v), t), -2.9, 2.1)
+        qybe_point(lambda t: build_R_x("+", np.exp(-1j * v), t), -2.9, 2.1)
         for v in report["values"]
     ]
     assert len(expected) == 4096
@@ -1004,7 +1004,9 @@ def test_sweep_unitarity_x_row_bit_identical_to_oracle(capsys):
          "--steps", "997", "--sign", "+", "--phi", "2.2"],
         capsys,
     )
-    expected = [unitarity_residual(build_R_x_normalized("+", 2.2, v)) for v in report["values"]]
+    expected = [
+        float(unitarity_residuals(build_R_x_normalized("+", 2.2, v))) for v in report["values"]
+    ]
     assert len(expected) == 997
     assert np.array_equal(report["results"], expected)
 
@@ -1018,7 +1020,9 @@ def test_sweep_unitarity_phi_row_bit_identical_to_oracle(capsys):
          "--steps", "997", "--x", repr(x)],
         capsys,
     )
-    expected = [unitarity_residual(build_R_x_normalized("-", v, x)) for v in report["values"]]
+    expected = [
+        float(unitarity_residuals(build_R_x_normalized("-", v, x))) for v in report["values"]
+    ]
     assert np.array_equal(report["results"], expected)
 
 
@@ -1028,7 +1032,7 @@ def test_sweep_braid_phi_row_bit_identical_to_oracle(capsys):
          "--steps", "997", "--sign", "+"],
         capsys,
     )
-    expected = [braid_residual(build_b_phi("+", v)) for v in report["values"]]
+    expected = [float(braid_residuals(build_b_phi("+", v))) for v in report["values"]]
     assert np.array_equal(report["results"], expected)
 
 
@@ -1191,7 +1195,7 @@ def _relation_oracle(relation):
     if relation == "qybe":
         values = [2.0 * k / 16 for k in range(1, 17)]
         return [
-            qybe_residual(lambda t: build_R_x(sign, np.exp(-1j * phi), t), x, y)
+            qybe_point(lambda t: build_R_x(sign, np.exp(-1j * phi), t), x, y)
             for sign in "+-"
             for phi in phis
             for x in values
@@ -1199,13 +1203,13 @@ def _relation_oracle(relation):
         ]
     if relation == "braid":
         return [
-            braid_residual(build_b_phi(sign, 2.0 * math.pi * k / 32))
+            float(braid_residuals(build_b_phi(sign, 2.0 * math.pi * k / 32)))
             for sign in "+-"
             for k in range(32)
         ]
     if relation == "unitarity":
         return [
-            unitarity_residual(build_R_x_normalized(sign, phi, float(x)))
+            float(unitarity_residuals(build_R_x_normalized(sign, phi, float(x))))
             for sign in "+-"
             for phi in phis
             for x in np.linspace(-3.0, 3.0, 61)
@@ -1213,7 +1217,7 @@ def _relation_oracle(relation):
     if relation == "schrodinger":
         states = _schrodinger_states()
         return [
-            schrodinger_residual(sign, phi, psi0, x, h=1e-5)
+            float(schrodinger_residuals(sign, phi, [psi0], x, h=1e-5)[0])
             for sign in "+-"
             for phi in (0.0, math.pi / 3.0)
             for x in (0.4, 1.0, 2.0)
@@ -1419,8 +1423,7 @@ def test_qybe_commands_never_call_lift_or_inverse(args, monkeypatch, capsys):
 def test_qybe_commands_never_call_point_kernel(args, monkeypatch, capsys):
     # verify qybe and both sweep parameters hand each point of their grid,
     # as its (x, y, xy) matrices, to the path kernel exactly once, in calls
-    # of at most max(_QYBE_BLOCK, len(y)) points, and never to qybe_residual.
-    _refuse_everywhere(monkeypatch, "qybe_residual", qybe_residual)
+    # of at most max(_QYBE_BLOCK, len(y)) points.
     points, sizes = [], []
     real = ybgates.cli.qybe_residuals
 
@@ -1735,9 +1738,18 @@ def test_no_parser_reads_an_abbreviated_flag(base, argv, capsys):
 
 
 def test_abbreviated_flag_exits_2_with_empty_stdout(capsys):
-    code, out, err = run_cli(["verify", "braid", "--phi", "3"], capsys)
-    assert (code, out) == (2, "")
-    assert err.endswith("error: unrecognized arguments: --phi 3\n")
+    # A subcommand refuses its own leftovers, so its usage and name lead;
+    # the top level's leftovers are the top level's.
+    sweep = ["sweep", "braid", "--param", "phi", "--from", "0", "--to", "1", "--steps", "3"]
+    for argv, prog, flag in [
+        (["verify", "braid", "--phi", "3"], "ybg verify", "--phi 3"),
+        ([*sweep, "--step", "3"], "ybg sweep", "--step 3"),
+        (["--bogus", "verify", "braid"], "ybg", "--bogus"),
+    ]:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: {prog} ")
+        assert err.endswith(f"\n{prog}: error: unrecognized arguments: {flag}\n")
 
 
 @pytest.mark.parametrize("param", ["theta", "phi"])
@@ -1806,6 +1818,13 @@ def test_readme_command_lines_exit_zero(capsys):
     for args in commands:
         code, _, err = run_cli(args, capsys)
         assert code == 0, (args, err)
+
+
+def test_readme_library_tour_runs():
+    # The README's first python code block, the library tour, as written.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(tour, "README.md", "exec"), {})
 
 
 @pytest.mark.parametrize("relation", list(ybgates.cli._RELATIONS))

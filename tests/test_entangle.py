@@ -34,7 +34,6 @@ from ybgates.gates import cnot
 from ybgates.linalg import (
     DimensionMismatchError,
     kron,
-    unitarity_residual,
     unitarity_residuals,
 )
 
@@ -237,9 +236,9 @@ def test_is_entangling_rejects_non_unitary():
 @pytest.mark.parametrize(
     "check, arg",
     [
-        (unitarity_residual, np.eye(2, 4)),
-        (unitarity_residual, np.stack([I4, I4])),
-        (unitarity_residual, np.ones(4)),
+        (unitarity_residuals, np.eye(2, 4)),
+        (unitarity_residuals, np.stack([np.eye(2, 4)] * 2)),
+        (unitarity_residuals, np.ones(16)),
         (unitarity_residuals, np.ones((1, 2, 4))),
         (unitarity_residuals, np.ones(4)),
         (lambda gate: apply_gate(gate, basis_state(0)), np.eye(2, 4)),

@@ -26,7 +26,6 @@ from ybgates.hamiltonian import (
     interaction_operator,
     pauli_decompose,
     r_from_h_form,
-    schrodinger_residual,
     schrodinger_residuals,
     sigma_axis,
 )
@@ -293,14 +292,14 @@ def test_r_from_h_form_stack_bit_identical_to_R_from_H():
 def test_schrodinger_residual_examples():
     ket00 = np.array([1, 0, 0, 0], dtype=complex)
     bell = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
-    assert schrodinger_residual("-", 0.0, ket00, 1.0, 1e-5) < 1e-6
-    assert schrodinger_residual("+", math.pi / 3, bell, 0.4, 1e-5) < 1e-6
+    assert float(schrodinger_residuals("-", 0.0, [ket00], 1.0, 1e-5)[0]) < 1e-6
+    assert float(schrodinger_residuals("+", math.pi / 3, [bell], 0.4, 1e-5)[0]) < 1e-6
 
 
 def test_schrodinger_residual_second_order():
     ket00 = np.array([1, 0, 0, 0], dtype=complex)
-    coarse = schrodinger_residual("+", 0.3, ket00, 0.7, 1e-2)
-    fine = schrodinger_residual("+", 0.3, ket00, 0.7, 1e-3)
+    coarse = float(schrodinger_residuals("+", 0.3, [ket00], 0.7, 1e-2)[0])
+    fine = float(schrodinger_residuals("+", 0.3, [ket00], 0.7, 1e-3)[0])
     assert coarse / fine >= 50.0
 
 
@@ -335,7 +334,7 @@ def test_schrodinger_residuals_bit_identical_to_oracle(sign, phi, x, h, count, s
     assert got.shape == (count,)
     expected = [_schrodinger_oracle(sign, phi, psi0, x, h) for psi0 in states]
     assert np.array_equal(got, expected)
-    assert schrodinger_residual(sign, phi, states[0], x, h) == expected[0]
+    assert float(schrodinger_residuals(sign, phi, [states[0]], x, h)[0]) == expected[0]
 
 
 @given(

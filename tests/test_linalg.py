@@ -17,7 +17,6 @@ from ybgates.linalg import (
     kron,
     residual,
     residuals,
-    unitarity_residual,
     unitarity_residuals,
 )
 
@@ -254,8 +253,8 @@ def test_residual_dim_mismatch():
 
 
 def test_unitarity_residual():
-    assert unitarity_residual(build_b_phi("+", 1.1)) < 1e-12
-    assert unitarity_residual(2.0 * I4) == 3.0
+    assert float(unitarity_residuals(build_b_phi("+", 1.1))) < 1e-12
+    assert float(unitarity_residuals(2.0 * I4)) == 3.0
 
 
 def _expm_oracle(a):
@@ -500,13 +499,13 @@ def test_unitarity_residuals_bit_identical_to_scalar(n, count, scale, seed):
     stack = np.array([_random_matrix(rng, n=n, scale=scale) for _ in range(count)])
     got = unitarity_residuals(stack)
     assert got.shape == (count,)
-    assert np.array_equal(got, [unitarity_residual(m) for m in stack])
+    assert np.array_equal(got, [float(unitarity_residuals(m)) for m in stack])
 
 
 def test_unitarity_residuals_on_unitary_family():
     stack = np.array([build_b_phi(sign, 0.3 * k) for sign in "+-" for k in range(8)])
     got = unitarity_residuals(stack)
-    assert np.array_equal(got, [unitarity_residual(m) for m in stack])
+    assert np.array_equal(got, [float(unitarity_residuals(m)) for m in stack])
     assert np.all(got < 1e-12)
 
 

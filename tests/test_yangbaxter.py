@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qybe_point import qybe_point
 import ybgates.yangbaxter
 
 from ybgates.eightvertex import (
@@ -24,10 +25,8 @@ from ybgates.eightvertex import (
 from ybgates.linalg import DimensionMismatchError
 from ybgates.paulis import SQRT2
 from ybgates.yangbaxter import (
-    braid_residual,
     braid_residuals,
     inverse_from_eigenvalues,
-    qybe_residual,
     qybe_residuals,
     verify_two_eigenvalues,
     yang_baxterize,
@@ -124,17 +123,17 @@ def _assert_path_and_kron_oracles(got, r_x, r_y, r_xy):
 
 
 def test_braid_residual_on_unitary_family():
-    assert braid_residual(build_b_phi("-", 0.0)) < 1e-12
+    assert float(braid_residuals(build_b_phi("-", 0.0))) < 1e-12
 
 
 def test_braid_residual_identity():
-    assert braid_residual(I4) == 0.0
+    assert float(braid_residuals(I4)) == 0.0
 
 
 def test_braid_residual_detects_perturbation():
     bad = build_b_phi("-", 0.0).copy()
     bad[0, 0] += 0.1
-    value = braid_residual(bad)
+    value = float(braid_residuals(bad))
     assert value > 1e-3
     assert abs(value - _braid_oracle(bad)) < 1e-14
 
@@ -142,48 +141,44 @@ def test_braid_residual_detects_perturbation():
 def test_braid_residual_matches_oracle():
     rng = np.random.default_rng(2)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert abs(braid_residual(m) - _braid_oracle(m)) < 1e-11
+    assert abs(float(braid_residuals(m)) - _braid_oracle(m)) < 1e-11
 
 
 def test_braid_residual_dim_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        braid_residual(I2)
+    message = re.escape("expected a 4x4 matrix, got (2, 2)")
+    with pytest.raises(DimensionMismatchError, match=message):
+        braid_residuals(I2)
     # A scalar, and an 8x8 matrix or stack, which is not its lift either.
-    for check, arg in [
-        (braid_residual, 1.0),
-        (braid_residuals, np.complex128(1.0)),
-        (braid_residual, np.eye(8)),
-        (braid_residuals, np.stack([np.eye(8)] * 2)),
-    ]:
+    for arg in [1.0, np.complex128(1.0), np.eye(8), np.stack([np.eye(8)] * 2)]:
         with pytest.raises(DimensionMismatchError):
-            check(arg)
+            braid_residuals(arg)
 
 
 def test_qybe_residual_on_derived_family():
     family = lambda t: build_R_x("-", 1.0, t)
-    assert qybe_residual(family, 0.3, 0.7) < 1e-12
-    assert abs(qybe_residual(family, 0.3, 0.7) - _qybe_oracle(family, 0.3, 0.7)) < 1e-13
+    assert qybe_point(family, 0.3, 0.7) < 1e-12
+    assert abs(qybe_point(family, 0.3, 0.7) - _qybe_oracle(family, 0.3, 0.7)) < 1e-13
 
 
 def test_qybe_residual_identity_point():
     family = lambda t: build_R_x("-", 1.0, t)
     # R(1) is proportional to the identity, so both sides coincide.
     assert np.array_equal(family(1.0), 2.0 * I4)
-    assert qybe_residual(family, 1.0, 1.0) < 1e-12
+    assert qybe_point(family, 1.0, 1.0) < 1e-12
 
 
 def test_qybe_residual_constant_family_reduces_to_braid():
     b = build_b_phi("-", 0.0)
     family = lambda t: b
-    assert qybe_residual(family, 0.4, 1.7) < 1e-12
-    assert abs(qybe_residual(family, 0.4, 1.7) - _braid_oracle(b)) < 1e-14
+    assert qybe_point(family, 0.4, 1.7) < 1e-12
+    assert abs(qybe_point(family, 0.4, 1.7) - _braid_oracle(b)) < 1e-14
 
 
 def test_qybe_first_factor_convention():
     # The unprinted right-hand argument: with y it holds, with x it fails.
     for sign in ("+", "-"):
         family = lambda t: build_R_x(sign, 1.0, t)
-        assert qybe_residual(family, 0.3, 0.7) < 1e-12
+        assert qybe_point(family, 0.3, 0.7) < 1e-12
         r1 = lambda m: np.kron(m, I2)
         r2 = lambda m: np.kron(I2, m)
         lhs = r1(family(0.3)) @ r2(family(0.21)) @ r1(family(0.7))
@@ -300,10 +295,10 @@ def test_two_eigenvalue_check():
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_braid_grid_and_qybe_grid_light(sign):
     for phi in [2.0 * math.pi * k / 8 for k in range(8)]:
-        assert braid_residual(build_b_phi(sign, phi)) < 1e-12
+        assert float(braid_residuals(build_b_phi(sign, phi))) < 1e-12
         family = lambda t: build_R_x(sign, np.exp(-1j * phi), t)
         for x, y in ((0.25, 1.75), (0.5, 0.5), (2.0, 0.125)):
-            assert qybe_residual(family, x, y) < 1e-10
+            assert qybe_point(family, x, y) < 1e-10
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -332,7 +327,7 @@ def test_qybe_residuals_property(sign, phi, x, y):
     got = qybe_residuals(*stacks)
     family = lambda t: build_R_x(sign, q, t)
     assert got.shape == (1,)
-    assert got[0] == qybe_residual(family, x, y)
+    assert got[0] == qybe_point(family, x, y)
     _assert_path_and_kron_oracles(got, *stacks)
     # Rounding grows with the entries of the three factors on each side.
     scale = (1.0 + abs(x)) * (1.0 + abs(y)) * (1.0 + abs(x * y))
@@ -372,7 +367,7 @@ def test_braid_residuals_property(sign, phis):
     b = np.array([build_b_phi(sign, phi) for phi in phis])
     assert got.shape == (len(phis),)
     _assert_path_and_kron_oracles(got, b, b, b)
-    assert np.array_equal(got, [braid_residual(build_b_phi(sign, phi)) for phi in phis])
+    assert np.array_equal(got, [float(braid_residuals(build_b_phi(sign, phi))) for phi in phis])
     assert np.all(got < 1e-12)
 
 
@@ -384,12 +379,39 @@ def test_braid_residuals_bit_identical_on_random_matrices(seed, count):
 
 
 def test_braid_residuals_shape_checks():
-    with pytest.raises(DimensionMismatchError):
-        braid_residuals(I4)
-    with pytest.raises(DimensionMismatchError):
-        braid_residuals(np.stack([I2, I2]))
-    with pytest.raises(DimensionMismatchError):
-        braid_residual(np.stack([I4, I4]))
+    # Any (..., 4, 4) stack gives one residual per matrix, in its shape.
+    for shape in [(), (2,), (0,), (2, 3), (1, 1, 1)]:
+        assert braid_residuals(np.broadcast_to(I4, shape + (4, 4))).shape == shape
+    for arg in [np.stack([I2, I2]), np.ones(16), np.ones((4, 4, 2))]:
+        with pytest.raises(DimensionMismatchError):
+            braid_residuals(arg)
+
+
+def test_braid_residuals_of_one_matrix_is_its_entry_in_any_stack():
+    # One matrix gives a 0-d result with the bits it has in a stack of any
+    # size and shape, whichever path tables the stack's other matrices pick.
+    rng = np.random.default_rng(38)
+    family = [build_b_phi(s, p) for s in "+-" for p in rng.uniform(-7.0, 7.0, 4)]
+    family += [
+        build_R_x(s, np.exp(-1j * p), x) for s in "+-" for p, x in rng.uniform(-3.0, 3.0, (4, 2))
+    ]
+    dense = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+    dense[rng.random((6, 4, 4)) < 0.3] = 0.0
+    dense.real[rng.random((6, 4, 4)) < 0.2] = -0.0
+    dense.imag[rng.random((6, 4, 4)) < 0.2] = -0.0
+    stack = np.concatenate([family, dense])
+    for k, m in enumerate(stack):
+        alone = braid_residuals(m)
+        assert alone.shape == ()
+        for sizes in [(1,), (len(stack),), (3, len(stack))]:
+            got = braid_residuals(np.broadcast_to(m, sizes + (4, 4)))
+            assert got.tobytes() == np.full(sizes, alone).tobytes()
+        assert braid_residuals(stack)[k].tobytes() == alone.tobytes()
+        assert braid_residuals(stack[: k + 1])[k].tobytes() == alone.tobytes()
+    bad = build_b_phi("+", 0.3)
+    bad[1, 2] = math.nan
+    assert not np.isfinite(braid_residuals(bad))
+    assert not np.isfinite(braid_residuals(np.stack([I4, bad, I4]))[1])
 
 
 # Signed zeros and subnormals, which a product with 1 or 0 can change
@@ -662,9 +684,9 @@ def test_qybe_residuals_refuses_unequal_lifts():
     "call",
     [
         lambda: braid_residuals(np.stack([I4, 2.0 * I4])),
-        lambda: braid_residual(build_b_phi("-", 0.0)),
+        lambda: braid_residuals(build_b_phi("-", 0.0)),
         lambda: qybe_residuals(*[np.stack([I4, 2.0 * I4])] * 3),
-        lambda: qybe_residual(lambda t: build_R_x("+", 1.0, t), 0.3, 0.7),
+        lambda: qybe_point(lambda t: build_R_x("+", 1.0, t), 0.3, 0.7),
     ],
     ids=["braid_residuals", "braid_residual", "qybe_residuals", "qybe_residual"],
 )
